@@ -8,7 +8,7 @@ total output supports, and which total output a given final demand needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ class DeliveriesTable:
             raise DimensionError(f"deliveries table must be square, got {d.rows}x{d.cols}")
         if d.rows != self.final_demand.n:
             raise DimensionError("final demand dimension must match table size")
-        if min(d.entries) < 0 or min(self.final_demand.entries) < 0:
+        if d.to_array().min() < 0 or self.final_demand.to_array().min() < 0:
             raise ModelError("deliveries and final demand must be non-negative")
 
     @property
@@ -44,24 +44,29 @@ class DeliveriesTable:
 
 @dataclass(frozen=True)
 class LeontiefModel:
-    """Input-output matrix P plus an optional resource consumption matrix R."""
+    """Input-output matrix P plus an optional resource consumption matrix R.
+    I - P is eliminated once; every solve replays ``elimination`` on its y."""
 
     P: Matrix
     R: Optional[Matrix] = None
     labels: Optional[tuple[str, ...]] = None
+    elimination: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.P.is_square:
             raise DimensionError("P must be square")
-        if min(self.P.entries) < 0:
+        if self.P.to_array().min() < 0:
             raise ModelError("P must be non-negative")
         if self.R is not None:
             if self.R.cols != self.P.rows:
                 raise DimensionError("R must have one column per agent")
-            if min(self.R.entries) < 0:
+            if self.R.to_array().min() < 0:
                 raise ModelError("R must be non-negative")
-        if abs(linsolve.determinant(self.technology_matrix())) <= EPS_ZERO:
-            raise ModelError("technology matrix I - P is singular")
+        steps: list = []
+        _, rk, _, _ = linsolve.rref(self.technology_matrix(), steps)
+        if rk < self.n:
+            raise ModelError(f"technology matrix I - P is singular (rank {rk} < {self.n})")
+        object.__setattr__(self, "elimination", tuple(steps))
 
     @property
     def n(self) -> int:
@@ -71,8 +76,8 @@ class LeontiefModel:
         return Matrix.from_array(np.eye(self.n) - self.P.to_array())
 
     def total_demand_matrix(self) -> Matrix:
-        """(I - P)^-1, materialized on request."""
-        return linsolve.inverse(self.technology_matrix())
+        """(I - P)^-1, materialized on request from the stored elimination."""
+        return Matrix.from_array(linsolve.replay(self.elimination, np.eye(self.n)))
 
 
 def model_from_table(
@@ -91,7 +96,7 @@ def model_from_table(
         raise ModelError(f"agent {bad} has zero total output; P column undefined")
     P = nd / q[np.newaxis, :]
     model = LeontiefModel(Matrix.from_array(P), R=R, labels=labels)
-    return model, Vector(tuple(q)), Vector(tuple(y))
+    return model, Vector(q), Vector(y)
 
 
 def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
@@ -100,19 +105,16 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
     if q.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {q.n}")
     y = m.technology_matrix().to_array() @ q.to_array()
-    return Vector(tuple(y)), bool(np.any(y < -EPS_ZERO))
+    return Vector(y), bool(np.any(y < -EPS_ZERO))
 
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
-    """q = (I - P)^-1 y, solved per right-hand side for n > 8 for accuracy."""
+    """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2),
+    and equal bit for bit to eliminating [I - P | y]."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
-    if m.n > 8:
-        sol = linsolve.solve(linsolve.LinearSystem(m.technology_matrix(), y))
-        q = sol.particular.to_array()
-    else:
-        q = m.total_demand_matrix().to_array() @ y.to_array()
-    return Vector(tuple(q)), bool(np.any(q < -EPS_ZERO))
+    q = linsolve.replay(m.elimination, y.to_array())
+    return Vector(q), bool(np.any(q < -EPS_ZERO))
 
 
 def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Vector:
@@ -127,7 +129,7 @@ def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Ve
         raise ValueError(f"given must be 'q' or 'y', not {given!r}")
     if q.n != m.R.cols:
         raise DimensionError("dimension mismatch against R")
-    return Vector(tuple(m.R.to_array() @ q.to_array()))
+    return Vector(m.R.to_array() @ q.to_array())
 
 
 def forecast(m: LeontiefModel, next_demand: Vector) -> tuple[Vector, Optional[Vector]]:

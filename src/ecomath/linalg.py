@@ -1,15 +1,14 @@
 """Dense real vectors and matrices with the elementary algebraic operations.
 
-Values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.  Reals are
-plain 64-bit floats; ``EPS_ZERO`` is the single comparison tolerance used
+Each value holds one read-only float64 array of finite entries, so values are
+immutable after construction and every operation is a pure function, safe to
+share between threads.  ``EPS_ZERO`` is the single comparison tolerance used
 across the package unless an operation documents otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,72 +23,114 @@ class FormatError(ValueError):
     """A matrix/vector text file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class Vector:
+class _ArrayValue:
+    """One read-only float64 array of finite entries; equality is exact."""
+
+    __slots__ = ("_a",)
+
+    def __init__(self, entries):
+        a = np.array(entries, dtype=float)
+        if not (math.isfinite(a.sum()) or np.isfinite(a).all()):  # the sum may overflow
+            raise ValueError(f"{type(self).__name__} entries must be finite (no NaN or inf)")
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    @property
+    def entries(self) -> tuple[float, ...]:
+        return tuple(self._a.ravel().tolist())
+
+    def _tag(self):  # what besides the array decides equality
+        return None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._tag() == other._tag() and np.array_equal(self._a, other._a)
+
+    def __hash__(self):  # +0.0 maps -0.0 to 0.0, as == does
+        return hash((self._tag(), (self._a + 0.0).tobytes()))
+
+
+class Vector(_ArrayValue):
     """Real-valued vector with a column/row orientation flag."""
 
-    entries: tuple[float, ...]
-    orientation: str = "col"  # "col" or "row"
+    __slots__ = ("orientation",)
 
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise DimensionError("vector needs at least one entry")
-        if self.orientation not in ("col", "row"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        object.__setattr__(self, "entries", tuple(float(v) for v in self.entries))
+    def __init__(self, entries, orientation: str = "col"):
+        super().__init__(entries)
+        if self._a.ndim != 1 or self._a.size < 1:
+            raise DimensionError("vector needs a flat sequence of at least one entry")
+        if orientation not in ("col", "row"):
+            raise ValueError(f"unknown orientation {orientation!r}")
+        object.__setattr__(self, "orientation", orientation)
+
+    def _tag(self):
+        return self.orientation
+
+    def __reduce__(self):
+        return Vector, (self._a, self.orientation)
+
+    def __repr__(self):
+        return f"Vector(entries={self.entries!r}, orientation={self.orientation!r})"
+
+    def to_array(self) -> np.ndarray:
+        """The backing array itself (read-only; copy it to modify)."""
+        return self._a
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self._a.size
 
     @property
     def T(self) -> "Vector":
-        return Vector(self.entries, "row" if self.orientation == "col" else "col")
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
+        return Vector(self._a, "row" if self.orientation == "col" else "col")
 
     def __getitem__(self, i):
-        return self.entries[i]
+        v = self._a[i]
+        return float(v) if v.ndim == 0 else tuple(v.tolist())
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self._a.tolist())
 
     def __len__(self):
-        return len(self.entries)
+        return self._a.size
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Real-valued (m x n) matrix, entries in row-major order."""
+class Matrix(_ArrayValue):
+    """Real-valued (m x n) matrix; ``entries`` lists it in row-major order."""
 
-    rows: int
-    cols: int
-    entries: tuple[float, ...] = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 1 or cols < 1:
             raise DimensionError("matrix format must be at least 1x1")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        object.__setattr__(self, "entries", tuple(float(v) for v in self.entries))
+        super().__init__(entries)
+        if self._a.size != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {self._a.size}")
+        object.__setattr__(self, "_a", self._a.reshape(rows, cols))
+
+    def __reduce__(self):
+        return Matrix.from_array, (self._a,)
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows}, cols={self.cols})"
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
         rows = [list(r) for r in rows]
-        if not rows:
-            raise DimensionError("matrix needs at least one row")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise DimensionError("ragged rows")
-        return cls(len(rows), n, tuple(v for r in rows for v in r))
+        if len({len(r) for r in rows}) != 1:
+            raise DimensionError("matrix needs at least one row, and no ragged rows")
+        return cls(len(rows), len(rows[0]), rows)
 
     @classmethod
     def from_array(cls, a) -> "Matrix":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return cls(a.shape[0], a.shape[1], tuple(a.ravel()))
+        a = np.asarray(a, dtype=float)
+        if a.ndim < 2:
+            a = a.reshape(1, -1)
+        return cls(a.shape[0], a.shape[1], a)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -97,25 +138,33 @@ class Matrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls(m, n, (0.0,) * (m * n))
+        return cls.from_array(np.zeros((m, n)))
+
+    @property
+    def rows(self) -> int:
+        return self._a.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._a.shape[1]
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float).reshape(self.rows, self.cols)
+        """The backing array itself (read-only; copy it to modify)."""
+        return self._a
 
     @property
     def T(self) -> "Matrix":
-        return Matrix.from_array(self.to_array().T)
+        return Matrix.from_array(self._a.T)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def row(self, i: int) -> tuple[float, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self._a[i].tolist())
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        return float(self._a[ij])
 
 
 def linear_combination(coeffs, vectors) -> Vector:
@@ -128,10 +177,7 @@ def linear_combination(coeffs, vectors) -> Vector:
     orientation = vectors[0].orientation
     if any(v.n != n or v.orientation != orientation for v in vectors):
         raise DimensionError("all vectors must share dimension and orientation")
-    acc = np.zeros(n)
-    for lam, v in zip(coeffs, vectors):
-        acc += float(lam) * v.to_array()
-    return Vector(tuple(acc), orientation)
+    return Vector(sum(float(lam) * v.to_array() for lam, v in zip(coeffs, vectors)), orientation)
 
 
 def dot(a: Vector, b: Vector) -> float:
@@ -153,7 +199,7 @@ def normalize(a: Vector) -> Vector:
     la = norm(a)
     if la <= EPS_ZERO:
         raise ValueError("cannot normalize the zero vector")
-    return Vector(tuple(v / la for v in a.entries), a.orientation)
+    return Vector(a.to_array() / la, a.orientation)
 
 
 def angle(a: Vector, b: Vector) -> float:
@@ -172,9 +218,7 @@ def angle(a: Vector, b: Vector) -> float:
 def mat_combine(alpha: float, A: Matrix, beta: float, B: Matrix) -> Matrix:
     """Entrywise alpha*A + beta*B for matrices of the same format."""
     if (A.rows, A.cols) != (B.rows, B.cols):
-        raise DimensionError(
-            f"format mismatch: {A.rows}x{A.cols} vs {B.rows}x{B.cols}"
-        )
+        raise DimensionError(f"format mismatch: {A.rows}x{A.cols} vs {B.rows}x{B.cols}")
     return Matrix.from_array(alpha * A.to_array() + beta * B.to_array())
 
 
@@ -190,12 +234,13 @@ def mat_vec(A: Matrix, x: Vector) -> Vector:
     """A applied to a column vector."""
     if A.cols != x.n:
         raise DimensionError(f"inner dimensions disagree: {A.cols} vs {x.n}")
-    return Vector(tuple(A.to_array() @ x.to_array()), "col")
+    return Vector(A.to_array() @ x.to_array(), "col")
 
 
 # ---------------------------------------------------------------------------
-# Shared matrix text format: one row per line, comma-separated entries,
-# '.' decimal point, blank lines and '#' comment lines ignored.
+# Shared matrix text format: one row per line, entries separated by commas
+# (or by whitespace on a line without commas), '.' decimal point, blank
+# lines and '#' comment lines ignored.
 # ---------------------------------------------------------------------------
 
 def parse_matrix_text(text: str) -> Matrix:
@@ -205,14 +250,15 @@ def parse_matrix_text(text: str) -> Matrix:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            rows.append([float(tok) for tok in stripped.split(",")])
+            tokens = stripped.split(",") if "," in stripped else stripped.split()
+            rows.append([float(tok) for tok in tokens])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     if not rows:
         raise FormatError("no data rows found")
     try:
         return Matrix.from_rows(rows)
-    except DimensionError as exc:
+    except ValueError as exc:  # ragged rows or non-finite entries
         raise FormatError(str(exc)) from None
 
 
@@ -220,17 +266,14 @@ def parse_vector_text(text: str) -> Vector:
     """A vector file is a matrix file with a single row or a single column."""
     m = parse_matrix_text(text)
     if m.cols == 1:
-        return Vector(tuple(m.to_array()[:, 0]), "col")
+        return Vector(m.to_array()[:, 0], "col")
     if m.rows == 1:
-        return Vector(tuple(m.row(0)), "row")
+        return Vector(m.to_array()[0], "row")
     raise FormatError(f"expected a single row or column, got {m.rows}x{m.cols}")
 
 
 def format_matrix_text(M: Matrix) -> str:
-    lines = []
-    for i in range(M.rows):
-        lines.append(",".join(repr(v) for v in M.row(i)))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(repr(v) for v in M.row(i)) + "\n" for i in range(M.rows))
 
 
 def format_vector_text(v: Vector) -> str:

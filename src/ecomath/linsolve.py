@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 
-PIVOT_TOL = 1e-10  # below this a column is considered pivot-free
+PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
 
 
 class SingularMatrixError(ValueError):
@@ -62,16 +62,25 @@ class SolutionSet:
         }
 
 
-def rref(M: Matrix) -> tuple[Matrix, int, tuple[int, ...], float]:
-    """Reduced row-echelon form via partial pivoting.
+def _pivot_step(a: np.ndarray, r: int, j: int, first: int = 0) -> np.ndarray:
+    """One Gauss-Jordan step on a, in place: scale row r by its pivot a[r, j],
+    then clear column j elsewhere by one rank-1 update of the columns from
+    ``first`` on (row r must be zero left of them).  Returns the multipliers."""
+    a[r, first:] /= a[r, j]
+    f = a[:, j].copy()
+    f[r] = 0.0
+    # column j comes out exactly the unit vector: p / p == 1 and f - f * 1 == 0
+    a[:, first:] -= np.multiply.outer(f, a[r, first:])
+    return f
 
-    Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
-    the effect of row swaps and scalings, so for a square input
-    det(M) = det_factor * det(R).  Pivots are chosen by maximum absolute
-    value, ties broken by smallest row index.
-    """
-    a = M.to_array().copy()
+
+def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None, free: int = -1):
+    """Reduce a to RREF in place; a column takes no pivot if its candidates
+    are within PIVOT_TOL max|a| of zero, nor if it is column ``free``.  Returns
+    (rank, pivot_cols, det_factor); appends (swapped row, pivot, multipliers)
+    per pivot to steps if given."""
     m, n = a.shape
+    tol = PIVOT_TOL * np.abs(a).max()
     det_factor = 1.0
     pivot_cols = []
     r = 0
@@ -79,72 +88,92 @@ def rref(M: Matrix) -> tuple[Matrix, int, tuple[int, ...], float]:
         if r >= m:
             break
         col = np.abs(a[r:, j])
-        i_rel = int(np.argmax(col))  # argmax returns the first maximum
-        if col[i_rel] <= PIVOT_TOL:
+        i = r + int(col.argmax())  # argmax returns the first maximum
+        if col[i - r] <= tol or j == free:
             a[r:, j] = 0.0  # structural zero, keep the tail clean
             continue
-        i = r + i_rel
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            a[r], a[i] = a[i].copy(), a[r].copy()
             det_factor = -det_factor
         p = a[r, j]
-        a[r] = a[r] / p
         det_factor *= p
-        for k in range(m):
-            if k != r and a[k, j] != 0.0:
-                a[k] = a[k] - a[k, j] * a[r]
-        a[:, j] = 0.0
-        a[r, j] = 1.0
+        f = _pivot_step(a, r, j, first=j)  # row r is zero left of j
+        if steps is not None:
+            steps.append((i, p, f))
         pivot_cols.append(j)
         r += 1
-    return Matrix.from_array(a), r, tuple(pivot_cols), det_factor
+    return r, tuple(pivot_cols), det_factor
+
+
+def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[int, ...], float]:
+    """Reduced row-echelon form via partial pivoting.
+
+    Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
+    the effect of row swaps and scalings, so for a square input
+    det(M) = det_factor * det(R).  Pivots are chosen by maximum absolute
+    value, ties broken by smallest row index; a column whose candidates are
+    all within PIVOT_TOL times the largest entry of M has no pivot, so the
+    rank does not depend on the scale of M.  If ``steps`` is a list, the row
+    operations are recorded in it for ``replay``.
+    """
+    a = M.to_array().copy()
+    rk, pivot_cols, det_factor = _gauss_jordan(a, steps)
+    return Matrix.from_array(a), rk, pivot_cols, det_factor
+
+
+def replay(steps: list, b) -> np.ndarray:
+    """The row operations recorded by ``rref(M, steps)`` applied to a copy of
+    b (one or more columns): bit for bit what eliminating [M | b] leaves there."""
+    b = np.array(b, dtype=float)
+    for r, (i, p, f) in enumerate(steps):
+        if i != r:
+            b[r], b[i] = b[i].copy(), b[r].copy()
+        b[r] = b[r] / p
+        b -= np.multiply.outer(f, b[r])
+    return b
 
 
 def rank(M: Matrix) -> int:
     return rref(M)[1]
 
 
-def solve(sys: LinearSystem) -> SolutionSet:
-    """Classify and solve A x = b by elimination on the augmented matrix."""
-    A = sys.A.to_array()
-    b = sys.b.to_array()
-    m, n = A.shape
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, rank_Ab, pivots, _ = rref(Matrix.from_array(aug))
-    Ra = R.to_array()
-    pivots_A = tuple(j for j in pivots if j < n)
-    rank_A = len(pivots_A)
-
-    if rank_Ab > rank_A:
-        return SolutionSet("none", None, (), rank_A, rank_Ab)
-
-    particular = np.zeros(n)
-    for row_idx, j in enumerate(pivots_A):
-        particular[j] = Ra[row_idx, n]
-
-    if rank_A == n:
-        return SolutionSet("unique", Vector(tuple(particular)), (), rank_A, rank_Ab)
-
-    free_cols = [j for j in range(n) if j not in pivots_A]
-    directions = []
-    for f in free_cols:
-        d = np.zeros(n)
+def _null_space(R: np.ndarray, pivots: tuple[int, ...]) -> list[np.ndarray]:
+    """One direction per free column f of the RREF R: 1 at f, and minus
+    column f of R at the pivot columns."""
+    out = []
+    for f in (j for j in range(R.shape[1]) if j not in pivots):
+        d = np.zeros(R.shape[1])
         d[f] = 1.0
-        for row_idx, j in enumerate(pivots_A):
-            d[j] = -Ra[row_idx, f]
-        directions.append(Vector(tuple(d)))
-    return SolutionSet(
-        "multiple", Vector(tuple(particular)), tuple(directions), rank_A, rank_Ab
-    )
+        d[list(pivots)] = -R[: len(pivots), f]
+        out.append(d)
+    return out
+
+
+def solve(sys: LinearSystem) -> SolutionSet:
+    """Classify and solve A x = b by eliminating A and replaying it on b; b
+    is inconsistent if below the rank it keeps an entry over PIVOT_TOL max|b|."""
+    b = sys.b.to_array()
+    steps: list = []
+    R, rank_A, pivots_A, _ = rref(sys.A, steps)
+    y = replay(steps, b)
+    if np.abs(y[rank_A:]).max(initial=0.0) > PIVOT_TOL * np.abs(b).max():
+        return SolutionSet("none", None, (), rank_A, rank_A + 1)
+
+    n = sys.A.cols
+    particular = np.zeros(n)
+    particular[list(pivots_A)] = y[:rank_A]
+    if rank_A == n:
+        return SolutionSet("unique", Vector(particular), (), rank_A, rank_A)
+
+    directions = tuple(Vector(d) for d in _null_space(R.to_array(), pivots_A))
+    return SolutionSet("multiple", Vector(particular), directions, rank_A, rank_A)
 
 
 def determinant(A: Matrix) -> float:
-    """Determinant: closed forms for n <= 3, elimination product beyond."""
+    """Determinant: closed forms for n = 2, 3, elimination product otherwise."""
     if not A.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
-    if n == 1:
-        return A[0, 0]
     if n == 2:
         return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if n == 3:
@@ -157,29 +186,25 @@ def determinant(A: Matrix) -> float:
             - a[0, 0] * a[1, 2] * a[2, 1]
             - a[0, 1] * a[1, 0] * a[2, 2]
         )
-    R, rk, _, det_factor = rref(A)
-    if rk < n:
-        return 0.0
-    return det_factor  # det(R) = 1 for a regular matrix
+    _, rk, _, det_factor = rref(A)
+    return det_factor if rk == n else 0.0  # det(R) = 1 for a regular matrix
 
 
-def is_regular(A: Matrix, tol: float = EPS_ZERO) -> bool:
-    return abs(determinant(A)) > tol
+def is_regular(A: Matrix) -> bool:
+    """Square with full rank, decided by the scale-aware elimination."""
+    return A.is_square and rank(A) == A.rows
 
 
 def inverse(A: Matrix) -> Matrix:
-    """Inverse via simultaneous elimination on [A | I]."""
+    """Inverse by replaying the elimination of A on I, which equals
+    eliminating [A | I]; singular exactly when A has rank below n."""
     if not A.is_square:
         raise DimensionError(f"inverse needs a square matrix, got {A.rows}x{A.cols}")
-    det = determinant(A)
-    if abs(det) <= EPS_ZERO:
-        raise SingularMatrixError(f"matrix is singular (|det| = {abs(det):.3e})")
-    n = A.rows
-    aug = np.hstack([A.to_array(), np.eye(n)])
-    R, rk, _, _ = rref(Matrix.from_array(aug))
-    if rk < n:
-        raise SingularMatrixError("matrix is singular (rank deficient)")
-    return Matrix.from_array(R.to_array()[:, n:])
+    steps: list = []
+    rk, _, _ = _gauss_jordan(A.to_array().copy(), steps)
+    if rk < A.rows:
+        raise SingularMatrixError(f"matrix is singular (rank {rk} < {A.rows})")
+    return Matrix.from_array(replay(steps, np.eye(A.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +212,8 @@ def inverse(A: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def _char_poly_coeffs(a: np.ndarray) -> list[float]:
-    """Coefficients of det(A - t*I), highest power first."""
-    n = a.shape[0]
-    if n == 1:
-        return [-1.0, a[0, 0]]
-    if n == 2:
-        return [1.0, -(a[0, 0] + a[1, 1]), a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]]
-    # n == 3: det(A - tI) = -t^3 + tr(A) t^2 - c1 t + det(A)
+    """Coefficients of det(A - t*I) for a 3x3 A, highest power first:
+    det(A - tI) = -t^3 + tr(A) t^2 - c1 t + det(A)."""
     tr = float(np.trace(a))
     c1 = (
         a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
@@ -257,7 +277,7 @@ def eigen_sym(A: Matrix) -> list[tuple[float, Vector]]:
         raise ValueError("matrix is not symmetric")
 
     if n == 1:
-        return [(a[0, 0], Vector((1.0,)))]
+        return [(float(a[0, 0]), Vector((1.0,)))]
     if n == 2:
         tr = a[0, 0] + a[1, 1]
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
@@ -278,26 +298,19 @@ def eigen_sym(A: Matrix) -> list[tuple[float, Vector]]:
     pairs: list[tuple[float, Vector]] = []
     for cluster in clusters:
         lam = sum(cluster) / len(cluster)
-        shifted = Matrix.from_array(a - lam * np.eye(n))
-        R, rk, pivots, _ = rref(shifted)
-        Ra = R.to_array()
-        free_cols = [j for j in range(n) if j not in pivots]
-        if not free_cols:
-            # rounding pushed the matrix to full rank; drop the weakest pivot
-            free_cols = [pivots[-1]]
-            pivots = pivots[:-1]
-            Ra = Ra.copy()
+        Ra = a - lam * np.eye(n)
+        steps: list = []
+        rk, pivots, _ = _gauss_jordan(Ra, steps)
+        if rk == n:
+            # rounding pushed the matrix to full rank: eliminate again with
+            # the column of the weakest pivot held pivot-free
+            weakest = pivots[min(range(n), key=lambda k: abs(steps[k][1]))]
+            Ra = a - lam * np.eye(n)
+            rk, pivots, _ = _gauss_jordan(Ra, free=weakest)
         # symmetric matrices: geometric multiplicity equals algebraic, so the
         # null-space dimension is authoritative (Cardano can collapse a
         # repeated root into a single value)
-        vecs = []
-        for f in free_cols:
-            v = np.zeros(n)
-            v[f] = 1.0
-            for row_idx, j in enumerate(pivots):
-                v[j] = -Ra[row_idx, f]
-            v = v / np.linalg.norm(v)
-            vecs.append(v)
+        vecs = [v / np.linalg.norm(v) for v in _null_space(Ra, pivots)]
         # orthonormalize within the cluster (Gram-Schmidt)
         ortho: list[np.ndarray] = []
         for v in vecs:
@@ -307,5 +320,5 @@ def eigen_sym(A: Matrix) -> list[tuple[float, Vector]]:
             if nv > PIVOT_TOL:
                 ortho.append(v / nv)
         for v in ortho:
-            pairs.append((lam, Vector(tuple(v))))
+            pairs.append((lam, Vector(v)))
     return pairs

@@ -11,10 +11,12 @@ an invented phase-1 method.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+
+from .linsolve import _pivot_step
 
 FEAS_TOL = 1e-9
 PIVOT_MIN = 1e-9
@@ -42,14 +44,14 @@ class LinearProgram:
             raise SimplexError(f"sense must be 'max' or 'min', not {self.sense!r}")
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(
-            self, "A", tuple(tuple(float(v) for v in row) for row in self.A)
-        )
+        object.__setattr__(self, "A", tuple(tuple(float(v) for v in row) for row in self.A))
         n = len(self.c)
         if any(len(row) != n for row in self.A):
             raise SimplexError("each restriction row must have one entry per variable")
         if len(self.A) != len(self.b):
             raise SimplexError("rows(A) must equal dim(b)")
+        if not np.isfinite([*self.c, *self.b, self.d, *(v for r in self.A for v in r)]).all():
+            raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
 
     @property
     def n(self) -> int:
@@ -139,8 +141,7 @@ class SimplexTableau:
     def basis_solution(self) -> np.ndarray:
         """Values of (z, x_1..x_n, s_1..s_m) with non-basis variables at 0."""
         values = np.zeros(1 + self.n + self.m)
-        for row, var in enumerate(self.basis):
-            values[var] = self.grid[row, -1]
+        values[self.basis] = self.grid[:, -1]
         return values
 
     def format_text(self) -> str:
@@ -157,14 +158,7 @@ def negate_to_max(lp: LinearProgram) -> LinearProgram:
     """min z = c.x + d  <=>  max -z = (-c).x - d over the same feasible set."""
     if lp.sense == "max":
         return lp
-    return LinearProgram(
-        sense="max",
-        c=tuple(-v for v in lp.c),
-        A=lp.A,
-        b=lp.b,
-        d=-lp.d,
-        names=lp.names,
-    )
+    return replace(lp, sense="max", c=tuple(-v for v in lp.c), d=-lp.d)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
@@ -180,30 +174,24 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
     grid[0, 0] = 1.0
     grid[0, 1 : 1 + n] = [-v for v in lp.c]
     grid[0, -1] = lp.d
-    for i in range(m):
-        grid[1 + i, 1 : 1 + n] = lp.A[i]
-        grid[1 + i, 1 + n + i] = 1.0
-        grid[1 + i, -1] = lp.b[i]
+    grid[1:, 1 : 1 + n] = np.array(lp.A).reshape(m, n)
+    grid[1:, 1 + n : -1] = np.eye(m)
+    grid[1:, -1] = lp.b
     basis = [0] + [n + 1 + i for i in range(m)]
     return SimplexTableau(grid, basis, n, m)
 
 
 def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
-    """Pivot operation on element (i_star, j_star); rows are 1-based over
-    the restriction block, columns 1-based over the variable block."""
+    """Pivot operation on element (i_star, j_star), in place; rows are
+    1-based over the restriction block, columns 1-based over the variable
+    block.  Returns t; copy it first to keep the previous tableau."""
     p = t.grid[i_star, j_star]
     if p <= PIVOT_MIN:
         raise SimplexError(f"pivot element {p!r} at ({i_star},{j_star}) is not positive")
-    out = t.copy()
-    out.grid[i_star] = out.grid[i_star] / p
-    for k in range(out.grid.shape[0]):
-        if k != i_star and out.grid[k, j_star] != 0.0:
-            out.grid[k] = out.grid[k] - out.grid[k, j_star] * out.grid[i_star]
-    out.grid[:, j_star] = 0.0
-    out.grid[i_star, j_star] = 1.0
-    out.basis[i_star] = j_star
-    out.iteration = t.iteration + 1
-    return out
+    _pivot_step(t.grid, i_star, j_star)
+    t.basis[i_star] = j_star
+    t.iteration += 1
+    return t
 
 
 def iteration_cap(n: int, m: int) -> int:
@@ -217,8 +205,11 @@ def solve_simplex(
 
     The entering column is the most negative row-0 coefficient over all
     non-basis columns (smallest index on ties); the leaving row follows the
-    minimum-ratio rule (smallest ratio, then smallest row index).  A min
-    problem is negated first and its optimal value negated back.
+    minimum-ratio rule (smallest ratio, then smallest row index).  After a
+    degenerate pivot (minimum ratio 0), Bland's rule holds until z moves, so
+    the method cannot cycle: the first negative column enters and ratio ties
+    go to the smallest basis variable.  A min problem is negated first and
+    its optimal value negated back.
     """
     if lp.sense == "min":
         inner = solve_simplex(negate_to_max(lp), trace=trace)
@@ -234,24 +225,27 @@ def solve_simplex(
     if trace is not None:
         trace.append(t.copy())
     cap = iteration_cap(lp.n, lp.m)
-    ncols = 1 + lp.n + lp.m
+    bland = False  # Bland's rule, in force after a degenerate pivot
 
     while True:
-        row0 = t.grid[0, 1:ncols]
-        nonbasis = [j for j in range(1, ncols) if j not in t.basis]
-        candidates = [(row0[j - 1], j) for j in nonbasis if row0[j - 1] < -PIVOT_MIN]
-        if not candidates:
+        # basis columns hold exact zeros in row 0 (every pivot leaves its
+        # column a unit vector), so only non-basis columns can enter
+        row0 = t.grid[0, :-1]
+        entering = (row0 < -PIVOT_MIN).nonzero()[0]
+        if entering.size == 0:
             break  # S1: optimal
-        _, j_star = min(candidates)  # most negative, then smallest column index
+        # most negative, then smallest column index; Bland: smallest index
+        j_star = int(entering[0]) if bland else int(row0.argmin())
         col = t.grid[1:, j_star]
-        if np.all(col <= PIVOT_MIN):
+        eligible = col > PIVOT_MIN
+        if not eligible.any():
             return LpSolution("unbounded", iterations=t.iteration)  # S3
-        ratios = [
-            (t.grid[i, -1] / t.grid[i, j_star], i)
-            for i in range(1, 1 + lp.m)
-            if t.grid[i, j_star] > PIVOT_MIN
-        ]
-        _, i_star = min(ratios)  # S4: smallest ratio, then smallest row index
+        ratios = np.divide(t.grid[1:, -1], col, out=np.full(lp.m, np.inf), where=eligible)
+        i_star = 1 + int(ratios.argmin())  # S4: smallest ratio, then smallest row
+        if bland:  # ratio ties go to the smallest basis variable
+            tied = 1 + (ratios == ratios[i_star - 1]).nonzero()[0]
+            i_star = int(min(tied, key=t.basis.__getitem__))
+        bland = ratios[i_star - 1] <= FEAS_TOL
         t = pivot(t, i_star, j_star)
         if trace is not None:
             trace.append(t.copy())

@@ -281,3 +281,21 @@ class TestPlumbing:
         _, out1, _ = run(["lp", "solve", lp_file], capsys)
         _, out2, _ = run(["lp", "solve", lp_file], capsys)
         assert out1 == out2
+
+
+class TestNonFiniteInput:
+    def test_nan_matrix_exit_1_without_traceback(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("1,nan\n3,4\n")
+        (tmp_path / "b.txt").write_text("1\n2\n")
+        code, out, err = run(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b.txt")], capsys)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in out + err
+        assert "finite" in err
+
+    def test_whitespace_separated_matrix_file(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("1 2\n3 4\n")
+        code, out, _ = run(
+            ["--format", "json", "linalg", "det", str(tmp_path / "A.txt")], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["determinant"] == pytest.approx(-2.0)

@@ -1,0 +1,112 @@
+"""Guards on the shared Gauss-Jordan kernel: agreement with the textbook
+row-by-row elimination, and one elimination per Leontief model."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ecomath import leontief, linsolve
+from ecomath.linalg import Matrix, Vector
+
+
+def rref_row_loop(a, tol=1e-10):
+    """Row-by-row Gauss-Jordan elimination with an absolute pivot tolerance,
+    written out as a test oracle for ``linsolve.rref``."""
+    a = np.array(a, dtype=float)
+    m, n = a.shape
+    det_factor = 1.0
+    pivot_cols = []
+    r = 0
+    for j in range(n):
+        if r >= m:
+            break
+        col = np.abs(a[r:, j])
+        i_rel = int(np.argmax(col))
+        if col[i_rel] <= tol:
+            a[r:, j] = 0.0
+            continue
+        i = r + i_rel
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            det_factor = -det_factor
+        p = a[r, j]
+        a[r] = a[r] / p
+        det_factor *= p
+        for k in range(m):
+            if k != r and a[k, j] != 0.0:
+                a[k] = a[k] - a[k, j] * a[r]
+        a[:, j] = 0.0
+        a[r, j] = 1.0
+        pivot_cols.append(j)
+        r += 1
+    return a, r, tuple(pivot_cols), det_factor
+
+
+def assert_same_elimination(a):
+    want_R, want_rank, want_pivots, want_det = rref_row_loop(a)
+    R, rank, pivots, det_factor = linsolve.rref(Matrix.from_array(a))
+    # the tolerances differ (absolute there, column-relative here); compare
+    # wherever both make the same pivot decisions
+    assume(pivots == want_pivots)
+    assert rank == want_rank
+    assert np.array_equal(R.to_array(), want_R)
+    assert det_factor == want_det
+
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 7))
+
+
+@given(shapes.flatmap(lambda s: hnp.arrays(
+    np.float64, s, elements=st.floats(-10, 10, allow_subnormal=False))))
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_row_loop_on_dense_matrices(a):
+    assert_same_elimination(a)
+
+
+@st.composite
+def rank_deficient(draw):
+    m, n = draw(shapes)
+    k = draw(st.integers(0, max(min(m, n) - 1, 0)))
+    ints = st.integers(-5, 5).map(float)
+    B = draw(hnp.arrays(np.float64, (m, k), elements=ints))
+    C = draw(hnp.arrays(np.float64, (k, n), elements=ints))
+    return B @ C / draw(st.sampled_from([1.0, 3.0, 7.0]))
+
+
+@given(rank_deficient())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_row_loop_on_rank_deficient_matrices(a):
+    assert_same_elimination(a)
+
+
+def test_replay_equals_augmented_elimination():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 30))
+    b = rng.standard_normal((30, 2))
+    steps = []
+    linsolve.rref(Matrix.from_array(A), steps)
+    R, _, _, _ = linsolve.rref(Matrix.from_array(np.hstack([A, b])))
+    assert np.array_equal(linsolve.replay(steps, b), R.to_array()[:, 30:])
+    assert np.array_equal(linsolve.replay(steps, b[:, 0]), R.to_array()[:, 30])
+
+
+def test_leontief_model_eliminates_once(monkeypatch):
+    calls = []
+    rref = linsolve.rref
+
+    def counting_rref(*args, **kwargs):
+        calls.append(args[0].rows)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "rref", counting_rref)
+    rng = np.random.default_rng(11)
+    n = 200
+    w = rng.random((n, n))
+    P = w / w.sum(axis=0) * rng.uniform(0.3, 0.6, n)
+    model = leontief.LeontiefModel(Matrix.from_array(P))
+    for _ in range(2):
+        y = rng.uniform(1.0, 10.0, n)
+        q, _ = leontief.forecast(model, Vector(y))
+        assert np.allclose(q.to_array(), np.linalg.solve(np.eye(n) - P, y), rtol=1e-10)
+    assert calls == [n]

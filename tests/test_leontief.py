@@ -158,3 +158,17 @@ class TestRandomRoundTrips:
             assert np.max(np.abs(back.to_array() - y)) <= 1e-9
             q_back, _ = leontief.total_output(model, y_out)
             assert np.max(np.abs(q_back.to_array() - q.to_array())) <= 1e-7
+
+
+class TestScaleAwareProductivity:
+    def test_fifty_sectors_with_large_own_input(self):
+        # I - P has eigenvalues 0.6 and 0.5, yet det(I - P) ~ 7e-12
+        n = 50
+        P = 0.4 * np.eye(n) + (0.1 / n) * np.ones((n, n))
+        model = LeontiefModel(Matrix.from_array(P))
+        y = Vector(np.linspace(1.0, 10.0, n))
+        q, warn = leontief.total_output(model, y)
+        assert not warn
+        assert np.allclose(q.to_array(), np.linalg.solve(np.eye(n) - P, y.to_array()), rtol=1e-12)
+        back, _ = leontief.final_demand(model, q)
+        assert np.max(np.abs(back.to_array() - y.to_array())) <= 1e-9

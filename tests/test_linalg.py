@@ -197,3 +197,35 @@ class TestMatrixTextFormat:
     def test_vector_round_trip(self):
         v = vec(1, 2.5, -3)
         assert linalg.parse_vector_text(linalg.format_vector_text(v)) == v
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Matrix.from_rows([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            Matrix.from_array(np.array([[bad]]))
+        with pytest.raises(ValueError):
+            Vector((1.0, bad))
+
+    def test_non_finite_text_is_a_format_error(self):
+        with pytest.raises(FormatError):
+            linalg.parse_matrix_text("1,nan\n3,4\n")
+
+    def test_whitespace_separated_rows(self):
+        want = Matrix.from_rows([[1, 2], [3, 4]])
+        assert linalg.parse_matrix_text("1 2\n3 4") == want
+        assert linalg.parse_matrix_text("1\t 2\n  3 4  \n") == want
+        assert linalg.parse_vector_text("1.5 -2 3\n") == Vector((1.5, -2.0, 3.0), "row")
+        with pytest.raises(FormatError):  # an empty comma field is still an error
+            linalg.parse_matrix_text("1,,2\n")
+
+    def test_values_are_read_only(self):
+        A = Matrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            A.to_array()[0, 0] = 9.0
+        with pytest.raises(AttributeError):
+            A.rows = 3
+        assert A == Matrix.from_rows([[1, 2], [3, 4]])
+        assert hash(Matrix.from_rows([[0.0]])) == hash(Matrix.from_rows([[-0.0]]))

@@ -211,3 +211,58 @@ class TestEigenSym:
     def test_large_unsupported(self):
         with pytest.raises(ValueError):
             linsolve.eigen_sym(Matrix.identity(4))
+
+
+class TestEigenSymFullRankShift:
+    # from the linear-small benchmark workload, seed 105: rounding leaves
+    # A - lambda*I at full rank for lambda ~ 1.8928
+    A = np.array([
+        [0.2507835856525289, -0.11408079400333265, 0.5224677111851224],
+        [-0.11408079400333265, 1.8848588102872015, 0.03630110534149812],
+        [0.5224677111851224, 0.03630110534149812, -0.8770394511599596],
+    ])
+
+    def test_every_pair_satisfies_definition(self):
+        pairs = linsolve.eigen_sym(Matrix.from_array(self.A))
+        assert len(pairs) == 3
+        for lam, v in pairs:
+            va = v.to_array()
+            assert np.max(np.abs(self.A @ va - lam * va)) <= 1e-9
+            assert abs(np.linalg.norm(va) - 1.0) <= 1e-9
+
+    def test_full_rank_fallback_on_random_matrices(self, monkeypatch):
+        # with no pivot tolerance, A - lambda*I nearly always comes out at
+        # full rank, so every pair below goes through the fallback
+        monkeypatch.setattr(linsolve, "PIVOT_TOL", 0.0)
+        for _ in range(200):
+            B = rng.normal(size=(3, 3))
+            A = (B + B.T) / 2
+            for lam, v in linsolve.eigen_sym(Matrix.from_array(A)):
+                va = v.to_array()
+                assert np.max(np.abs(A @ va - lam * va)) <= 1e-9
+
+
+class TestScaleAwareSingularity:
+    @staticmethod
+    def rank_deficient():
+        B = np.array([
+            [0.3, -1.7, 2.9, 0.1],
+            [1.3, 0.7, -0.4, 2.2],
+            [0.0, 0.0, 0.0, 0.0],
+            [2.1, -0.6, 1.1, 0.9],
+        ])
+        B[2] = 0.7 * B[0] - 1.9 * B[1] + 0.3 * B[3]
+        return B
+
+    def test_small_diagonal_inverts(self):
+        out = linsolve.inverse(Matrix.from_array(0.1 * np.eye(10)))
+        assert np.allclose(out.to_array(), 10.0 * np.eye(10), rtol=1e-15, atol=0.0)
+
+    def test_rank_deficient_rejected_at_every_scale(self):
+        ranks = set()
+        for scale in (1e-6, 1.0, 1e6):
+            M = Matrix.from_array(scale * self.rank_deficient())
+            with pytest.raises(SingularMatrixError):
+                linsolve.inverse(M)
+            ranks.add(linsolve.rank(M))
+        assert ranks == {3}

@@ -189,3 +189,29 @@ class TestAgreementWithOracle:
             assert ours.status == oracle.status, (lp, ours.status, oracle.status)
             if ours.status == "optimal":
                 assert abs(ours.z - oracle.z) <= 1e-6 * (1 + abs(oracle.z))
+
+
+class TestDegeneracyAndInputs:
+    def test_beale_cycling_example_solved(self):
+        # Beale (1955): Dantzig's rule cycles through degenerate pivots
+        lp = LinearProgram(
+            "max",
+            c=(0.75, -20, 0.5, -6),
+            A=((0.25, -8, -1, 9), (0.5, -12, -0.5, 3), (0, 0, 1, 0)),
+            b=(0, 0, 1),
+        )
+        out = simplex.solve_simplex(lp)
+        assert out.status == "optimal"
+        assert out.z == pytest.approx(1.25)
+        assert out.x == pytest.approx((1.0, 0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_program_rejected(self, bad):
+        with pytest.raises(SimplexError):
+            LinearProgram("max", c=(bad, 1), A=((1, 1),), b=(1,))
+        with pytest.raises(SimplexError):
+            LinearProgram("max", c=(1, 1), A=((1, bad),), b=(1,))
+        with pytest.raises(SimplexError):
+            LinearProgram("max", c=(1, 1), A=((1, 1),), b=(bad,))
+        with pytest.raises(SimplexError):
+            LinearProgram("max", c=(1, 1), A=((1, 1),), b=(1,), d=bad)
