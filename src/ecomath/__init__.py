@@ -9,9 +9,13 @@ Subpackages and modules:
 - ``finmath``   compound interest, annuities, redemption, pensions, depreciation
 - ``calculus``  expression trees, differentiation, roots, curve reports, integration
 - ``econ``      cost phases, profit/Cournot analysis, market equilibrium and surplus
+- ``numeric``   the NumericalError base and the bracketed root finder, stdlib only
+
+Submodules load on first attribute access (PEP 562), so ``import ecomath``
+loads none of them.
 """
 
-from . import calculus, econ, finmath, leontief, linalg, linsolve, simplex
+import importlib
 
 __version__ = "0.1.0"
 
@@ -22,6 +26,13 @@ __all__ = [
     "leontief",
     "linalg",
     "linsolve",
+    "numeric",
     "simplex",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

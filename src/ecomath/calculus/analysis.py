@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from ..numeric import NumericalError, brent
 from .expr import (
     Abs,
     Add,
@@ -48,11 +49,11 @@ class UnsupportedExpressionError(ValueError):
     pass
 
 
-class PoleError(ArithmeticError):
+class PoleError(NumericalError, ArithmeticError):
     """A non-integrable singularity lies inside the integration interval."""
 
 
-class DivergenceError(ArithmeticError):
+class DivergenceError(NumericalError, ArithmeticError):
     """The integral diverges (power-law singularity of order <= -1)."""
 
 
@@ -214,8 +215,9 @@ def roots(
     """All roots of e on [lo, hi].
 
     Closed forms for polynomials of degree <= 2; otherwise a sign-change
-    scan over `grid` cells followed by bisection to `tol` and one Newton
-    polish step.  Roots closer than 10*tol are merged.
+    scan over `grid` cells (skipping cells with an end where e is undefined
+    or overflows), Brent's method to `tol` in each cell with a sign change,
+    and one Newton polish step.  Roots closer than 10*tol are merged.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -233,7 +235,7 @@ def roots(
     for x in xs:
         try:
             vals.append(f(x))
-        except EvalDomainError:
+        except (EvalDomainError, OverflowError):
             vals.append(math.nan)
 
     found: list[float] = []
@@ -245,19 +247,7 @@ def roots(
             found.append(xs[i])
             continue
         if fa * fb < 0.0:
-            a, b = xs[i], xs[i + 1]
-            va = fa
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                vm = f(mid)
-                if vm == 0.0:
-                    a = b = mid
-                    break
-                if va * vm < 0.0:
-                    b = mid
-                else:
-                    a, va = mid, vm
-            root = 0.5 * (a + b)
+            root = brent(f, xs[i], xs[i + 1], xtol=tol)
             try:  # one Newton polish step
                 fp = evaluate(deriv, root)
                 if abs(fp) > 1e-14:

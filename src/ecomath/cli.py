@@ -8,6 +8,8 @@ or after the subcommand.  Exit codes: 0 success, 1 input/parse error,
 Output is deterministic and locale-independent: numbers always use '.' as
 the decimal separator, and identical argv plus input files produce
 byte-identical output.
+
+Each handler imports the modules it uses, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import json
 import sys
 from typing import Optional
 
-from . import calculus as ca
-from . import econ, finmath, leontief, linalg, linsolve, simplex
+from .numeric import NumericalError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,7 +65,9 @@ def _render_table(data: dict, indent: str = "") -> str:
 def render(payload, fmt: str) -> str:
     """Serialize a result payload: json at full precision, csv for
     schedules, aligned key/value text otherwise."""
-    if isinstance(payload, finmath.Schedule):
+    # only a call that loaded finmath can have made a Schedule
+    finmath = sys.modules.get(f"{__package__}.finmath")
+    if finmath is not None and isinstance(payload, finmath.Schedule):
         if fmt == "csv":
             return payload.to_csv()
         if fmt == "json":
@@ -113,6 +116,7 @@ def _parse_coeffs(spec: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_linalg(args):
+    from . import linalg, linsolve
     if args.linalg_op == "det":
         return {"determinant": linsolve.determinant(linalg.read_matrix(args.matrix))}
     if args.linalg_op == "inverse":
@@ -136,6 +140,7 @@ def _cmd_linalg(args):
 
 
 def _cmd_solve(args):
+    from . import linalg, linsolve
     A = linalg.read_matrix(args.matrix)
     b = linalg.read_vector(args.rhs)
     result = linsolve.solve(linsolve.LinearSystem(A, b)).to_dict()
@@ -145,6 +150,7 @@ def _cmd_solve(args):
 
 
 def _cmd_leontief(args):
+    from . import leontief, linalg
     table = leontief.DeliveriesTable(
         linalg.read_matrix(args.table), linalg.read_vector(args.demand)
     )
@@ -171,6 +177,7 @@ def _cmd_leontief(args):
 
 
 def _cmd_lp(args):
+    from . import simplex
     lp = simplex.LinearProgram.from_json(_read_text(args.problem))
     trace: Optional[list] = [] if args.trace else None
     solution = simplex.solve_simplex(lp, trace=trace)
@@ -184,6 +191,7 @@ def _cmd_lp(args):
 
 
 def _cmd_finance(args):
+    from . import finmath
     op = args.finance_op
     if op == "compound":
         value = finmath.compound_solve(K0=args.K0, Kn=args.Kn, q=args.q, n=args.n)
@@ -217,6 +225,7 @@ def _cmd_finance(args):
 
 
 def _cmd_calc(args):
+    from . import calculus as ca
     op = args.calc_op
     expr = ca.parse(args.expr)
     if op == "diff":
@@ -236,6 +245,8 @@ def _cmd_calc(args):
 
 
 def _cmd_econ(args):
+    from . import calculus as ca
+    from . import econ
     op = args.econ_op
     if op == "cost":
         model = econ.CostModel(a3=args.a3, a2=args.a2, a1=args.a1, a0=args.a0)
@@ -447,7 +458,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
             _emit(render(exc.payload, fmt), output)
         sys.stderr.write(f"ecomath: {exc}\n")
         return EXIT_NO_SOLUTION
-    except (ca.PoleError, ca.DivergenceError, simplex.IterationLimitError) as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"ecomath: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except (

@@ -15,11 +15,24 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
+from .numeric import NoSignChangeError, brent
 
 
 class FinanceError(ValueError):
     pass
+
+
+_Q_LO, _Q_HI = 1.0 + 1e-12, 1e3  # interest factors searched when solving for q
+
+
+def _solve_q(residual, target: str) -> float:
+    """The q in [_Q_LO, _Q_HI] with residual(q) = 0.  Callers pass their
+    relation divided by q^n: same sign and roots, and q^-n cannot overflow."""
+    try:
+        return brent(residual, _Q_LO, _Q_HI)
+    except NoSignChangeError:
+        msg = f"no interest factor q in [{_Q_LO!r}, {_Q_HI:g}] gives {target}"
+        raise FinanceError(msg) from None
 
 
 def _require_exactly_one_missing(**known):
@@ -119,8 +132,9 @@ def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
         return Kn * (q - 1.0) / (q * (q ** n - 1.0))
     if missing == "n":
         return math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q)
-    return brentq(
-        lambda qq: E * qq * (qq ** n - 1.0) / (qq - 1.0) - Kn, 1.0 + 1e-12, 1e3
+    return _solve_q(
+        lambda qq: E * qq * (1.0 - qq ** -n) / (qq - 1.0) - Kn * qq ** -n,
+        f"Kn = {Kn:g} with E = {E:g}, n = {n:g}",
     )
 
 
@@ -266,7 +280,12 @@ def redemption_solve(Rn=None, R0=None, q=None, n=None, A=None) -> float:
         if num == 0 or den == 0 or num / den <= 0:
             raise FinanceError("inconsistent redemption quantities; no real n")
         return math.log(num / den) / math.log(q)
-    return brentq(lambda qq: remaining_debt(R0, qq, A, n) - Rn, 1.0 + 1e-12, 1e3)
+    if n <= 0:
+        raise FinanceError("solving for q needs n > 0")
+    return _solve_q(
+        lambda qq: R0 - A * (1.0 - qq ** -n) / (qq - 1.0) - Rn * qq ** -n,
+        f"Rn = {Rn:g} with R0 = {R0:g}, A = {A:g}, n = {n:g}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,17 @@ from typing import Optional
 import numpy as np
 
 from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
+from .numeric import NumericalError
 
 PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
 
 
 class SingularMatrixError(ValueError):
     pass
+
+
+class DeterminantOverflowError(NumericalError, OverflowError):
+    """|det| lies beyond the largest float."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,12 @@ def _pivot_step(a: np.ndarray, r: int, j: int, first: int = 0) -> np.ndarray:
 def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None, free: int = -1):
     """Reduce a to RREF in place; a column takes no pivot if its candidates
     are within PIVOT_TOL max|a| of zero, nor if it is column ``free``.  Returns
-    (rank, pivot_cols, det_factor); appends (swapped row, pivot, multipliers)
-    per pivot to steps if given."""
+    (rank, pivot_cols, (mant, expo)) with det_factor = mant * 2**expo, kept
+    apart so that the product of the pivots cannot overflow on the way;
+    appends (swapped row, pivot, multipliers) per pivot to steps if given."""
     m, n = a.shape
     tol = PIVOT_TOL * np.abs(a).max()
-    det_factor = 1.0
+    mant, expo = 1.0, 0
     pivot_cols = []
     r = 0
     for j in range(n):
@@ -94,15 +100,18 @@ def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None, free: int = -1):
             continue
         if i != r:
             a[r], a[i] = a[i].copy(), a[r].copy()
-            det_factor = -det_factor
+            mant = -mant
         p = a[r, j]
-        det_factor *= p
+        # mant * p rounds like the plain product: frexp and ldexp are exact
+        pm, pe = math.frexp(p)
+        mant, me = math.frexp(mant * pm)
+        expo += pe + me
         f = _pivot_step(a, r, j, first=j)  # row r is zero left of j
         if steps is not None:
             steps.append((i, p, f))
         pivot_cols.append(j)
         r += 1
-    return r, tuple(pivot_cols), det_factor
+    return r, tuple(pivot_cols), (mant, expo)
 
 
 def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[int, ...], float]:
@@ -110,14 +119,16 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
 
     Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
     the effect of row swaps and scalings, so for a square input
-    det(M) = det_factor * det(R).  Pivots are chosen by maximum absolute
-    value, ties broken by smallest row index; a column whose candidates are
-    all within PIVOT_TOL times the largest entry of M has no pivot, so the
-    rank does not depend on the scale of M.  If ``steps`` is a list, the row
-    operations are recorded in it for ``replay``.
+    det(M) = det_factor * det(R); it is +-inf beyond the float range.
+    Pivots are chosen by maximum absolute value, ties broken by smallest row
+    index; a column whose candidates are all within PIVOT_TOL times the
+    largest entry of M has no pivot, so the rank does not depend on the scale
+    of M.  If ``steps`` is a list, the row operations are recorded in it for
+    ``replay``.
     """
     a = M.to_array().copy()
-    rk, pivot_cols, det_factor = _gauss_jordan(a, steps)
+    rk, pivot_cols, (mant, expo) = _gauss_jordan(a, steps)
+    det_factor = math.ldexp(mant, expo) if expo <= 1024 else math.copysign(math.inf, mant)
     return Matrix.from_array(a), rk, pivot_cols, det_factor
 
 
@@ -170,28 +181,45 @@ def solve(sys: LinearSystem) -> SolutionSet:
 
 
 def determinant(A: Matrix) -> float:
-    """Determinant: closed forms for n = 2, 3, elimination product otherwise."""
+    """Determinant: closed forms for n = 2, 3 while they stay finite,
+    otherwise the product of the pivots of the column-equilibrated matrix.
+    Raises DeterminantOverflowError when |det| exceeds the float range."""
     if not A.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
-    if n == 2:
-        return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if n == 3:
-        a = A.to_array()
-        return float(
-            a[0, 0] * a[1, 1] * a[2, 2]
-            + a[0, 1] * a[1, 2] * a[2, 0]
-            + a[0, 2] * a[1, 0] * a[2, 1]
-            - a[0, 2] * a[1, 1] * a[2, 0]
-            - a[0, 0] * a[1, 2] * a[2, 1]
-            - a[0, 1] * a[1, 0] * a[2, 2]
-        )
-    _, rk, _, det_factor = rref(A)
-    return det_factor if rk == n else 0.0  # det(R) = 1 for a regular matrix
+    if n in (2, 3):
+        a = A.to_array().tolist()
+        if n == 2:
+            det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        else:
+            det = (
+                a[0][0] * a[1][1] * a[2][2]
+                + a[0][1] * a[1][2] * a[2][0]
+                + a[0][2] * a[1][0] * a[2][1]
+                - a[0][2] * a[1][1] * a[2][0]
+                - a[0][0] * a[1][2] * a[2][1]
+                - a[0][1] * a[1][0] * a[2][2]
+            )
+        if math.isfinite(det):
+            return det
+    # scale each column by a power of two to a largest entry in [0.5, 1):
+    # exact, and a column is pivot-free only when it is negligible against
+    # its own scale, not against the largest entry of A
+    _, col_expo = np.frexp(np.abs(A.to_array()).max(axis=0))
+    rk, _, (mant, expo) = _gauss_jordan(np.ldexp(A.to_array(), -col_expo))
+    if rk < n:
+        return 0.0
+    expo += int(col_expo.sum())
+    if expo > 1024:  # |det| >= 0.5 * 2**1025, past the largest float
+        log10 = math.log10(abs(mant)) + expo * math.log10(2.0)
+        raise DeterminantOverflowError(f"|det| = 10^{log10:.1f} exceeds the float range")
+    return math.ldexp(mant, expo)  # det(R) = 1 for a regular matrix
 
 
 def is_regular(A: Matrix) -> bool:
-    """Square with full rank, decided by the scale-aware elimination."""
+    """Square with full rank, decided by the scale-aware elimination, as for
+    rank and inverse.  From n = 4 on, determinant judges each column against
+    its own scale instead, so a nonzero determinant does not imply this."""
     return A.is_square and rank(A) == A.rows
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .linsolve import _pivot_step
+from .numeric import NumericalError
 
 FEAS_TOL = 1e-9
 PIVOT_MIN = 1e-9
@@ -26,7 +27,7 @@ class SimplexError(ValueError):
     pass
 
 
-class IterationLimitError(RuntimeError):
+class IterationLimitError(NumericalError, RuntimeError):
     """Cycling guard tripped: the iteration cap was exceeded."""
 
 
@@ -63,6 +64,8 @@ class LinearProgram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearProgram":
+        if not isinstance(data, dict) or "c" not in data:
+            raise SimplexError("LP document is missing the field 'c' (objective coefficients)")
         return cls(
             sense=data.get("sense", "max"),
             c=data["c"],

@@ -277,6 +277,10 @@ class TestRoots:
         with pytest.raises(ValueError):
             ca.roots(X, 2, 1)
 
+    def test_overflow_in_scan_skips_the_cell(self):
+        # exp(x) overflows beyond x ~ 709.8; those scan cells are skipped
+        assert ca.roots(ca.parse("exp(x)-5"), 0, 1000) == pytest.approx([math.log(5.0)], abs=1e-10)
+
 
 class TestPolyDivide:
     def test_improper_rational(self):

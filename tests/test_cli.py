@@ -1,10 +1,20 @@
 """CLI dispatch, rendering, exit codes, and determinism."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from ecomath.cli import EXIT_INPUT, EXIT_NO_SOLUTION, EXIT_NUMERICAL, EXIT_OK, dispatch
+from ecomath.cli import (
+    EXIT_INPUT,
+    EXIT_NO_SOLUTION,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    build_parser,
+    dispatch,
+)
 
 LP_DOC = {"sense": "max", "c": [3, 2], "d": 0.0, "A": [[1, 1], [1, 0]], "b": [4, 2]}
 
@@ -54,6 +64,13 @@ class TestLp:
         code, _, _ = run(["lp", "solve", "/nonexistent.json"], capsys)
         assert code == EXIT_INPUT
 
+    def test_missing_objective_is_named(self, tmp_path, capsys):
+        path = tmp_path / "no_c.json"
+        path.write_text(json.dumps({"A": [[1]], "b": [1]}))
+        code, _, err = run(["lp", "solve", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "missing the field 'c'" in err
+
 
 class TestCalc:
     def test_pole_exit_3(self, capsys):
@@ -86,6 +103,13 @@ class TestCalc:
         )
         assert code == EXIT_OK
         assert json.loads(out)["symmetry"] == "odd"
+
+    def test_roots_past_overflow_exit_0(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "calc", "roots", "exp(x)-5", "--window", "0:1000"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["roots"] == pytest.approx([math.log(5.0)])
 
     def test_roots_and_elasticity(self, capsys):
         code, out, _ = run(
@@ -129,6 +153,13 @@ class TestSolveAndLinalg:
         )
         assert code == EXIT_OK
         assert json.loads(out)["determinant"] == pytest.approx(-2.0)
+
+    def test_determinant_beyond_float_range_exit_3(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("1e200,0,0\n0,1e200,0\n0,0,1e200\n")
+        code, out, err = run(["linalg", "det", str(tmp_path / "A.txt")], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "float range" in err
+        assert out == ""
 
     def test_singular_inverse_exit_1(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1,2\n2,4\n")
@@ -190,6 +221,13 @@ class TestFinance:
         assert out1 == out2  # byte-identical determinism
         doc = json.loads(out1)
         assert doc["meta"]["duration_exact"] == pytest.approx(14.2067, abs=1e-4)
+
+    def test_rate_without_root_exit_1(self, capsys):
+        code, _, err = run(
+            ["finance", "installment", "--Kn", "10", "--E", "100", "--n", "2"], capsys
+        )
+        assert code == EXIT_INPUT
+        assert "no interest factor q in [1.000000000001, 1000]" in err
 
     def test_overdetermined_exit_1(self, capsys):
         code, _, _ = run(
@@ -276,6 +314,14 @@ class TestPlumbing:
         code, out, _ = run(["lp", "solve", lp_file, "--format", "json"], capsys)
         assert code == EXIT_OK
         assert json.loads(out)["z"] == 10.0
+
+    def test_readme_format_choices_match_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = re.findall(r"--format \{([^}]*)\}", readme)
+        (action,) = [a for a in build_parser()._actions if a.dest == "format"]
+        assert documented
+        for choices in documented:
+            assert tuple(choices.split(",")) == action.choices
 
     def test_determinism(self, lp_file, capsys):
         _, out1, _ = run(["lp", "solve", lp_file], capsys)

@@ -128,6 +128,16 @@ class TestInstallment:
                 K = (K + E) * q
             assert finmath.installment_solve(E=E, q=q, n=n) == pytest.approx(K, rel=1e-8)
 
+    def test_rate_without_root_names_q_and_bracket(self):
+        # two deposits of 100 never shrink to 10 at any q > 1
+        with pytest.raises(FinanceError, match=r"interest factor q in \[1\.000000000001, 1000\]"):
+            finmath.installment_solve(Kn=10, E=100, n=2)
+
+    def test_rate_with_overflow_at_the_upper_bracket(self):
+        # 1000^200 overflows a float; the root q ~ 1.4 must still be found
+        q = finmath.installment_solve(Kn=1e30, E=1, n=200)
+        assert q * (q ** 200 - 1.0) / (q - 1.0) == pytest.approx(1e30, rel=1e-9)
+
 
 class TestRedemption:
     def test_first_year_balance(self):
@@ -173,6 +183,20 @@ class TestRedemption:
             known = {k: v for k, v in quintuple.items() if k != missing}
             got = finmath.redemption_solve(Rn=Rn, **known)
             assert got == pytest.approx(quintuple[missing], rel=1e-7)
+
+    def test_rate_without_root_is_not_invented_by_overflow(self):
+        # R0 - A(q^n - 1)/(q - 1) stays negative on the whole bracket, even
+        # where q^200 is past the float range
+        with pytest.raises(FinanceError, match=r"interest factor q in \[1\.000000000001, 1000\]"):
+            finmath.redemption_solve(Rn=0, R0=1, A=2000, n=200)
+
+    def test_rate_with_overflow_at_the_upper_bracket(self):
+        q = finmath.redemption_solve(Rn=0, R0=1e30, A=1e30 - 1.0, n=200)
+        assert q == pytest.approx(2.0 - 1e-30, rel=1e-12)
+
+    def test_rate_needs_a_positive_duration(self):
+        with pytest.raises(FinanceError, match="n > 0"):
+            finmath.redemption_solve(Rn=0, R0=1, A=2, n=0)
 
     def test_one_shot_payoff(self):
         A = finmath.redemption_solve(R0=100.0, q=1.05, n=1, Rn=0)

@@ -1,0 +1,51 @@
+"""Import hygiene: ``import ecomath`` and each CLI call load only the modules
+that the call uses.  Every check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ecomath
+
+SRC = str(Path(ecomath.__file__).resolve().parents[1])
+
+
+def loaded_after(code: str) -> set[str]:
+    """Names in sys.modules after running code in a fresh interpreter."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def top_level(modules: set[str]) -> set[str]:
+    return {m.split(".")[0] for m in modules}
+
+
+def test_import_ecomath_loads_no_submodule_and_no_scipy():
+    modules = loaded_after("import ecomath")
+    assert "scipy" not in top_level(modules)
+    assert {m for m in modules if m.startswith("ecomath.")} == set()
+
+
+def test_finance_call_loads_neither_numpy_nor_scipy():
+    modules = loaded_after(
+        "from ecomath.cli import dispatch\n"
+        "assert dispatch(['finance', 'installment', '--Kn', '215.25', '--E', '100',"
+        " '--n', '2']) == 0"
+    )
+    assert "ecomath.finmath" in modules
+    assert not {"numpy", "scipy"} & top_level(modules)
+
+
+def test_calc_call_loads_neither_simplex_nor_leontief():
+    modules = loaded_after(
+        "from ecomath.cli import dispatch\n"
+        "assert dispatch(['calc', 'diff', 'x^2']) == 0"
+    )
+    assert "ecomath.calculus" in modules
+    assert not {"ecomath.simplex", "ecomath.leontief"} & modules

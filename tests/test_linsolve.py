@@ -1,6 +1,8 @@
 """Gaussian elimination, solvability classification, determinants,
 inverses, and small symmetric eigenproblems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ class TestDeterminant:
             dB = linsolve.determinant(Matrix.from_array(B))
             dAB = linsolve.determinant(Matrix.from_array(A @ B))
             assert abs(dAB - dA * dB) <= 1e-6 * (1 + abs(dA * dB))
+
+    def test_no_intermediate_overflow(self):
+        A = Matrix.from_array(np.diag([1e200, 1e200, 1e-200, 1e-200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linsolve.determinant(A) == 1.0
+
+    def test_equals_the_plain_pivot_product(self):
+        local = np.random.default_rng(7)
+        for _ in range(10):
+            A = Matrix.from_array(local.normal(size=(6, 6)))
+            assert linsolve.determinant(A) == linsolve.rref(A)[3]
+
+    def test_beyond_float_range_raises(self):
+        A = np.random.default_rng(0).normal(size=(340, 340))  # log|det| = 813.3
+        with pytest.raises(linsolve.DeterminantOverflowError, match="exceeds the float range"):
+            linsolve.determinant(Matrix.from_array(A))
+
+    def test_columns_are_scaled_before_the_singularity_decision(self):
+        # from n = 4 each column is judged against its own scale, while rank,
+        # is_regular and inverse judge against the largest entry of A
+        A = Matrix.from_array(np.diag([1.0, 1.0, 1.0, 1e-12]))
+        assert linsolve.determinant(A) == 1e-12
+        assert not linsolve.is_regular(A)
+        with pytest.raises(SingularMatrixError):
+            linsolve.inverse(A)
 
     def test_n4_matches_numpy(self):
         for _ in range(10):
