@@ -5,7 +5,7 @@ root finding, polynomial machinery, curve reports, and definite integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,14 +13,12 @@ from numpy.polynomial import polynomial as P
 
 from ..numeric import NumericalError, brent
 from .expr import (
-    Abs,
     Add,
     Const,
     Div,
     EvalDomainError,
     Exp,
     Expr,
-    Ln,
     Mul,
     Neg,
     Pow,
@@ -33,7 +31,6 @@ from .expr import (
     differentiate,
     div,
     evaluate,
-    exp_,
     ln_,
     mul,
     neg,
@@ -43,6 +40,7 @@ from .expr import (
 )
 
 GRID_CELLS = 1024  # density of the sign-change scan in roots()
+POLY_DEGREE_MAX = 16  # roots() of rational functions up to this degree: poly_real_roots
 
 
 class UnsupportedExpressionError(ValueError):
@@ -133,7 +131,7 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return _trim(P.polymul(ra[0], rb[0])), _trim(P.polymul(ra[1], rb[1]))
     if isinstance(e, Div):
         ra, rb = as_rational(e.a), as_rational(e.b)
-        if not ra or not rb:
+        if not ra or not rb or not rb[0].any():  # a zero divisor is defined nowhere
             return None
         return _trim(P.polymul(ra[0], rb[1])), _trim(P.polymul(ra[1], rb[0]))
     if isinstance(e, Pow):
@@ -144,11 +142,9 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
             return None
         k = int(k)
         r = as_rational(e.base)
-        if not r:
+        if not r or (k < 0 and not r[0].any()):
             return None
-        num, den = one, one
-        for _ in range(abs(k)):
-            num, den = P.polymul(num, r[0]), P.polymul(den, r[1])
+        num, den = P.polypow(r[0], abs(k)), P.polypow(r[1], abs(k))
         if k < 0:
             num, den = den, num
         return _trim(num), _trim(den)
@@ -188,49 +184,90 @@ def poly_divide(num, den) -> tuple[np.ndarray, np.ndarray]:
     return _trim(q), _trim(r)
 
 
-def _quadratic_roots(coeffs: np.ndarray) -> list[float]:
-    """Real roots of a polynomial of degree <= 2, low-to-high coefficients."""
-    coeffs = _trim(coeffs)
-    deg = len(coeffs) - 1
-    if deg == 0:
+def _horner(c: list[float], x: float) -> float:
+    """p(x) for low-to-high coefficients c."""
+    y = 0.0
+    for ck in reversed(c):
+        y = y * x + ck
+    return y
+
+
+def poly_real_roots(coeffs) -> list[float]:
+    """All distinct real roots, sorted, of a polynomial with low-to-high
+    coefficients (none for a constant).
+
+    The real roots of p' (found recursively) and the Cauchy bound cut the line
+    into pieces on which p is monotone.  In each piece whose ends differ in
+    sign, Brent's method finds the root to RTOL relative accuracy, with p
+    evaluated by Horner's rule, and one Newton step polishes it.  A critical
+    point where |p| lies within Horner's rounding-error bound is a multiple
+    root; adjacent such points (p' split by rounding) merge into one.
+    """
+    c = [float(v) for v in np.trim_zeros(np.asarray(coeffs, dtype=float), "b")]
+    if len(c) < 2:
         return []
-    if deg == 1:
-        c0, c1 = coeffs
-        return [-c0 / c1 + 0.0]  # + 0.0 normalizes -0.0
-    c0, c1, c2 = coeffs
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0:
-        return []
-    s = math.sqrt(disc)
-    return sorted({(-c1 - s) / (2.0 * c2) + 0.0, (-c1 + s) / (2.0 * c2) + 0.0})
+    bound = 1.0 + max(abs(v / c[-1]) for v in c[:-1])
+    dc = [k * c[k] for k in range(1, len(c))]
+    pts = [-bound, *poly_real_roots(dc), bound]
+    # the sign of p at each point, 0 where |p| is within twice Horner's rounding-
+    # error bound gamma_2n sum |c_k x^k| (Higham 2002, sec. 5.1); not at the bound
+    signs = []
+    for x in pts:
+        y = _horner(c, x)
+        err = 2.0 * len(c) * 2.0 ** -52 * _horner([abs(v) for v in c], abs(x))
+        signs.append(0.0 if abs(y) <= err and abs(x) < bound else math.copysign(1.0, y))
+
+    found: list[float] = []
+    cluster: list[float] = []
+    for i in range(1, len(pts)):
+        if signs[i - 1] * signs[i] < 0.0:
+            r = brent(lambda x: _horner(c, x), pts[i - 1], pts[i], xtol=2.0 ** -1022)
+            slope = _horner(dc, r)
+            if slope != 0.0:  # one Newton polish step, kept inside the piece
+                r = min(max(r - _horner(c, r) / slope, pts[i - 1]), pts[i])
+            found.append(r)
+        if signs[i] == 0.0:
+            cluster.append(pts[i])
+        elif cluster:
+            found.append(0.5 * (cluster[0] + cluster[-1]))
+            cluster = []
+    return [r + 0.0 for r in found]  # + 0.0 normalizes -0.0
 
 
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
 
-def roots(
-    e: Expr, lo: float, hi: float, tol: float = 1e-10, grid: int = GRID_CELLS
-) -> list[float]:
+def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
+    """The roots rs within tol of [lo, hi], less those near (1e-9 max(1, |r|)) exclude."""
+    return [r for r in rs if lo - tol <= r <= hi + tol
+            and all(abs(r - o) > 1e-9 * max(1.0, abs(r)) for o in exclude)]
+
+
+def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     """All roots of e on [lo, hi].
 
-    Closed forms for polynomials of degree <= 2; otherwise a sign-change
-    scan over `grid` cells (skipping cells with an end where e is undefined
-    or overflows), Brent's method to `tol` in each cell with a sign change,
-    and one Newton polish step.  Roots closer than 10*tol are merged.
+    A ratio of polynomials of degree <= POLY_DEGREE_MAX gives the real roots
+    of its numerator (poly_real_roots, multiple roots included) within tol of
+    the window, less those shared with the denominator.  Anything else takes
+    a sign-change scan over GRID_CELLS cells (skipping cells with an end where
+    e is undefined or overflows): Brent's method to `tol` and one Newton step
+    in each cell with a sign change, dropping a result where |e| is not small
+    against the cell's ends (a pole).  The scan misses roots where e keeps its
+    sign.  Roots closer than 10*tol are merged.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    coeffs = poly_coeffs(e)
-    if coeffs is not None and len(_trim(coeffs)) <= 3:
-        return [r for r in _quadratic_roots(coeffs) if lo - tol <= r <= hi + tol]
+    rat = as_rational(e)
+    if rat and max(len(rat[0]), len(rat[1])) <= POLY_DEGREE_MAX + 1:
+        return _in_window(poly_real_roots(rat[0]), lo, hi, poly_real_roots(rat[1]), tol)
 
     deriv = differentiate(e)
 
     def f(x):
         return evaluate(e, x)
 
-    xs = np.linspace(lo, hi, grid + 1)
+    xs = np.linspace(lo, hi, GRID_CELLS + 1)
     vals = []
     for x in xs:
         try:
@@ -239,7 +276,7 @@ def roots(
             vals.append(math.nan)
 
     found: list[float] = []
-    for i in range(grid):
+    for i in range(GRID_CELLS):
         fa, fb = vals[i], vals[i + 1]
         if math.isnan(fa) or math.isnan(fb):
             continue
@@ -247,16 +284,20 @@ def roots(
             found.append(xs[i])
             continue
         if fa * fb < 0.0:
-            root = brent(f, xs[i], xs[i + 1], xtol=tol)
-            try:  # one Newton polish step
-                fp = evaluate(deriv, root)
-                if abs(fp) > 1e-14:
-                    cand = root - f(root) / fp
-                    if lo - tol <= cand <= hi + tol:
-                        root = cand
-            except EvalDomainError:
+            try:
+                root = brent(f, xs[i], xs[i + 1], xtol=tol)
+                try:  # one Newton polish step
+                    fp = evaluate(deriv, root)
+                    if abs(fp) > 1e-14:
+                        cand = root - f(root) / fp
+                        if lo - tol <= cand <= hi + tol:
+                            root = cand
+                except EvalDomainError:
+                    pass
+                if abs(f(root)) <= 1e-3 * max(abs(fa), abs(fb)):  # else a pole
+                    found.append(root)
+            except (EvalDomainError, OverflowError):  # e is undefined inside the cell
                 pass
-            found.append(root)
     if not math.isnan(vals[-1]) and vals[-1] == 0.0:
         found.append(xs[-1])
 
@@ -313,32 +354,49 @@ def _poly_reflect(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _poly_close(a: np.ndarray, b: np.ndarray) -> bool:
-    n = max(len(a), len(b))
-    pa = np.pad(a, (0, n - len(a)))
-    pb = np.pad(b, (0, n - len(b)))
-    scale = max(1.0, float(np.max(np.abs(pa))), float(np.max(np.abs(pb))))
-    return bool(np.max(np.abs(pa - pb)) <= 1e-9 * scale)
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return bool(np.max(np.abs(P.polysub(a, b))) <= 1e-9 * scale)
 
 
-def _sign_intervals(e: Expr, breakpoints, lo, hi, pos_label, neg_label):
-    pts = sorted({lo, hi, *[p for p in breakpoints if lo < p < hi]})
-    out = []
+def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
+    d = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den)))
+    return _trim(d), _trim(P.polymul(den, den))
+
+
+def _sign_intervals(rat, poles, lo, hi, pos_label, neg_label):
+    """Pieces (a, b, label) of [lo, hi] cut at the numerator's real roots and
+    the poles, labelled by the sign of num/den (left out where it vanishes)
+    and merged across a cut that is no pole; and (x, label left of x) where
+    the sign changes away from a pole."""
+    num, den = rat
+    cuts = [p for p in [*poly_real_roots(num), *poles] if lo < p < hi]
+    pts = sorted({lo, hi, *cuts})
+    out: list[tuple[float, float, str]] = []
+    changes: list[tuple[float, str]] = []
     for a, b in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (a + b)
-        try:
-            v = evaluate(e, mid)
-        except EvalDomainError:
-            continue
+        d = float(P.polyval(mid, den))
+        v = float(P.polyval(mid, num)) / d if d else 0.0
         if abs(v) <= 1e-12:
             continue
-        out.append((a, b, pos_label if v > 0 else neg_label))
-    return tuple(out)
+        label = pos_label if v > 0 else neg_label
+        if out and out[-1][1] == a and a not in poles:
+            if out[-1][2] == label:
+                out[-1] = (out[-1][0], b, label)
+                continue
+            changes.append((a, out[-1][2]))
+        out.append((a, b, label))
+    return tuple(out), changes
 
 
 def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     """Curve sketch of a polynomial or rational function over a window:
     symmetry, roots, extrema, inflections, monotonicity, curvature,
-    asymptotes and a sampled range estimate."""
+    asymptotes and a sampled range estimate, all from the (numerator,
+    denominator) arrays and poly_real_roots.  An extremum (inflection) is an
+    interior point where f' (f'') changes sign; roots and poles leave out
+    the points where numerator and denominator vanish together."""
     rat = as_rational(e)
     if rat is None:
         raise UnsupportedExpressionError(
@@ -346,89 +404,36 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
         )
     num, den = rat
 
-    # symmetry, tested structurally on the coefficients
-    if _poly_close(P.polymul(_poly_reflect(num), den), P.polymul(num, _poly_reflect(den))):
-        symmetry = "even"
-    elif _poly_close(
-        P.polymul(_poly_reflect(num), den), -P.polymul(num, _poly_reflect(den))
-    ):
-        symmetry = "odd"
-    else:
-        symmetry = "none"
+    # symmetry, tested structurally on the coefficients: f(-x) against f(x)
+    a, b = P.polymul(_poly_reflect(num), den), P.polymul(num, _poly_reflect(den))
+    symmetry = "even" if _poly_close(a, b) else "odd" if _poly_close(a, -b) else "none"
 
-    den_expr = expr_from_poly(den)
-    num_expr = expr_from_poly(num)
-    poles = []
-    if len(den) > 1:
-        for r in roots(den_expr, lo, hi):
-            try:
-                if abs(evaluate(num_expr, r)) > 1e-9:
-                    poles.append(r)
-            except EvalDomainError:
-                poles.append(r)
+    num_roots, den_roots = poly_real_roots(num), poly_real_roots(den)
+    poles = _in_window(den_roots, lo, hi, exclude=num_roots)
     domain = "all reals" if not poles else (
         "all reals except " + ", ".join(f"{p:.6g}" for p in poles)
     )
+    f_roots = _in_window(num_roots, lo, hi, exclude=den_roots)
 
-    f_roots = [
-        r
-        for r in roots(num_expr, lo, hi)
-        if all(abs(r - p) > 1e-9 for p in poles)
-    ]
-
-    d1 = differentiate(e)
-    d2 = differentiate(d1)
-    d3 = differentiate(d2)
-
-    extrema = []
-    for r in roots(d1, lo, hi):
-        if any(abs(r - p) <= 1e-9 for p in poles):
-            continue
-        try:
-            curvature = evaluate(d2, r)
-        except EvalDomainError:
-            continue
-        if curvature > 1e-9:
-            extrema.append((r, "min"))
-        elif curvature < -1e-9:
-            extrema.append((r, "max"))
-
-    inflections = []
-    for r in roots(d2, lo, hi):
-        if any(abs(r - p) <= 1e-9 for p in poles):
-            continue
-        try:
-            if abs(evaluate(d3, r)) > 1e-9:
-                inflections.append(r)
-        except EvalDomainError:
-            continue
-
-    monotone = _sign_intervals(
-        d1, [x for x, _ in extrema] + poles, lo, hi, "increasing", "decreasing"
+    d1 = _rational_derivative(num, den)
+    monotone, turns = _sign_intervals(d1, poles, lo, hi, "increasing", "decreasing")
+    curvature_iv, bends = _sign_intervals(
+        _rational_derivative(*d1), poles, lo, hi, "convex", "concave"
     )
-    curvature_iv = _sign_intervals(
-        d2, list(inflections) + poles, lo, hi, "convex", "concave"
-    )
+    extrema = [(x, "min" if k == "decreasing" else "max") for x, k in turns]
+    inflections = [x for x, _ in bends]
 
-    # straight asymptote from the polynomial division quotient
+    # straight asymptote from the polynomial division quotient (q = 0 when proper)
+    q, _ = poly_divide(num, den)
     asymptote = None
-    if len(den) > 1:
-        q, _ = poly_divide(num, den)
-        if len(q) == 1:
-            asymptote = (0.0, float(q[0]))  # proper rational tends to q0 (0 if q==0)
-        elif len(q) == 2:
-            asymptote = (float(q[1]), float(q[0]))
-    elif len(num) <= 2:
-        line = np.pad(num / den[0], (0, 2 - len(num)))
-        asymptote = (float(line[1]), float(line[0]))
+    if len(q) <= 2:
+        q = np.pad(q, (0, 2 - len(q)))
+        asymptote = (float(q[1]), float(q[0]))
 
-    samples = []
-    for x in np.linspace(lo, hi, 512):
-        try:
-            samples.append(evaluate(e, x))
-        except EvalDomainError:
-            continue
-    range_estimate = (min(samples), max(samples)) if samples else None
+    xs = np.linspace(lo, hi, 512)
+    nv, dv = P.polyval(xs, num), P.polyval(xs, den)
+    samples = nv[dv != 0.0] / dv[dv != 0.0]
+    range_estimate = (float(samples.min()), float(samples.max())) if samples.size else None
 
     return CurveReport(
         domain=domain,
@@ -530,14 +535,11 @@ def _singular_points(e: Expr, lo: float, hi: float) -> list[tuple[float, float]]
     def walk(node: Expr):
         if isinstance(node, Div):
             den = node.b
-            if not isinstance(den, Const):
-                dcoeffs = poly_coeffs(den)
-                if dcoeffs is not None and len(_trim(dcoeffs)) > 1:
-                    for r in roots(expr_from_poly(dcoeffs), lo, hi):
-                        out.append((r, -1.0))
-                else:
-                    for r in _zeros_by_scan(den, lo, hi):
-                        out.append((r, -1.0))
+            if not isinstance(den, Const):  # roots() of a rational den: poly_real_roots
+                try:
+                    out.extend((r, -1.0) for r in roots(den, lo, hi, tol=1e-12))
+                except (EvalDomainError, ValueError):
+                    pass
             walk(node.a)
             walk(den)
             return
@@ -561,13 +563,6 @@ def _singular_points(e: Expr, lo: float, hi: float) -> list[tuple[float, float]]
 
     walk(e)
     return out
-
-
-def _zeros_by_scan(e: Expr, lo: float, hi: float) -> list[float]:
-    try:
-        return roots(e, lo, hi, tol=1e-12)
-    except (EvalDomainError, ValueError):
-        return []
 
 
 def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:

@@ -109,17 +109,8 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
     if c.a0 == 0.0:
         x_g2, coincides = x_g1, True
     else:
-        mes_poly = ca.expr_from_poly([-c.a0, 0.0, c.a2, 2.0 * c.a3])
-        hi = 10.0 * x_g1
-        candidates: list[float] = []
-        for _ in range(3):  # widen the bracket x10 at most twice
-            candidates = [r for r in ca.roots(mes_poly, 1e-12, hi) if r > 0]
-            if candidates:
-                break
-            hi *= 10.0
-        if not candidates:
-            raise EconError("no positive minimum-efficient-scale root found")
-        x_g2, coincides = max(candidates), False
+        # the cubic is -a0 < 0 at 0 and a3 > 0, so its largest real root is positive
+        x_g2, coincides = max(ca.poly_real_roots([-c.a0, 0.0, c.a2, 2.0 * c.a3])), False
 
     # the defining tangency conditions, asserted as numeric sanity checks
     kv_avg = c.total(x_g1) - c.a0

@@ -35,7 +35,7 @@ def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
     """
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol!r}")
-    budget = int(3.0 * math.log2(abs(b - a) / xtol + 1.0)) + 4
+    budget = int(3.0 * (math.log2(abs(b - a) + xtol) - math.log2(xtol))) + 4
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a

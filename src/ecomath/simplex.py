@@ -66,13 +66,16 @@ class LinearProgram:
     def from_dict(cls, data: dict) -> "LinearProgram":
         if not isinstance(data, dict) or "c" not in data:
             raise SimplexError("LP document is missing the field 'c' (objective coefficients)")
+        names = data.get("names")
+        if names and not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
+            raise SimplexError("LP field 'names' must be a list of strings")
         return cls(
             sense=data.get("sense", "max"),
-            c=data["c"],
-            A=tuple(tuple(r) for r in data.get("A", [])),
-            b=tuple(data.get("b", [])),
-            d=float(data.get("d", 0.0)),
-            names=tuple(data["names"]) if data.get("names") else None,
+            c=_numbers(data["c"], "c", 1),
+            A=_numbers(data.get("A", []), "A", 2),
+            b=_numbers(data.get("b", []), "b", 1),
+            d=_numbers(data.get("d", 0.0), "d", 0),
+            names=tuple(names) if names else None,
         )
 
     @classmethod
@@ -90,6 +93,16 @@ class LinearProgram:
         if self.names:
             out["names"] = list(self.names)
         return out
+
+
+def _numbers(value, key: str, depth: int):
+    """An LP document field as a float (depth 0) or nested tuples of floats."""
+    if depth == 0 and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if depth > 0 and isinstance(value, list):
+        return tuple(_numbers(v, key, depth - 1) for v in value)
+    kind = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+    raise SimplexError(f"LP field {key!r} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,8 +271,8 @@ def solve_simplex(
             )
 
     values = t.basis_solution()
-    x = tuple(values[1 : 1 + lp.n])
-    slacks = tuple(values[1 + lp.n :])
+    x = tuple(values[1 : 1 + lp.n].tolist())  # Python floats, as LpSolution declares
+    slacks = tuple(values[1 + lp.n :].tolist())
     z = float(values[0])
     return LpSolution("optimal", x, z, slacks, t.iteration)
 
@@ -351,8 +364,8 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     zs = [float(c @ v) + lp.d for v in vertices]
     z_best = max(zs)
     best = [v for v, z in zip(vertices, zs) if z >= z_best - 1e-9]
-    x = tuple(best[0])
-    slacks = tuple(b - A @ best[0]) if lp.m else ()
+    x = tuple(best[0].tolist())
+    slacks = tuple((b - A @ best[0]).tolist()) if lp.m else ()
     sol = LpSolution("optimal", x, z_best, slacks, 0)
     return OracleResult(
         sol,

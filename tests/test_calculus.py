@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from ecomath import calculus as ca
 from ecomath.calculus import (
@@ -281,6 +284,64 @@ class TestRoots:
         # exp(x) overflows beyond x ~ 709.8; those scan cells are skipped
         assert ca.roots(ca.parse("exp(x)-5"), 0, 1000) == pytest.approx([math.log(5.0)], abs=1e-10)
 
+    def test_double_root_of_a_cubic(self):
+        assert ca.roots(ca.parse("x^3-4*x^2+5*x-2"), 0, 3) == pytest.approx([1.0, 2.0])
+
+    @pytest.mark.parametrize("hi", [4.0, 3.0])  # 1 is a scan grid point on [0, 4], not on [0, 3]
+    def test_quadruple_root(self, hi):
+        assert ca.roots(ca.parse("(x-1)^4"), 0, hi) == pytest.approx([1.0])
+
+    def test_near_double_roots(self):
+        assert ca.roots(ca.parse("x^2+1e-10"), -1, 1) == []
+        assert ca.roots(ca.parse("x^2-1e-10"), -1, 1) == pytest.approx([-1e-5, 1e-5], rel=1e-12)
+        # no scan grid point of [-0.5, 3] lies between the pair: no sign change to see
+        found = ca.roots(ca.parse("(x^2-1e-10)*(x-2)"), -0.5, 3)
+        assert found == pytest.approx([-1e-5, 1e-5, 2.0], rel=1e-12)
+
+    def test_small_root_without_cancellation(self):
+        small = ca.roots(ca.parse("x^2-100000000*x+1"), 0, 1)
+        assert small == pytest.approx([1e-8], rel=1e-12)
+
+    def test_rational_pole_is_no_root(self):
+        assert ca.roots(ca.parse("1/(x-0.3001)"), -1, 1) == []
+        assert ca.roots(ca.parse("(x^2-1)/(x-1)"), -2, 2) == [-1.0]  # x = 1 is a hole
+
+    def test_pole_of_a_transcendental_function_is_no_root(self):
+        assert ca.roots(ca.parse("exp(x)/(x-0.3001)"), -1, 1) == []
+        assert ca.roots(ca.parse("(exp(x)-2)/(x-0.3001)"), -1, 1) == pytest.approx([math.log(2.0)])
+
+
+def separated_roots():
+    """1-6 roots from [-5, 6.5] at least 0.25 apart (closer ones make the
+    coefficients ill-conditioned), the index of one to double, and a scale."""
+    return st.tuples(
+        st.floats(-5.0, -1.0),
+        st.lists(st.floats(0.25, 1.5), min_size=0, max_size=5),
+        st.integers(0, 5),
+        st.floats(0.25, 4.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+
+
+class TestPolyRealRoots:
+    @given(separated_roots())
+    @settings(max_examples=300, deadline=None)
+    def test_polyfromroots_with_one_double_root(self, case):
+        start, gaps, j, scale, sign = case
+        rs = list(np.cumsum([start, *gaps]))
+        double = rs[j % len(rs)]
+        coeffs = npoly.polyfromroots([*rs, double]) * scale * sign
+        found = ca.poly_real_roots(coeffs)
+        assert len(found) == len(rs)
+        assert found == pytest.approx(rs, rel=1e-6, abs=1e-6)
+
+    def test_constants_have_no_roots(self):
+        assert ca.poly_real_roots([3.0]) == []
+        assert ca.poly_real_roots([0.0, 0.0]) == []
+
+    def test_multiple_roots_at_zero(self):
+        assert ca.poly_real_roots([0, 0, 0, 0, 0, 1]) == [0.0]
+
 
 class TestPolyDivide:
     def test_improper_rational(self):
@@ -347,6 +408,24 @@ class TestCurveReport:
     def test_unsupported_class(self):
         with pytest.raises(UnsupportedExpressionError):
             ca.curve_report(ca.parse("exp(x)"), 0, 1)
+
+    def test_flat_minimum(self):
+        rep = ca.curve_report(ca.parse("x^4"), -1, 1)
+        assert rep.extrema == ((0.0, "min"),)
+        assert [k for _, _, k in rep.monotone_intervals] == ["decreasing", "increasing"]
+        assert rep.inflections == ()
+
+    def test_flat_inflection(self):
+        rep = ca.curve_report(ca.parse("x^5"), -1, 1)
+        assert rep.inflections == (0.0,)
+        assert rep.extrema == ()
+        assert [k for _, _, k in rep.monotone_intervals] == ["increasing"]
+
+    def test_no_turn_at_a_pole(self):
+        rep = ca.curve_report(ca.parse("1/x"), -1, 1)
+        assert rep.extrema == () and rep.inflections == ()
+        assert rep.monotone_intervals == ((-1, 0.0, "decreasing"), (0.0, 1, "decreasing"))
+        assert [k for _, _, k in rep.curvature_intervals] == ["concave", "convex"]
 
 
 class TestAntiderivative:

@@ -71,6 +71,24 @@ class TestLp:
         assert code == EXIT_INPUT
         assert "missing the field 'c'" in err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"c": [1], "A": 5, "b": [1]}, "'A'"),
+            ({"c": [1], "A": [[1, "2"]], "b": [1]}, "'A'"),
+            ({"c": "12", "A": [[1]], "b": [1]}, "'c'"),
+            ({"c": [1], "A": [[1]], "b": [1], "d": [0]}, "'d'"),
+            ({"c": [1], "A": [[1]], "b": [1], "names": 5}, "'names'"),
+        ],
+    )
+    def test_mistyped_field_is_named(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["lp", "solve", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert field in err
+        assert "Traceback" not in out + err
+
 
 class TestCalc:
     def test_pole_exit_3(self, capsys):

@@ -75,3 +75,9 @@ def test_hard_roots_within_the_step_budget(power, a, b, xtol):
     x = brent(f, a, b, xtol=xtol)
     assert abs(x - 1.7) <= xtol
     assert len(calls) <= int(3.0 * math.log2((b - a) / xtol + 1.0)) + 4 + 2
+
+
+def test_tiny_xtol_leaves_the_relative_accuracy():
+    # 4 / 2^-1022 is past the float range; the step budget is worked out in logs
+    x = brent(lambda t: t * t - 2.0, 0.0, 4.0, xtol=2.0 ** -1022)
+    assert x == pytest.approx(math.sqrt(2.0), rel=4e-15)
