@@ -40,7 +40,6 @@ from .expr import (
 )
 
 GRID_CELLS = 1024  # density of the sign-change scan in roots()
-POLY_DEGREE_MAX = 16  # roots() of rational functions up to this degree: poly_real_roots
 
 
 class UnsupportedExpressionError(ValueError):
@@ -192,46 +191,57 @@ def _horner(c: list[float], x: float) -> float:
     return y
 
 
-def poly_real_roots(coeffs) -> list[float]:
-    """All distinct real roots, sorted, of a polynomial with low-to-high
-    coefficients (none for a constant).
-
-    The real roots of p' (found recursively) and the Cauchy bound cut the line
-    into pieces on which p is monotone.  In each piece whose ends differ in
-    sign, Brent's method finds the root to RTOL relative accuracy, with p
-    evaluated by Horner's rule, and one Newton step polishes it.  A critical
-    point where |p| lies within Horner's rounding-error bound is a multiple
-    root; adjacent such points (p' split by rounding) merge into one.
-    """
-    c = [float(v) for v in np.trim_zeros(np.asarray(coeffs, dtype=float), "b")]
-    if len(c) < 2:
-        return []
-    bound = 1.0 + max(abs(v / c[-1]) for v in c[:-1])
-    dc = [k * c[k] for k in range(1, len(c))]
-    pts = [-bound, *poly_real_roots(dc), bound]
-    # the sign of p at each point, 0 where |p| is within twice Horner's rounding-
-    # error bound gamma_2n sum |c_k x^k| (Higham 2002, sec. 5.1); not at the bound
+def _monotone_roots(c: list[float], crit: list[float]) -> list[float]:
+    """The distinct real roots of the monic polynomial c, given the sorted real
+    roots crit of its derivative."""
+    bound = 1.0 + max(abs(v) for v in c[:-1])
+    ac = [abs(v) for v in c]
+    pts = [-bound, *crit, bound]
+    # the sign of p at each point, 0 where |p| is within twice Horner's rounding-error
+    # bound gamma_2n sum |c_k x^k| (Higham 2002, sec. 5.1), unless at the bound or inf
     signs = []
     for x in pts:
-        y = _horner(c, x)
-        err = 2.0 * len(c) * 2.0 ** -52 * _horner([abs(v) for v in c], abs(x))
-        signs.append(0.0 if abs(y) <= err and abs(x) < bound else math.copysign(1.0, y))
+        y, err = _horner(c, x), 2.0 * len(c) * 2.0 ** -52 * _horner(ac, abs(x))
+        zero = abs(y) <= err and abs(x) < bound and not math.isinf(y)
+        signs.append(0.0 if zero else math.copysign(1.0, y))
 
     found: list[float] = []
     cluster: list[float] = []
     for i in range(1, len(pts)):
         if signs[i - 1] * signs[i] < 0.0:
-            r = brent(lambda x: _horner(c, x), pts[i - 1], pts[i], xtol=2.0 ** -1022)
-            slope = _horner(dc, r)
-            if slope != 0.0:  # one Newton polish step, kept inside the piece
-                r = min(max(r - _horner(c, r) / slope, pts[i - 1]), pts[i])
-            found.append(r)
+            found.append(brent(lambda x: _horner(c, x), pts[i - 1], pts[i], xtol=2.0 ** -1022))
         if signs[i] == 0.0:
             cluster.append(pts[i])
         elif cluster:
             found.append(0.5 * (cluster[0] + cluster[-1]))
             cluster = []
     return [r + 0.0 for r in found]  # + 0.0 normalizes -0.0
+
+
+def poly_real_roots(coeffs) -> list[float]:
+    """All distinct real roots, sorted, of a polynomial with low-to-high
+    coefficients (none for a constant); O(n^2) work at degree n.
+
+    The derivatives p^(k), each over its leading coefficient, are solved from
+    k = n-1 (linear) down to p: the real roots of p^(k+1) and the Cauchy bound
+    cut the line into pieces where p^(k) is monotone.  In each piece whose ends
+    differ in sign, Brent's method on Horner's rule finds the root to RTOL
+    relative accuracy.  A critical point where |p^(k)| lies within Horner's
+    rounding-error bound is a multiple root; adjacent such points (split by
+    rounding) merge into one.
+    """
+    c = [float(v) for v in np.trim_zeros(np.asarray(coeffs, dtype=float), "b")]
+    if not all(map(math.isfinite, c)):
+        raise NumericalError("polynomial coefficients outside the float range")
+    n, crit = len(c) - 1, []
+    for k in range(n - 1, -1, -1):
+        # x^m in p^(k)/lead is c[m+k] (m+k)!/m! / (c[n] n!/(n-k)!): r never overflows
+        q, r = [1.0] * (n - k + 1), 1.0
+        for m in range(n - k - 1, -1, -1):
+            r *= (m + 1) / (m + 1 + k)
+            q[m] = c[m + k] / c[-1] * r
+        crit = _monotone_roots(q, crit)
+    return crit
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +257,9 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
 def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     """All roots of e on [lo, hi].
 
-    A ratio of polynomials of degree <= POLY_DEGREE_MAX gives the real roots
-    of its numerator (poly_real_roots, multiple roots included) within tol of
-    the window, less those shared with the denominator.  Anything else takes
+    A ratio of polynomials gives the real roots of its numerator
+    (poly_real_roots, multiple roots included) within tol of the window, less
+    those shared with the denominator.  Anything else takes
     a sign-change scan over GRID_CELLS cells (skipping cells with an end where
     e is undefined or overflows): Brent's method to `tol` and one Newton step
     in each cell with a sign change, dropping a result where |e| is not small
@@ -259,7 +269,7 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     rat = as_rational(e)
-    if rat and max(len(rat[0]), len(rat[1])) <= POLY_DEGREE_MAX + 1:
+    if rat:
         return _in_window(poly_real_roots(rat[0]), lo, hi, poly_real_roots(rat[1]), tol)
 
     deriv = differentiate(e)
@@ -364,14 +374,14 @@ def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, 
     return _trim(d), _trim(P.polymul(den, den))
 
 
-def _sign_intervals(rat, poles, lo, hi, pos_label, neg_label):
-    """Pieces (a, b, label) of [lo, hi] cut at the numerator's real roots and
-    the poles, labelled by the sign of num/den (left out where it vanishes)
-    and merged across a cut that is no pole; and (x, label left of x) where
-    the sign changes away from a pole."""
+def _sign_intervals(rat, poles, undefined, lo, hi, pos_label, neg_label):
+    """Pieces (a, b, label) of [lo, hi] cut at the numerator's real roots and the
+    points where f is undefined, labelled by the sign of num/den (left out where
+    it vanishes) and merged across a cut that is no pole; and (x, label left of x)
+    where the sign changes at a point where f is defined (not at a pole or hole)."""
     num, den = rat
-    cuts = [p for p in [*poly_real_roots(num), *poles] if lo < p < hi]
-    pts = sorted({lo, hi, *cuts})
+    cuts = _in_window(poly_real_roots(num), lo, hi, exclude=undefined) + undefined
+    pts = sorted({lo, hi, *(p for p in cuts if lo < p < hi)})
     out: list[tuple[float, float, str]] = []
     changes: list[tuple[float, str]] = []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -385,18 +395,19 @@ def _sign_intervals(rat, poles, lo, hi, pos_label, neg_label):
             if out[-1][2] == label:
                 out[-1] = (out[-1][0], b, label)
                 continue
-            changes.append((a, out[-1][2]))
+            if a not in undefined:
+                changes.append((a, out[-1][2]))
         out.append((a, b, label))
     return tuple(out), changes
 
 
 def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     """Curve sketch of a polynomial or rational function over a window:
-    symmetry, roots, extrema, inflections, monotonicity, curvature,
-    asymptotes and a sampled range estimate, all from the (numerator,
-    denominator) arrays and poly_real_roots.  An extremum (inflection) is an
-    interior point where f' (f'') changes sign; roots and poles leave out
-    the points where numerator and denominator vanish together."""
+    symmetry, roots, extrema, inflections, monotonicity, curvature, asymptotes
+    and a sampled range estimate, all from the (numerator, denominator) arrays
+    and poly_real_roots.  An extremum (inflection) is an interior point where f
+    is defined and f' (f'') changes sign; roots and poles leave out the points
+    where numerator and denominator vanish together."""
     rat = as_rational(e)
     if rat is None:
         raise UnsupportedExpressionError(
@@ -415,10 +426,11 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     )
     f_roots = _in_window(num_roots, lo, hi, exclude=den_roots)
 
+    undefined = _in_window(den_roots, lo, hi)
     d1 = _rational_derivative(num, den)
-    monotone, turns = _sign_intervals(d1, poles, lo, hi, "increasing", "decreasing")
+    monotone, turns = _sign_intervals(d1, poles, undefined, lo, hi, "increasing", "decreasing")
     curvature_iv, bends = _sign_intervals(
-        _rational_derivative(*d1), poles, lo, hi, "convex", "concave"
+        _rational_derivative(*d1), poles, undefined, lo, hi, "convex", "concave"
     )
     extrema = [(x, "min" if k == "decreasing" else "max") for x, k in turns]
     inflections = [x for x, _ in bends]

@@ -21,6 +21,7 @@ from ecomath.calculus import (
     UnsupportedExpressionError,
     X,
 )
+from ecomath.numeric import NumericalError
 
 rng = np.random.default_rng(5150)
 
@@ -310,6 +311,16 @@ class TestRoots:
         assert ca.roots(ca.parse("exp(x)/(x-0.3001)"), -1, 1) == []
         assert ca.roots(ca.parse("(exp(x)-2)/(x-0.3001)"), -1, 1) == pytest.approx([math.log(2.0)])
 
+    @pytest.mark.parametrize("text, lo, hi, expected", [
+        ("(x-1)^16", 0, 3, [1.0]),
+        ("(x-1)^20", 0, 3, [1.0]),
+        ("(x^2-2)^12/(x^3-1)", -3, 3, [-math.sqrt(2.0), math.sqrt(2.0)]),
+        ("(x+1)^200", -3, 1, [-1.0]),  # p overflows at the Cauchy bound, about 9e58
+    ])
+    def test_rational_functions_of_any_degree(self, text, lo, hi, expected):
+        # even multiplicities the scan cannot see, and a pole it took for a root
+        assert ca.roots(ca.parse(text), lo, hi) == pytest.approx(expected, rel=1e-12)
+
 
 def separated_roots():
     """1-6 roots from [-5, 6.5] at least 0.25 apart (closer ones make the
@@ -341,6 +352,16 @@ class TestPolyRealRoots:
 
     def test_multiple_roots_at_zero(self):
         assert ca.poly_real_roots([0, 0, 0, 0, 0, 1]) == [0.0]
+
+    @pytest.mark.parametrize("n", [400, 1100])
+    def test_high_degree(self, n):
+        # at degree 400 the unscaled derivatives' factorial-sized coefficients
+        # overflow; 1100 derivatives are more than Python's default recursion depth
+        assert ca.poly_real_roots([-1.0, *[0.0] * (n - 1), 1.0]) == pytest.approx([-1.0, 1.0])
+
+    def test_coefficients_outside_the_float_range(self):
+        with pytest.raises(NumericalError, match="float range"):
+            ca.poly_real_roots([1.0, math.inf])
 
 
 class TestPolyDivide:
@@ -420,6 +441,10 @@ class TestCurveReport:
         assert rep.inflections == (0.0,)
         assert rep.extrema == ()
         assert [k for _, _, k in rep.monotone_intervals] == ["increasing"]
+
+    def test_no_turn_or_bend_at_a_hole(self):
+        assert ca.curve_report(ca.parse("x^3/x"), -1, 1).extrema == ()
+        assert ca.curve_report(ca.parse("x^4/x"), -1, 1).inflections == ()
 
     def test_no_turn_at_a_pole(self):
         rep = ca.curve_report(ca.parse("1/x"), -1, 1)
