@@ -277,7 +277,7 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     def f(x):
         return evaluate(e, x)
 
-    xs = np.linspace(lo, hi, GRID_CELLS + 1)
+    xs = np.linspace(lo, hi, GRID_CELLS + 1).tolist()
     vals = []
     for x in xs:
         try:
@@ -443,9 +443,11 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
         asymptote = (float(q[1]), float(q[0]))
 
     xs = np.linspace(lo, hi, 512)
-    nv, dv = P.polyval(xs, num), P.polyval(xs, den)
-    samples = nv[dv != 0.0] / dv[dv != 0.0]
-    range_estimate = (float(samples.min()), float(samples.max())) if samples.size else None
+    with np.errstate(over="ignore", invalid="ignore"):  # a high power may overflow
+        nv, dv = P.polyval(xs, num), P.polyval(xs, den)
+        samples = nv[dv != 0.0] / dv[dv != 0.0]
+    sampled = samples.size and np.isfinite(samples).all()
+    range_estimate = (float(samples.min()), float(samples.max())) if sampled else None
 
     return CurveReport(
         domain=domain,

@@ -363,10 +363,19 @@ def to_string(e: Expr) -> str:
 
 # -- recursive-descent parser ------------------------------------------------
 
+# The deepest tree and nesting the parser accepts: the parser (six stack frames
+# a level) and evaluate, differentiate, to_string and as_rational on the tree and
+# its derivative then stay inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (tree, depth of the tree as built)."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.level = 0  # parentheses, calls, signs and exponents open here
 
     def error(self, message: str):
         raise ExprSyntaxError(message, self.pos)
@@ -390,78 +399,89 @@ class _Parser:
             self.error(f"expected {ch!r}")
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            if self.take("+"):
-                e = add(e, self.term())
-            elif self.take("-"):
-                e = sub(e, self.term())
-            else:
-                return e
+    def deeper(self, depth: int) -> int:
+        """depth + 1, or an ExprSyntaxError here if that passes MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            self.error(f"expression nested more than {MAX_DEPTH} levels deep")
+        return depth + 1
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            if self.take("*"):
-                e = mul(e, self.unary())
-            elif self.take("/"):
-                e = div(e, self.unary())
-            else:
-                return e
+    def nested(self, rule):
+        """rule() one level further in, refused past MAX_DEPTH levels."""
+        self.level = self.deeper(self.level)
+        out = rule()
+        self.level -= 1
+        return out
 
-    def unary(self) -> Expr:
+    def expr(self):
+        e, d = self.term()
+        while (ch := self.peek()) in ("+", "-"):
+            self.pos += 1
+            b, db = self.term()
+            e, d = (add if ch == "+" else sub)(e, b), self.deeper(max(d, db))
+        return e, d
+
+    def term(self):
+        e, d = self.unary()
+        while (ch := self.peek()) in ("*", "/"):
+            self.pos += 1
+            b, db = self.unary()
+            e, d = (mul if ch == "*" else div)(e, b), self.deeper(max(d, db))
+        return e, d
+
+    def unary(self):
         if self.take("-"):
-            return neg(self.unary())
+            e, d = self.nested(self.unary)
+            return neg(e), self.deeper(d)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self):
+        base, d = self.atom()
         if self.take("^"):
             start = self.pos
-            exponent = self.unary()  # right-associative, allows -2 in x^-2
+            exponent, de = self.nested(self.unary)  # right-associative, allows -2 in x^-2
             if not isinstance(exponent, Const) and not isinstance(base, Const):
                 self.pos = start
                 self.error("power needs a constant base or exponent")
-            return pow_(base, exponent)
-        return base
+            return pow_(base, exponent), self.deeper(max(d, de))
+        return base, d
 
-    def atom(self) -> Expr:
+    def atom(self):
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            e = self.expr()
+            out = self.nested(self.expr)
             self.expect(")")
-            return e
+            return out
         if ch.isdigit() or ch == ".":
-            return Const(self.number())
+            return Const(self.number()), 1
         if ch.isalpha():
             name = self.identifier()
             if name == "x":
-                return X
+                return X, 1
             if name in ("exp", "ln", "abs"):
                 self.expect("(")
-                arg = self.expr()
+                arg, d = self.nested(self.expr)
                 self.expect(")")
-                return {"exp": exp_, "ln": ln_, "abs": abs_}[name](arg)
+                return {"exp": exp_, "ln": ln_, "abs": abs_}[name](arg), self.deeper(d)
             if name == "log":
                 self.expect("(")
                 base_pos = self.pos
-                base = self.expr()
+                base, _ = self.nested(self.expr)
                 if not isinstance(base, Const):
                     self.pos = base_pos
                     self.error("log base must be a number")
                 self.expect(";")
-                arg = self.expr()
+                arg, d = self.nested(self.expr)
                 self.expect(")")
+                depth = self.deeper(d + 1)  # ln(u)/ln(a)
                 try:
-                    return log_base(base.value, arg)
+                    return log_base(base.value, arg), depth
                 except ValueError as exc:
                     self.pos = base_pos
                     self.error(str(exc))
@@ -479,11 +499,15 @@ class _Parser:
             or (self.text[self.pos] in "+-" and self.text[self.pos - 1] in "eE")
         ):
             self.pos += 1
+        literal = self.text[start : self.pos]
         try:
-            return float(self.text[start : self.pos])
+            v = float(literal)
         except ValueError:
+            v = math.nan
+        if not math.isfinite(v):  # malformed, or past the float range
             self.pos = start
-            self.error(f"bad number literal {self.text[start:self.pos + 1]!r}")
+            self.error(f"number literal {literal!r} is not a finite number")
+        return v
 
     def identifier(self) -> str:
         self.skip_ws()

@@ -187,31 +187,40 @@ def dot(a: Vector, b: Vector) -> float:
     return float(np.dot(a.to_array(), b.to_array()))
 
 
+def _cosine(a: Vector, b: Vector):
+    """cos angle(a, b) from the unit vectors, so nothing overflows; None for zero."""
+    if a.n != b.n:
+        raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
+    la, lb = norm(a), norm(b)
+    if la == 0.0 or lb == 0.0:
+        return None
+    return float(np.dot(a.to_array() / la, b.to_array() / lb))
+
+
 def are_orthogonal(a: Vector, b: Vector, tol: float = EPS_ZERO) -> bool:
-    return abs(dot(a, b)) <= tol
+    """|cos angle(a, b)| <= tol at any scale; a zero vector is orthogonal to all."""
+    c = _cosine(a, b)
+    return c is None or abs(c) <= tol
 
 
 def norm(a: Vector) -> float:
-    return math.sqrt(dot(a, a))
+    """Euclidean length by math.hypot, which cannot overflow or underflow."""
+    return math.hypot(*a.entries)
 
 
 def normalize(a: Vector) -> Vector:
     la = norm(a)
-    if la <= EPS_ZERO:
+    if la == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return Vector(a.to_array() / la, a.orientation)
 
 
 def angle(a: Vector, b: Vector) -> float:
-    """Angle enclosed between two non-zero vectors, in [0, pi].
-
-    The cosine is clamped to [-1, 1] so floating-point drift cannot
-    produce a domain error.
-    """
-    la, lb = norm(a), norm(b)
-    if la <= EPS_ZERO or lb <= EPS_ZERO:
+    """Angle enclosed between two non-zero vectors, in [0, pi], at any scale;
+    the cosine is clamped to [-1, 1] so rounding cannot cause a domain error."""
+    c = _cosine(a, b)
+    if c is None:
         raise ValueError("angle undefined for zero vectors")
-    c = dot(a, b) / (la * lb)
     return math.acos(max(-1.0, min(1.0, c)))
 
 

@@ -1,13 +1,12 @@
 """Gaussian elimination and everything built on top of it.
 
 Row reduction with partial pivoting is the single elimination routine;
-rank, determinants, inverses, solvability classification and the small
-symmetric eigenproblems all reduce to it.
+rank, determinants, inverses and solvability classification all reduce to
+it.  The small symmetric eigenproblems come from ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,12 +78,12 @@ def _pivot_step(a: np.ndarray, r: int, j: int, first: int = 0) -> np.ndarray:
     return f
 
 
-def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None, free: int = -1):
+def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None):
     """Reduce a to RREF in place; a column takes no pivot if its candidates
-    are within PIVOT_TOL max|a| of zero, nor if it is column ``free``.  Returns
-    (rank, pivot_cols, (mant, expo)) with det_factor = mant * 2**expo, kept
-    apart so that the product of the pivots cannot overflow on the way;
-    appends (swapped row, pivot, multipliers) per pivot to steps if given."""
+    are within PIVOT_TOL max|a| of zero.  Returns (rank, pivot_cols,
+    (mant, expo)) with det_factor = mant * 2**expo, kept apart so that the
+    product of the pivots cannot overflow on the way; appends (swapped row,
+    pivot, multipliers) per pivot to steps if given."""
     m, n = a.shape
     tol = PIVOT_TOL * np.abs(a).max()
     mant, expo = 1.0, 0
@@ -95,7 +94,7 @@ def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None, free: int = -1):
             break
         col = np.abs(a[r:, j])
         i = r + int(col.argmax())  # argmax returns the first maximum
-        if col[i - r] <= tol or j == free:
+        if col[i - r] <= tol:
             a[r:, j] = 0.0  # structural zero, keep the tail clean
             continue
         if i != r:
@@ -148,18 +147,6 @@ def rank(M: Matrix) -> int:
     return rref(M)[1]
 
 
-def _null_space(R: np.ndarray, pivots: tuple[int, ...]) -> list[np.ndarray]:
-    """One direction per free column f of the RREF R: 1 at f, and minus
-    column f of R at the pivot columns."""
-    out = []
-    for f in (j for j in range(R.shape[1]) if j not in pivots):
-        d = np.zeros(R.shape[1])
-        d[f] = 1.0
-        d[list(pivots)] = -R[: len(pivots), f]
-        out.append(d)
-    return out
-
-
 def solve(sys: LinearSystem) -> SolutionSet:
     """Classify and solve A x = b by eliminating A and replaying it on b; b
     is inconsistent if below the rank it keeps an entry over PIVOT_TOL max|b|."""
@@ -176,8 +163,12 @@ def solve(sys: LinearSystem) -> SolutionSet:
     if rank_A == n:
         return SolutionSet("unique", Vector(particular), (), rank_A, rank_A)
 
-    directions = tuple(Vector(d) for d in _null_space(R.to_array(), pivots_A))
-    return SolutionSet("multiple", Vector(particular), directions, rank_A, rank_A)
+    # one direction per free column f: 1 at f, minus column f of R at the pivots
+    free = [j for j in range(n) if j not in pivots_A]
+    D = np.zeros((len(free), n))
+    D[range(len(free)), free] = 1.0
+    D[:, list(pivots_A)] = -R.to_array()[:rank_A, free].T
+    return SolutionSet("multiple", Vector(particular), tuple(map(Vector, D)), rank_A, rank_A)
 
 
 def determinant(A: Matrix) -> float:
@@ -235,118 +226,16 @@ def inverse(A: Matrix) -> Matrix:
     return Matrix.from_array(replay(steps, np.eye(A.rows)))
 
 
-# ---------------------------------------------------------------------------
-# Symmetric eigenproblems for n <= 3 via the characteristic equation.
-# ---------------------------------------------------------------------------
-
-def _char_poly_coeffs(a: np.ndarray) -> list[float]:
-    """Coefficients of det(A - t*I) for a 3x3 A, highest power first:
-    det(A - tI) = -t^3 + tr(A) t^2 - c1 t + det(A)."""
-    tr = float(np.trace(a))
-    c1 = (
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    )
-    det = determinant(Matrix.from_array(a))
-    return [-1.0, tr, -c1, det]
-
-
-def _cubic_real_roots(coeffs: list[float]) -> list[float]:
-    """All real roots of a cubic with real coefficients.
-
-    Depressed-cubic Cardano/trigonometric evaluation followed by one
-    Newton polish step per root.
-    """
-    a, b, c, d = coeffs
-    b, c, d = b / a, c / a, d / a
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    roots: list[float]
-    if disc > EPS_ZERO:
-        u = cmath.exp(cmath.log(-q / 2.0 + cmath.sqrt(disc)) / 3.0)
-        t = u - p / (3.0 * u)
-        roots = [t.real + shift]
-    elif abs(p) <= EPS_ZERO:
-        roots = [math.copysign(abs(q) ** (1.0 / 3.0), -q) + shift]
-    else:
-        # three real roots: trigonometric form
-        r = math.sqrt(-p ** 3 / 27.0)
-        phi = math.acos(max(-1.0, min(1.0, -q / (2.0 * r))))
-        mag = 2.0 * math.sqrt(-p / 3.0)
-        roots = [mag * math.cos((phi + 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
-
-    def f(t):
-        return ((a * t + coeffs[1]) * t + coeffs[2]) * t + coeffs[3]
-
-    def fprime(t):
-        return (3.0 * a * t + 2.0 * coeffs[1]) * t + coeffs[2]
-
-    polished = []
-    for t in roots:
-        fp = fprime(t)
-        if abs(fp) > PIVOT_TOL:
-            t = t - f(t) / fp
-        polished.append(t)
-    return sorted(polished)
-
-
 def eigen_sym(A: Matrix) -> list[tuple[float, Vector]]:
-    """Eigenvalues/unit eigenvectors of a symmetric matrix, n in {1, 2, 3}."""
+    """Eigenpairs of a symmetric matrix, n <= 3, by ``numpy.linalg.eigh``: n
+    pairs (lambda, v), eigenvalues ascending and repeated ones included, with
+    orthonormal eigenvectors.  Symmetric means max|a - a^T| <= EPS_ZERO max|a|."""
     if not A.is_square:
         raise DimensionError("eigen_sym needs a square matrix")
-    n = A.rows
-    if n > 3:
+    if A.rows > 3:
         raise DimensionError("eigen_sym supports n <= 3 only")
     a = A.to_array()
-    if np.max(np.abs(a - a.T)) > EPS_ZERO:
+    if np.abs(a - a.T).max() > EPS_ZERO * np.abs(a).max():
         raise ValueError("matrix is not symmetric")
-
-    if n == 1:
-        return [(float(a[0, 0]), Vector((1.0,)))]
-    if n == 2:
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = max(tr * tr / 4.0 - det, 0.0)
-        s = math.sqrt(disc)
-        eigenvalues = sorted([tr / 2.0 - s, tr / 2.0 + s])
-    else:
-        eigenvalues = _cubic_real_roots(_char_poly_coeffs(a))
-
-    # cluster near-equal eigenvalues so repeated roots share one null space
-    clusters: list[list[float]] = []
-    for lam in sorted(eigenvalues):
-        if clusters and abs(lam - clusters[-1][-1]) <= 1e-7 * (1.0 + abs(lam)):
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-
-    pairs: list[tuple[float, Vector]] = []
-    for cluster in clusters:
-        lam = sum(cluster) / len(cluster)
-        Ra = a - lam * np.eye(n)
-        steps: list = []
-        rk, pivots, _ = _gauss_jordan(Ra, steps)
-        if rk == n:
-            # rounding pushed the matrix to full rank: eliminate again with
-            # the column of the weakest pivot held pivot-free
-            weakest = pivots[min(range(n), key=lambda k: abs(steps[k][1]))]
-            Ra = a - lam * np.eye(n)
-            rk, pivots, _ = _gauss_jordan(Ra, free=weakest)
-        # symmetric matrices: geometric multiplicity equals algebraic, so the
-        # null-space dimension is authoritative (Cardano can collapse a
-        # repeated root into a single value)
-        vecs = [v / np.linalg.norm(v) for v in _null_space(Ra, pivots)]
-        # orthonormalize within the cluster (Gram-Schmidt)
-        ortho: list[np.ndarray] = []
-        for v in vecs:
-            for u in ortho:
-                v = v - np.dot(u, v) * u
-            nv = np.linalg.norm(v)
-            if nv > PIVOT_TOL:
-                ortho.append(v / nv)
-        for v in ortho:
-            pairs.append((lam, Vector(v)))
-    return pairs
+    lams, V = np.linalg.eigh(a)
+    return [(float(lam), Vector(v)) for lam, v in zip(lams, V.T)]

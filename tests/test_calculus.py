@@ -2,6 +2,7 @@
 roots, curve reports, antiderivatives and definite integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ecomath.calculus import (
     UnsupportedExpressionError,
     X,
 )
+from ecomath.calculus.expr import MAX_DEPTH
 from ecomath.numeric import NumericalError
 
 rng = np.random.default_rng(5150)
@@ -104,6 +106,31 @@ class TestParse:
         for _ in range(50):
             e = random_expr()
             assert ca.parse(ca.to_string(e)) == e
+
+
+class TestDepthLimit:
+    M = MAX_DEPTH
+
+    @pytest.mark.parametrize("make", [
+        lambda m: "+".join(["x"] * m),
+        lambda m: "/".join(["x"] * m),
+        lambda m: "(" * m + "x" + ")" * m,
+        lambda m: "-" * (m - 1) + "x",
+        lambda m: "exp(" * (m - 1) + "x" + ")" * (m - 1),
+        lambda m: "2^" * (m - 1) + "x",
+    ], ids=["sum", "quotient", "parentheses", "signs", "exp", "powers"])
+    def test_limit_holds_and_is_enforced(self, make):
+        e = ca.parse(make(self.M))
+        d = ca.differentiate(e)
+        for t in (e, d):
+            ca.to_string(t)
+            ca.as_rational(t)
+            try:
+                ca.evaluate(t, 0.5)
+            except (ArithmeticError, ValueError):
+                pass
+        with pytest.raises(ExprSyntaxError, match="levels deep"):
+            ca.parse(make(self.M + 1))
 
 
 class TestEvaluate:
@@ -321,6 +348,11 @@ class TestRoots:
         # even multiplicities the scan cannot see, and a pole it took for a root
         assert ca.roots(ca.parse(text), lo, hi) == pytest.approx(expected, rel=1e-12)
 
+    def test_scan_returns_python_floats(self):
+        found = ca.roots(ca.parse("exp(x)-5"), 0, 1000)
+        assert found == pytest.approx([math.log(5.0)])
+        assert all(type(r) is float for r in found)
+
 
 def separated_roots():
     """1-6 roots from [-5, 6.5] at least 0.25 apart (closer ones make the
@@ -392,6 +424,13 @@ class TestCurveReport:
         assert rep.roots == pytest.approx([0.0])
         assert rep.inflections == pytest.approx([0.0])
         assert rep.extrema == ()
+
+    def test_overflowing_samples_give_no_range_estimate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ca.curve_report(ca.parse("x^1500"), -2, 2)
+        assert rep.range_estimate is None
+        assert rep.roots == pytest.approx([0.0])
 
     def test_oblique_asymptote(self):
         rep = ca.curve_report(ca.parse("(x^2+1)/x"), -5, 5)

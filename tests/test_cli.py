@@ -141,6 +141,28 @@ class TestCalc:
         assert json.loads(out)["elasticity"] == pytest.approx(3.0)
 
 
+class TestExpressionLimits:
+    @pytest.mark.parametrize("argv", [
+        ["calc", "diff", "1e999*x"],
+        ["calc", "roots", "1e999*x-1", "--window=-1:1"],
+    ], ids=["diff", "roots"])
+    def test_literal_past_float_range_exit_1(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in out + err
+        assert "'1e999'" in err and "at position 0" in err
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["x"] * 3000),
+        "(" * 400 + "x" + ")" * 400,
+    ], ids=["3000-term-sum", "400-parentheses"])
+    def test_deep_expression_exit_1(self, text, capsys):
+        code, out, err = run(["calc", "diff", "--", text], capsys)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in out + err
+        assert "levels deep at position" in err
+
+
 class TestSolveAndLinalg:
     def test_unique_system(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1,1\n1,-1\n")

@@ -1,6 +1,7 @@
 """Vectors, matrices, and the shared matrix text format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,49 @@ class TestDotNormAngle:
     def test_angle_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             linalg.angle(vec(0, 0), vec(1, 0))
+
+
+class TestScaleFreeDecisions:
+    def test_normalize_tiny_vector(self):
+        assert linalg.normalize(vec(3e-10, 4e-10)).entries == pytest.approx((0.6, 0.8))
+
+    def test_small_vectors_at_45_degrees_not_orthogonal(self):
+        assert not linalg.are_orthogonal(vec(1e-5, 0), vec(1e-5, 1e-5))
+
+    def test_angle_of_huge_vectors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.angle(vec(1e200, 1e200), vec(1e200, 0)) == pytest.approx(math.pi / 4)
+
+    def test_zero_vector_orthogonal_to_everything(self):
+        assert linalg.are_orthogonal(vec(0, 0), vec(1, 2))
+        with pytest.raises(ValueError):
+            linalg.normalize(vec(0, 0))
+
+    @staticmethod
+    def decisions(a, b):
+        try:
+            theta = linalg.angle(a, b)
+        except ValueError:
+            theta = None
+        return theta, linalg.are_orthogonal(a, b)
+
+    @given(
+        st.lists(st.integers(-1000, 1000), min_size=3, max_size=3),
+        st.lists(st.integers(-1000, 1000), min_size=3, max_size=3),
+    )
+    @settings(max_examples=100)
+    def test_same_answer_at_any_scale(self, a, b):
+        theta, orth = self.decisions(vec(*a), vec(*b))
+        for s in (1e-150, 1e150):
+            theta_s, orth_s = self.decisions(
+                Vector(s * np.array(a, dtype=float)), Vector(s * np.array(b, dtype=float))
+            )
+            assert orth_s == orth
+            if theta is None:
+                assert theta_s is None
+            else:
+                assert theta_s == pytest.approx(theta, abs=1e-7)
 
 
 class TestMatrixOps:

@@ -270,6 +270,49 @@ class TestEigenSymFullRankShift:
                 assert np.max(np.abs(A @ va - lam * va)) <= 1e-9
 
 
+class TestEigenSymAtAnyScale:
+    @staticmethod
+    def rotated(lams, scale=1.0):
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = scale * (Q @ np.diag(lams) @ Q.T)
+        return (A + A.T) / 2
+
+    def test_tiny_diagonal(self):
+        pairs = linsolve.eigen_sym(Matrix.from_rows([[1e-8, 0], [0, 2e-8]]))
+        assert [lam for lam, _ in pairs] == pytest.approx([1e-8, 2e-8], rel=1e-15)
+        assert [tuple(np.abs(v.to_array())) for _, v in pairs] == [(1.0, 0.0), (0.0, 1.0)]
+
+    def test_small_scale_distinct_eigenvalues(self):
+        A = self.rotated([1.0, 2.0, 3.0], scale=1e-5)
+        lams = [lam for lam, _ in linsolve.eigen_sym(Matrix.from_array(A))]
+        assert lams == pytest.approx(np.linalg.eigvalsh(A).tolist(), rel=1e-12)
+
+    def test_close_eigenvalues_give_orthonormal_pairs(self):
+        for _ in range(200):
+            A = self.rotated([1.0, 1.0 + 1e-9, 2.0])
+            pairs = linsolve.eigen_sym(Matrix.from_array(A))
+            assert len(pairs) == 3
+            V = np.array([v.to_array() for _, v in pairs]).T
+            lams = np.array([lam for lam, _ in pairs])
+            assert np.abs(A @ V - V * lams).max() <= 1e-12 * np.abs(A).max()
+            assert np.abs(V @ V.T - np.eye(3)).max() <= 1e-12
+
+    def test_large_scale_rounding_asymmetry_accepted(self):
+        A = 1e10 * self.rotated([1.0, -2.0, 3.0])
+        A[0, 1] += 1e-4
+        assert len(linsolve.eigen_sym(Matrix.from_array(A))) == 3
+
+    def test_small_scale_asymmetry_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linsolve.eigen_sym(Matrix.from_rows([[1e-12, 2e-12], [0, 1e-12]]))
+
+    def test_eigenvalues_are_python_floats(self):
+        for n in (1, 2, 3):
+            B = rng.normal(size=(n, n))
+            pairs = linsolve.eigen_sym(Matrix.from_array(B + B.T))
+            assert all(type(lam) is float for lam, _ in pairs)
+
+
 class TestScaleAwareSingularity:
     @staticmethod
     def rank_deficient():
