@@ -1,5 +1,13 @@
 """Symbolic-lite calculus: expression trees, differentiation, root finding,
-curve sketching and definite integration."""
+curve sketching and definite integration.
+
+The names from ``expr`` (trees, parser, evaluation, differentiation; standard
+library only) load with the package.  Those from ``analysis``, which needs
+NumPy, load on first attribute access (PEP 562), so a call that only parses
+and differentiates loads no NumPy.
+"""
+
+import importlib
 
 from .expr import (
     Abs,
@@ -23,6 +31,7 @@ from .expr import (
     differentiate,
     div,
     evaluate,
+    evaluate_many,
     exp_,
     ln_,
     log_base,
@@ -33,34 +42,27 @@ from .expr import (
     sub,
     to_string,
 )
-from .analysis import (
-    CurveReport,
-    DivergenceError,
-    PoleError,
-    UnsupportedExpressionError,
-    antiderivative,
-    as_rational,
-    curve_report,
-    elasticity,
-    elasticity_expr,
-    elasticity_label,
-    expr_from_poly,
-    integrate,
-    poly_coeffs,
-    poly_divide,
-    poly_real_roots,
-    roots,
-    second_elasticity,
-    tangent_line,
+
+# defined in .analysis, which binds them here when it loads
+_LAZY = (
+    "CurveReport", "DivergenceError", "PoleError", "UnsupportedExpressionError",
+    "antiderivative", "as_rational", "curve_report", "elasticity",
+    "elasticity_expr", "elasticity_label", "expr_from_poly", "integrate",
+    "poly_coeffs", "poly_divide", "poly_real_roots", "roots", "second_elasticity",
+    "tangent_line",
 )
 
 __all__ = [
     "Abs", "Add", "Const", "Div", "EvalDomainError", "Exp", "Expr",
     "ExprSyntaxError", "Ln", "Mul", "Neg", "Pow", "Sub", "Var", "X",
-    "abs_", "add", "const", "differentiate", "div", "evaluate", "exp_",
-    "ln_", "log_base", "mul", "neg", "parse", "pow_", "sub", "to_string",
-    "CurveReport", "DivergenceError", "PoleError", "UnsupportedExpressionError",
-    "antiderivative", "as_rational", "curve_report", "elasticity",
-    "elasticity_expr", "elasticity_label", "expr_from_poly", "integrate",
-    "poly_coeffs", "poly_divide", "poly_real_roots", "roots", "second_elasticity", "tangent_line",
+    "abs_", "add", "const", "differentiate", "div", "evaluate", "evaluate_many",
+    "exp_", "ln_", "log_base", "mul", "neg", "parse", "pow_", "sub", "to_string",
+    *_LAZY,
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        importlib.import_module(".analysis", __name__)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,7 @@ root finding, polynomial machinery, curve reports, and definite integration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ from .expr import (
     differentiate,
     div,
     evaluate,
+    evaluate_many,
     ln_,
     mul,
     neg,
@@ -260,11 +262,14 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     A ratio of polynomials gives the real roots of its numerator
     (poly_real_roots, multiple roots included) within tol of the window, less
     those shared with the denominator.  Anything else takes
-    a sign-change scan over GRID_CELLS cells (skipping cells with an end where
-    e is undefined or overflows): Brent's method to `tol` and one Newton step
-    in each cell with a sign change, dropping a result where |e| is not small
-    against the cell's ends (a pole).  The scan misses roots where e keeps its
-    sign.  Roots closer than 10*tol are merged.
+    a sign-change scan over GRID_CELLS cells, its GRID_CELLS + 1 points
+    evaluated in one array pass (evaluate_many; a cell with an end where e is
+    undefined or overflows is skipped): Brent's method to `tol` and one Newton
+    step in each cell with a sign change, dropping a result where |e| is not
+    small against the cell's ends (a pole).  The pass's values equal
+    evaluate's bit for bit, so Brent's scalar calls see the same signs at the
+    cell ends.  The scan misses roots where e keeps its sign.  Roots closer
+    than 10*tol are merged.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -277,38 +282,35 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     def f(x):
         return evaluate(e, x)
 
-    xs = np.linspace(lo, hi, GRID_CELLS + 1).tolist()
-    vals = []
-    for x in xs:
-        try:
-            vals.append(f(x))
-        except (EvalDomainError, OverflowError):
-            vals.append(math.nan)
+    grid = np.linspace(lo, hi, GRID_CELLS + 1)
+    values, _ = evaluate_many(e, grid)  # NaN where e is undefined or overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = values[:-1] * values[1:]
+    # cells that start at a zero or change sign; a NaN end rules a cell out
+    cells = np.flatnonzero((values[:-1] == 0.0) & ~np.isnan(values[1:]) | (ends < 0.0))
+    xs, vals = grid.tolist(), values.tolist()
 
     found: list[float] = []
-    for i in range(GRID_CELLS):
+    for i in cells.tolist():
         fa, fb = vals[i], vals[i + 1]
-        if math.isnan(fa) or math.isnan(fb):
-            continue
         if fa == 0.0:
             found.append(xs[i])
             continue
-        if fa * fb < 0.0:
-            try:
-                root = brent(f, xs[i], xs[i + 1], xtol=tol)
-                try:  # one Newton polish step
-                    fp = evaluate(deriv, root)
-                    if abs(fp) > 1e-14:
-                        cand = root - f(root) / fp
-                        if lo - tol <= cand <= hi + tol:
-                            root = cand
-                except EvalDomainError:
-                    pass
-                if abs(f(root)) <= 1e-3 * max(abs(fa), abs(fb)):  # else a pole
-                    found.append(root)
-            except (EvalDomainError, OverflowError):  # e is undefined inside the cell
+        try:
+            root = brent(f, xs[i], xs[i + 1], xtol=tol)
+            try:  # one Newton polish step
+                fp = evaluate(deriv, root)
+                if abs(fp) > 1e-14:
+                    cand = root - f(root) / fp
+                    if lo - tol <= cand <= hi + tol:
+                        root = cand
+            except EvalDomainError:
                 pass
-    if not math.isnan(vals[-1]) and vals[-1] == 0.0:
+            if abs(f(root)) <= 1e-3 * max(abs(fa), abs(fb)):  # else a pole
+                found.append(root)
+        except (EvalDomainError, OverflowError):  # e is undefined inside the cell
+            pass
+    if vals[-1] == 0.0:
         found.append(xs[-1])
 
     merged: list[float] = []
@@ -629,3 +631,10 @@ def _adaptive_simpson(e: Expr, a: float, b: float, tol: float) -> float:
     fm = f(0.5 * (a + b))
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, tol, depth=48)
+
+
+# The package exports these names lazily; binding them there as this module
+# loads, whichever import loads it, makes them plain package attributes.
+_package = sys.modules[__package__]
+for _name in _package._LAZY:
+    setattr(_package, _name, globals()[_name])

@@ -27,15 +27,52 @@ class EvalDomainError(ArithmeticError):
 
 
 class Expr:
-    """Base class; all nodes are frozen dataclasses and compare structurally."""
+    """Base class; all nodes are frozen dataclasses and compare structurally.
+
+    ``==`` and ``hash`` walk the tree with an explicit stack, not one Python
+    frame per level, so they work on any tree that evaluate handles; a
+    subtree shared within a tree is visited once.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return to_string(self)
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__:
+                return False
+            for u, v in zip(vars(a).values(), vars(b).values()):
+                if isinstance(u, Expr):
+                    stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        hashes: dict[int, int] = {}  # id(node) -> hash, for the nodes done
+        stack = [self]
+        while stack:
+            e = stack[-1]
+            todo = [c for c in vars(e).values() if isinstance(c, Expr) and id(c) not in hashes]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            fields = (hashes[id(c)] if isinstance(c, Expr) else c for c in vars(e).values())
+            hashes[id(e)] = hash((e.__class__, *fields))
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
@@ -43,57 +80,57 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ln(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Abs(Expr):
     a: Expr
 
@@ -107,6 +144,14 @@ def _const(v) -> Optional[float]:
     return v.value if isinstance(v, Const) else None
 
 
+def _folded(v: float) -> Const:
+    """The constant v that folding + - * / computed from finite constants;
+    OverflowError if it left the float range, as math.exp and ** raise."""
+    if not math.isfinite(v):
+        raise OverflowError("constant folding leaves the float range")
+    return Const(v)
+
+
 # -- smart constructors: constant folding plus the 0/1 identities ----------
 
 def const(v: Number) -> Const:
@@ -116,7 +161,7 @@ def const(v: Number) -> Const:
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca + cb)
+        return _folded(ca + cb)
     if ca == 0.0:
         return b
     if cb == 0.0:
@@ -127,7 +172,7 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca - cb)
+        return _folded(ca - cb)
     if cb == 0.0:
         return a
     if ca == 0.0:
@@ -138,7 +183,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca * cb)
+        return _folded(ca * cb)
     if ca == 0.0 or cb == 0.0:
         return Const(0.0)
     if ca == 1.0:
@@ -155,7 +200,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if cb == 0.0:
         raise ZeroDivisionError("division by the constant zero")
     if ca is not None and cb is not None:
-        return Const(ca / cb)
+        return _folded(ca / cb)
     if ca == 0.0:
         return Const(0.0)
     if cb == 1.0:
@@ -175,6 +220,8 @@ def neg(a: Expr) -> Expr:
 def pow_(base: Expr, exponent: Expr) -> Expr:
     cb, ce = _const(base), _const(exponent)
     if cb is not None and ce is not None:
+        if cb < 0.0 and ce != int(ce):  # ** would give a complex number
+            raise EvalDomainError(f"negative constant {cb} to the fractional power {ce}")
         return Const(cb ** ce)
     if cb is None and ce is None:
         raise ExprSyntaxError("power needs a constant base or exponent", 0)
@@ -259,6 +306,82 @@ def evaluate(e: Expr, x: float) -> float:
     if isinstance(e, Abs):
         return abs(evaluate(e.a, x))
     raise TypeError(f"unknown node {e!r}")
+
+
+def evaluate_many(e: Expr, xs):
+    """evaluate(e, x) at every point of the 1-D float array xs, in one walk of
+    the tree.
+
+    Returns (values, undefined): undefined is a boolean mask of the points
+    where evaluate raises EvalDomainError or OverflowError, and values is NaN
+    there.  Every other value is bit-identical to evaluate's: + - * /,
+    negation and abs are correctly rounded in NumPy as in Python, and exp, ln
+    and ^ call math.exp, math.log and Python's ** point by point (NumPy's own
+    exp and power can differ in the last bit).  Nodes are visited in
+    evaluate's order, so any other exception evaluate raises at a point (a
+    ValueError for a NaN exponent of a negative base) is raised here too.
+    """
+    import numpy as np  # here, so that parsing and differentiating load no NumPy
+
+    xs = np.asarray(xs, dtype=float)
+    undefined = np.zeros(xs.shape, dtype=bool)  # evaluate has raised there by now
+
+    def pointwise(fn, *args):
+        # fn point by point on Python floats (1.0 where undefined); a point
+        # where fn overflows becomes undefined
+        cols = [np.where(undefined, 1.0, a).tolist() for a in args]
+        try:
+            return np.array(list(map(fn, *cols)), dtype=float)
+        except OverflowError:
+            pass
+        out = []
+        for i, point in enumerate(zip(*cols)):
+            try:
+                out.append(fn(*point))
+            except OverflowError:
+                undefined[i] = True
+                out.append(math.nan)
+        return np.array(out, dtype=float)
+
+    def walk(e: Expr):
+        if isinstance(e, Const):
+            return np.full(xs.shape, e.value)
+        if isinstance(e, Var):
+            return xs
+        if isinstance(e, Add):
+            return walk(e.a) + walk(e.b)
+        if isinstance(e, Sub):
+            return walk(e.a) - walk(e.b)
+        if isinstance(e, Mul):
+            return walk(e.a) * walk(e.b)
+        if isinstance(e, Div):
+            den = walk(e.b)
+            undefined[den == 0.0] = True
+            return walk(e.a) / den
+        if isinstance(e, Pow):
+            base, expo = walk(e.base), walk(e.exponent)
+            negative = ~undefined & (base < 0.0)
+            if np.isnan(expo[negative]).any():
+                raise ValueError("cannot convert float NaN to integer")  # evaluate's int(expo)
+            undefined[(base == 0.0) & (expo < 0.0)] = True
+            # a fractional exponent, or an infinite one (int(expo) overflows)
+            undefined[negative & ~(np.isfinite(expo) & (expo == np.trunc(expo)))] = True
+            return pointwise(pow, base, expo)
+        if isinstance(e, Neg):
+            return -walk(e.a)
+        if isinstance(e, Exp):
+            return pointwise(math.exp, walk(e.a))
+        if isinstance(e, Ln):
+            arg = walk(e.a)
+            undefined[arg <= 0.0] = True
+            return pointwise(math.log, arg)
+        if isinstance(e, Abs):
+            return np.abs(walk(e.a))
+        raise TypeError(f"unknown node {e!r}")
+
+    with np.errstate(all="ignore"):
+        values = walk(e)
+    return np.where(undefined, np.nan, values), undefined
 
 
 # -- symbolic differentiation ----------------------------------------------
@@ -411,6 +534,15 @@ class _Parser:
             self.error(f"expression nested more than {MAX_DEPTH} levels deep")
         return depth + 1
 
+    def build(self, at: int, constructor, *args) -> Expr:
+        """constructor(*args), refused at position `at` (the operator's) when
+        folding constants there leaves the float range."""
+        try:
+            return constructor(*args)
+        except OverflowError:
+            self.pos = at
+            self.error("constant outside the float range")
+
     def nested(self, rule):
         """rule() one level further in, refused past MAX_DEPTH levels."""
         self.level = self.deeper(self.level)
@@ -421,17 +553,19 @@ class _Parser:
     def expr(self):
         e, d = self.term()
         while (ch := self.peek()) in ("+", "-"):
+            at = self.pos
             self.pos += 1
             b, db = self.term()
-            e, d = (add if ch == "+" else sub)(e, b), self.deeper(max(d, db))
+            e, d = self.build(at, add if ch == "+" else sub, e, b), self.deeper(max(d, db))
         return e, d
 
     def term(self):
         e, d = self.unary()
         while (ch := self.peek()) in ("*", "/"):
+            at = self.pos
             self.pos += 1
             b, db = self.unary()
-            e, d = (mul if ch == "*" else div)(e, b), self.deeper(max(d, db))
+            e, d = self.build(at, mul if ch == "*" else div, e, b), self.deeper(max(d, db))
         return e, d
 
     def unary(self):
@@ -443,12 +577,12 @@ class _Parser:
     def power(self):
         base, d = self.atom()
         if self.take("^"):
-            start = self.pos
+            at, start = self.pos - 1, self.pos
             exponent, de = self.nested(self.unary)  # right-associative, allows -2 in x^-2
             if not isinstance(exponent, Const) and not isinstance(base, Const):
                 self.pos = start
                 self.error("power needs a constant base or exponent")
-            return pow_(base, exponent), self.deeper(max(d, de))
+            return self.build(at, pow_, base, exponent), self.deeper(max(d, de))
         return base, d
 
     def atom(self):
@@ -461,6 +595,7 @@ class _Parser:
         if ch.isdigit() or ch == ".":
             return Const(self.number()), 1
         if ch.isalpha():
+            at = self.pos
             name = self.identifier()
             if name == "x":
                 return X, 1
@@ -468,7 +603,8 @@ class _Parser:
                 self.expect("(")
                 arg, d = self.nested(self.expr)
                 self.expect(")")
-                return {"exp": exp_, "ln": ln_, "abs": abs_}[name](arg), self.deeper(d)
+                build = {"exp": exp_, "ln": ln_, "abs": abs_}[name]
+                return self.build(at, build, arg), self.deeper(d)
             if name == "log":
                 self.expect("(")
                 base_pos = self.pos

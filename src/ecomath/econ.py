@@ -24,6 +24,14 @@ class EconError(ValueError):
     pass
 
 
+def _suspects(de: Expr, xs: np.ndarray, fails) -> np.ndarray:
+    """The points of xs, in order, where evaluate(de, x) raises or gives a value
+    v with fails(v), from one array pass (evaluate_many): the only points a
+    point-by-point check has to visit to raise what it raised on all of xs."""
+    values, undefined = ca.evaluate_many(de, xs)
+    return xs[undefined | fails(values)]
+
+
 # ---------------------------------------------------------------------------
 # Cost models and cost-phase analysis
 # ---------------------------------------------------------------------------
@@ -148,7 +156,8 @@ class MarketModel:
         if not self.x_max > 0:
             raise EconError(f"window must have positive length, got x_max={self.x_max}")
         dp = ca.differentiate(self.price)
-        for x in np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID):
+        grid = np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID)
+        for x in _suspects(dp, grid, lambda v: v >= 0):
             if ca.evaluate(dp, float(x)) >= 0:
                 raise EconError(f"price function must be strictly decreasing; p'({x:.6g}) >= 0")
 
@@ -306,13 +315,16 @@ class Equilibrium:
 
 
 def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str):
+    """EconError unless e' > 0 (increasing) or e' < 0 on a grid over [lo, hi],
+    skipping the points where e' is undefined; OverflowError propagates."""
     de = ca.differentiate(e)
-    for x in np.linspace(lo, hi, MONOTONE_GRID):
+    fails = (lambda v: v <= 0) if increasing else (lambda v: v >= 0)
+    for x in _suspects(de, np.linspace(lo, hi, MONOTONE_GRID), fails):
         try:
             v = ca.evaluate(de, float(x))
         except ca.EvalDomainError:
             continue
-        if (increasing and v <= 0) or (not increasing and v >= 0):
+        if fails(v):
             kind = "increasing" if increasing else "decreasing"
             raise EconError(f"{name} must be monotonously {kind} on the window")
 

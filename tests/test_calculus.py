@@ -2,6 +2,7 @@
 roots, curve reports, antiderivatives and definite integration."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -69,6 +70,25 @@ def sample_points(e, count=20, lo=0.2, hi=3.5):
     return pts[:: max(1, len(pts) // count)]
 
 
+def assert_matches_evaluate(e, xs):
+    """evaluate_many(e, xs) against evaluate at each point: the mask is set
+    exactly where evaluate raises EvalDomainError or OverflowError, and every
+    other value is bit-identical (any NaN matches a NaN).  Returns the mask."""
+    values, undefined = ca.evaluate_many(e, xs)
+    assert values.dtype == np.float64 and undefined.dtype == bool
+    assert values.shape == undefined.shape == xs.shape
+    for x, v, u in zip(xs.tolist(), values.tolist(), undefined.tolist()):
+        try:
+            want = ca.evaluate(e, x)
+        except (EvalDomainError, OverflowError):
+            assert u and math.isnan(v), (ca.to_string(e), x)
+            continue
+        assert not u, (ca.to_string(e), x)
+        same = struct.pack("<d", v) == struct.pack("<d", want)
+        assert same or math.isnan(v) and math.isnan(want), (ca.to_string(e), x, v, want)
+    return undefined
+
+
 class TestParse:
     def test_power_plus_constant_structure(self):
         e = ca.parse("x^2+1")
@@ -102,6 +122,12 @@ class TestParse:
     def test_log_base(self):
         assert ca.evaluate(ca.parse("log(10; x)"), 100.0) == pytest.approx(2.0)
 
+    def test_folding_past_the_float_range(self):
+        with pytest.raises(OverflowError):
+            ca.mul(ca.const(1e300), ca.const(1e300))
+        with pytest.raises(ExprSyntaxError, match="float range at position 5"):
+            ca.parse("1e300*1e300*x")
+
     def test_round_trip_structural(self):
         for _ in range(50):
             e = random_expr()
@@ -129,8 +155,29 @@ class TestDepthLimit:
                 ca.evaluate(t, 0.5)
             except (ArithmeticError, ValueError):
                 pass
+            assert_matches_evaluate(t, np.array([-1.5, 0.0, 0.5, 2.0]))
+        # == and hash walk the tree without recursion, so the second derivative
+        # (593 levels deep for the quotient) compares and hashes
+        d2, again = ca.differentiate(d), ca.differentiate(ca.differentiate(e))
+        assert d2 is not again
+        assert d2 == again and hash(d2) == hash(again)
+        assert d2 != ca.differentiate(e)
         with pytest.raises(ExprSyntaxError, match="levels deep"):
             ca.parse(make(self.M + 1))
+
+
+class TestStructuralEquality:
+    def test_equal_trees_compare_and_hash_alike(self):
+        a, b = ca.parse("x^2 + exp(3*x)/x"), ca.parse("x^2 + exp(3*x)/x")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, ca.parse("x^2")}) == 2
+        assert ca.const(0.0) == ca.const(-0.0) and hash(ca.const(0.0)) == hash(ca.const(-0.0))
+
+    def test_node_type_and_constants_count(self):
+        assert ca.parse("x+2") != ca.parse("x-2")
+        assert ca.parse("2*x") != ca.parse("3*x")
+        assert ca.Add(X, X) != ca.Mul(X, X)
+        assert X == ca.Var() and ca.parse("x") != 1.0
 
 
 class TestEvaluate:
@@ -347,6 +394,18 @@ class TestRoots:
     def test_rational_functions_of_any_degree(self, text, lo, hi, expected):
         # even multiplicities the scan cannot see, and a pole it took for a root
         assert ca.roots(ca.parse(text), lo, hi) == pytest.approx(expected, rel=1e-12)
+
+    def test_scan_evaluates_the_grid_in_one_pass(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        calls = []
+        monkeypatch.setattr(analysis, "evaluate", lambda e, x: calls.append(x) or ca.evaluate(e, x))
+        e = ca.parse("exp(x)-2*x-1.5")
+        found = ca.roots(e, -3, 3)
+        assert len(found) == 2 and all(abs(ca.evaluate(e, r)) < 1e-12 for r in found)
+        calls.clear()
+        ca.roots(e, -3, 3)
+        assert len(calls) < 100  # Brent and Newton only; the GRID_CELLS + 1 points are one pass
 
     def test_scan_returns_python_floats(self):
         found = ca.roots(ca.parse("exp(x)-5"), 0, 1000)
@@ -567,3 +626,54 @@ class TestIntegrate:
     def test_integrable_endpoint_singularity(self):
         # x^(-1/2) is integrable at 0: exact value 2
         assert ca.integrate(ca.parse("x^-0.5"), 0, 1) == pytest.approx(2.0)
+
+
+class TestEvaluateMany:
+    def test_random_trees_and_their_derivatives(self):
+        xs = np.linspace(-4.0, 4.0, 401)  # holds 0: poles and the edge of ln's domain
+        for _ in range(60):
+            e = random_expr()
+            for t in (e, ca.differentiate(e)):
+                assert_matches_evaluate(t, xs)
+
+    @pytest.mark.parametrize("text, lo, hi, extra", [
+        ("exp(x)-5", 0, 1000, []),  # math.exp overflows beyond x ~ 709.78
+        ("2^(x^2)", -40, 40, []),  # ** overflows
+        ("ln(x)", -1, 1, []),
+        ("1/x", -1, 1, []),
+        ("abs(x-0.3)^-0.9", 0, 1, [0.3]),
+        ("(x-0.5)^1.5 + ln(abs(x))", -1, 1, [0.5]),
+        ("x/(x^2-0.25)", -1, 1, [0.5, -0.5]),
+    ])
+    def test_overflow_and_domain_edges(self, text, lo, hi, extra):
+        e = ca.parse(text)
+        xs = np.concatenate([np.linspace(lo, hi, 1025), extra])
+        undefined = assert_matches_evaluate(e, xs)
+        assert undefined.any() and not undefined.all()
+        assert_matches_evaluate(ca.differentiate(e), xs)
+
+    def test_values_past_the_float_range_without_an_error(self):
+        # products overflow to inf and inf - inf is NaN: evaluate raises neither
+        e = ca.parse("1e300*x*x - 1e300*x*x")
+        undefined = assert_matches_evaluate(e, np.linspace(-1e10, 1e10, 101))
+        assert not undefined.any()
+
+    def test_other_errors_in_evaluation_order(self):
+        # (-2)^u with u = inf - inf = NaN at x = 2: evaluate's int(u) raises
+        # ValueError, and so does evaluate_many ...
+        big = ca.mul(ca.const(1e308), X)
+        p = ca.pow_(ca.const(-2.0), ca.sub(big, big))
+        for evaluate in (lambda: ca.evaluate(p, 2.0),
+                         lambda: ca.evaluate_many(p, np.array([0.5, 2.0]))):
+            with pytest.raises(ValueError, match="NaN"):
+                evaluate()
+        # ... unless a node evaluated before it has made the point undefined
+        guarded = ca.add(ca.div(ca.const(1.0), ca.sub(X, ca.const(2.0))), p)
+        assert_matches_evaluate(guarded, np.array([0.5, 2.0])).tolist() == [False, True]
+
+    def test_constant_and_identity(self):
+        xs = np.array([-1.0, 0.0, 2.5])
+        values, undefined = ca.evaluate_many(X, xs)
+        assert values.tolist() == xs.tolist() and values is not xs
+        values, _ = ca.evaluate_many(ca.const(4.0), xs)
+        assert values.tolist() == [4.0, 4.0, 4.0]

@@ -152,6 +152,24 @@ class TestExpressionLimits:
         assert "Traceback" not in out + err
         assert "'1e999'" in err and "at position 0" in err
 
+    @pytest.mark.parametrize("text, position", [
+        ("1e300*1e300*x", 5),
+        ("exp(1000)*x", 0),
+        ("2^2000*x", 1),
+        ("x + (1e308 + 1e308)", 11),
+    ], ids=["product", "exp", "power", "sum"])
+    def test_folded_constant_past_float_range_exit_1(self, text, position, capsys):
+        code, out, err = run(["calc", "diff", text], capsys)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in out + err
+        assert f"constant outside the float range at position {position}" in err
+
+    def test_negative_constant_to_a_fractional_power_exit_1(self, capsys):
+        code, out, err = run(["calc", "diff", "(-8)^(1/3)*x"], capsys)
+        assert code == EXIT_INPUT
+        assert "Traceback" not in out + err
+        assert "negative constant -8.0 to the fractional power" in err
+
     @pytest.mark.parametrize("text", [
         "+".join(["x"] * 3000),
         "(" * 400 + "x" + ")" * 400,

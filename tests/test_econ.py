@@ -8,6 +8,7 @@ import pytest
 
 from ecomath import calculus as ca
 from ecomath import econ
+from ecomath.calculus import EvalDomainError
 from ecomath.econ import CostModel, EconError, MarketModel
 
 rng = np.random.default_rng(31415)
@@ -173,6 +174,83 @@ class TestEquilibrium:
             econ.equilibrium(ca.parse("10+x"), ca.parse("x"), 0, 10)
         with pytest.raises(EconError):
             econ.equilibrium(ca.parse("10-x"), ca.parse("5-x"), 0, 4)
+
+
+def outcome(fn, *args):
+    """(exception type, message) of fn(*args), or None if it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMonotoneChecks:
+    """The price check and _check_monotone visit only the grid points that one
+    array pass flags; they must raise what a loop over every grid point raises."""
+
+    @staticmethod
+    def price_loop(price, x_max):
+        dp = ca.differentiate(price)
+        for x in np.linspace(x_max / econ.MONOTONE_GRID, x_max, econ.MONOTONE_GRID):
+            if ca.evaluate(dp, float(x)) >= 0:
+                raise EconError(f"price function must be strictly decreasing; p'({x:.6g}) >= 0")
+
+    @staticmethod
+    def monotone_loop(e, lo, hi, increasing, name):
+        de = ca.differentiate(e)
+        for x in np.linspace(lo, hi, econ.MONOTONE_GRID):
+            try:
+                v = ca.evaluate(de, float(x))
+            except ca.EvalDomainError:
+                continue
+            if (increasing and v <= 0) or (not increasing and v >= 0):
+                kind = "increasing" if increasing else "decreasing"
+                raise EconError(f"{name} must be monotonously {kind} on the window")
+
+    @pytest.mark.parametrize("price, x_max, raised", [
+        ("20-x", 10.0, None),
+        ("60*exp(-0.1*x)", 30.0, None),
+        ("10-(x-3)^2", 10.0, EconError),  # p' >= 0 up to x = 3
+        ("10+(x-3)^2", 10.0, EconError),  # p' >= 0 from x = 3 on
+        ("-(x-4)^0.5", 10.0, EvalDomainError),  # p' undefined below x = 4
+        ("-exp(x)", 1000.0, OverflowError),  # p' overflows beyond x ~ 709.78
+        ("10*x^2 - exp(x)", 1000.0, EconError),  # p'(3.9) > 0, before the overflow
+    ])
+    def test_price_check_raises_what_the_point_loop_raises(self, price, x_max, raised):
+        p = ca.parse(price)
+        want = outcome(self.price_loop, p, x_max)
+        assert (want and want[0]) is raised
+        assert outcome(MarketModel, p, COST, x_max) == want
+
+    def test_price_check_names_the_first_offending_point(self):
+        with pytest.raises(EconError, match=r"p'\(0\.0390625\) >= 0"):  # 10/256
+            MarketModel(ca.parse("10-(x-3)^2"), COST, 10.0)
+        with pytest.raises(EconError, match=r"p'\(3\.90625\) >= 0"):  # 1000/256
+            MarketModel(ca.parse("10*x^2 - exp(x)"), COST, 1000.0)
+
+    @pytest.mark.parametrize("text, lo, hi, increasing, raised", [
+        ("100-abs(x)", 0, 60, False, None),  # e' undefined at x = 0 only
+        ("(x-2)^0.5", 0, 10, True, None),  # e' undefined up to x = 2
+        ("abs(x-5)", 0, 10, True, EconError),
+        ("x^2", -1, 1, True, EconError),
+        ("100-exp(x)", 0, 1000, False, OverflowError),
+    ])
+    def test_check_monotone_raises_what_the_point_loop_raises(
+        self, text, lo, hi, increasing, raised
+    ):
+        e = ca.parse(text)
+        want = outcome(self.monotone_loop, e, lo, hi, increasing, "f")
+        assert (want and want[0]) is raised
+        assert outcome(econ._check_monotone, e, lo, hi, increasing, "f") == want
+
+    def test_undefined_points_are_skipped(self):
+        out = econ.equilibrium(ca.parse("100-abs(x)"), ca.parse("2*x+5"), 0, 60)
+        assert out.p_M == pytest.approx(95.0 / 3.0)
+
+    def test_overflow_propagates(self):
+        with pytest.raises(OverflowError):
+            econ.equilibrium(ca.parse("100-exp(x)"), ca.parse("x"), 0, 1000)
 
 
 class TestMarketStrategies:

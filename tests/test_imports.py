@@ -49,3 +49,25 @@ def test_calc_call_loads_neither_simplex_nor_leontief():
     )
     assert "ecomath.calculus" in modules
     assert not {"ecomath.simplex", "ecomath.leontief"} & modules
+
+
+def test_calc_diff_loads_no_numpy():
+    modules = loaded_after(
+        "from ecomath.cli import dispatch\n"
+        "assert dispatch(['calc', 'diff', 'x^2']) == 0"
+    )
+    assert "ecomath.calculus.expr" in modules
+    assert "ecomath.calculus.analysis" not in modules
+    assert not {"numpy", "scipy"} & top_level(modules)
+
+
+def test_lazy_calculus_names_are_package_attributes():
+    # however analysis is first imported, its names then sit in the package's
+    # namespace, where monkeypatching (and the benchmark's span recorder) finds them
+    loaded_after(
+        "import importlib, ecomath.calculus as ca\n"
+        "assert 'roots' not in vars(ca)\n"
+        "importlib.import_module('ecomath.calculus.analysis')\n"
+        "assert all(vars(ca)[n] is getattr(ca.analysis, n) for n in ca._LAZY)\n"
+        "assert set(ca._LAZY) <= set(ca.__all__)"
+    )
