@@ -119,19 +119,22 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         r = as_rational(e.a)
         return (-r[0], r[1]) if r else None
     if isinstance(e, (Add, Sub)):
-        ra, rb = as_rational(e.a), as_rational(e.b)
+        ra = as_rational(e.a)
+        rb = ra and as_rational(e.b)  # no need to convert b when a is not rational
         if not ra or not rb:
             return None
         sign = 1.0 if isinstance(e, Add) else -1.0
         num = P.polyadd(P.polymul(ra[0], rb[1]), sign * P.polymul(rb[0], ra[1]))
         return _trim(num), _trim(P.polymul(ra[1], rb[1]))
     if isinstance(e, Mul):
-        ra, rb = as_rational(e.a), as_rational(e.b)
+        ra = as_rational(e.a)
+        rb = ra and as_rational(e.b)
         if not ra or not rb:
             return None
         return _trim(P.polymul(ra[0], rb[0])), _trim(P.polymul(ra[1], rb[1]))
     if isinstance(e, Div):
-        ra, rb = as_rational(e.a), as_rational(e.b)
+        ra = as_rational(e.a)
+        rb = ra and as_rational(e.b)
         if not ra or not rb or not rb[0].any():  # a zero divisor is defined nowhere
             return None
         return _trim(P.polymul(ra[0], rb[1])), _trim(P.polymul(ra[1], rb[0]))

@@ -398,6 +398,8 @@ def differentiate(e: Expr) -> Expr:
     if isinstance(e, Mul):
         return add(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
     if isinstance(e, Div):
+        if _const(e.b) is not None:  # (u/c)' = u'/c; squaring c could leave the float range
+            return div(differentiate(e.a), e.b)
         num = sub(mul(differentiate(e.a), e.b), mul(e.a, differentiate(e.b)))
         return div(num, pow_(e.b, Const(2.0)))
     if isinstance(e, Pow):

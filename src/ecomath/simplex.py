@@ -2,16 +2,17 @@
 independent vertex-enumeration oracle for two-variable problems.
 
 A LinearProgram always stores its restrictions as A x <= b together with
-x >= 0; a minimum problem is handled by negating the objective.  Only
-standard forms with b >= 0 are solvable here: anything that would need
-artificial variables is reported as "unsupported" rather than solved by
-an invented phase-1 method.
+x >= 0; a minimum problem is handled by negating the objective.  c, A and b
+are accepted as sequences or arrays and held as read-only float64 arrays,
+which the tableau and the oracle use as they are.  Only standard forms with
+b >= 0 are solvable here: anything that would need artificial variables is
+reported as "unsupported" rather than solved by an invented phase-1 method.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,36 +32,53 @@ class IterationLimitError(NumericalError, RuntimeError):
     """Cycling guard tripped: the iteration cap was exceeded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
+    """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,)."""
+
     sense: str  # "max" or "min"
-    c: tuple[float, ...]
-    A: tuple[tuple[float, ...], ...]
-    b: tuple[float, ...]
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     d: float = 0.0
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise SimplexError(f"sense must be 'max' or 'min', not {self.sense!r}")
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "A", tuple(tuple(float(v) for v in row) for row in self.A))
-        n = len(self.c)
-        if any(len(row) != n for row in self.A):
+        c, b = np.array(self.c, dtype=float), np.array(self.b, dtype=float)
+        try:
+            A = np.array(self.A, dtype=float)
+        except ValueError:  # ragged rows
+            A = None
+        if A is not None and A.shape == (0,):  # A=(): no restrictions
+            A = A.reshape(0, c.size)
+        if A is None or c.ndim != 1 or A.ndim != 2 or A.shape[1] != c.size:
             raise SimplexError("each restriction row must have one entry per variable")
-        if len(self.A) != len(self.b):
+        if b.shape != A.shape[:1]:
             raise SimplexError("rows(A) must equal dim(b)")
-        if not np.isfinite([*self.c, *self.b, self.d, *(v for r in self.A for v in r)]).all():
+        if not np.isfinite(np.concatenate((c, A.ravel(), b, [self.d]))).all():
             raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
+        for key, a in (("c", c), ("A", A), ("b", b)):
+            a.flags.writeable = False
+            object.__setattr__(self, key, a)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.sense, self.d, self.names) == (other.sense, other.d, other.names)
+        return same and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in "cAb")
+
+    def __reduce__(self):  # through __post_init__, so copies keep read-only arrays
+        return LinearProgram, (self.sense, self.c, self.A, self.b, self.d, self.names)
 
     @property
     def n(self) -> int:
-        return len(self.c)
+        return self.c.size
 
     @property
     def m(self) -> int:
-        return len(self.b)
+        return self.b.size
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearProgram":
@@ -83,13 +101,8 @@ class LinearProgram:
         return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
-        out = {
-            "sense": self.sense,
-            "c": list(self.c),
-            "d": self.d,
-            "A": [list(r) for r in self.A],
-            "b": list(self.b),
-        }
+        out = {"sense": self.sense, "c": self.c.tolist(), "d": self.d,
+               "A": self.A.tolist(), "b": self.b.tolist()}
         if self.names:
             out["names"] = list(self.names)
         return out
@@ -174,23 +187,21 @@ def negate_to_max(lp: LinearProgram) -> LinearProgram:
     """min z = c.x + d  <=>  max -z = (-c).x - d over the same feasible set."""
     if lp.sense == "max":
         return lp
-    return replace(lp, sense="max", c=tuple(-v for v in lp.c), d=-lp.d)
+    return replace(lp, sense="max", c=-lp.c, d=-lp.d)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
     """Initial tableau with slack variables; first basis is {z, s_1..s_m}."""
     if lp.sense != "max":
         raise SimplexError("canonicalize expects a max problem; use negate_to_max")
-    if any(v < 0 for v in lp.b):
-        raise SimplexError(
-            "unsupported: negative capacity would need a phase-1 method"
-        )
+    if (lp.b < 0).any():
+        raise SimplexError("unsupported: negative capacity would need a phase-1 method")
     n, m = lp.n, lp.m
     grid = np.zeros((1 + m, 1 + n + m + 1))
     grid[0, 0] = 1.0
-    grid[0, 1 : 1 + n] = [-v for v in lp.c]
+    grid[0, 1 : 1 + n] = -lp.c
     grid[0, -1] = lp.d
-    grid[1:, 1 : 1 + n] = np.array(lp.A).reshape(m, n)
+    grid[1:, 1 : 1 + n] = lp.A
     grid[1:, 1 + n : -1] = np.eye(m)
     grid[1:, -1] = lp.b
     basis = [0] + [n + 1 + i for i in range(m)]
@@ -270,11 +281,9 @@ def solve_simplex(
                 f"no optimum after {cap} pivots; presumed cycling"
             )
 
-    values = t.basis_solution()
-    x = tuple(values[1 : 1 + lp.n].tolist())  # Python floats, as LpSolution declares
-    slacks = tuple(values[1 + lp.n :].tolist())
-    z = float(values[0])
-    return LpSolution("optimal", x, z, slacks, t.iteration)
+    values = t.basis_solution().tolist()  # Python floats, as LpSolution declares
+    x, slacks = tuple(values[1 : 1 + t.n]), tuple(values[1 + t.n :])
+    return LpSolution("optimal", x, values[0], slacks, t.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +301,7 @@ class OracleResult:
 def _feasible(lp: LinearProgram, pt: np.ndarray, tol: float = 1e-7) -> bool:
     if pt[0] < -tol or pt[1] < -tol:
         return False
-    A = np.array(lp.A, dtype=float)
-    b = np.array(lp.b, dtype=float)
-    if lp.m and np.any(A @ pt > b + tol * (1.0 + np.abs(b))):
-        return False
-    return True
+    return not np.any(lp.A @ pt > lp.b + tol * (1.0 + np.abs(lp.b)))
 
 
 def vertex_oracle(lp: LinearProgram) -> OracleResult:
@@ -316,21 +321,16 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     if lp.n != 2:
         raise SimplexError("vertex oracle is defined for n = 2 only")
 
-    c = np.array(lp.c, dtype=float)
-    A = np.array(lp.A, dtype=float).reshape(lp.m, 2)
-    b = np.array(lp.b, dtype=float)
+    c, A, b = lp.c, lp.A, lp.b
     slope = -c[0] / c[1] if abs(c[1]) > PIVOT_MIN else None
 
-    # all boundary lines as rows (a1, a2, rhs)
-    lines = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    for i in range(lp.m):
-        lines.append((A[i, 0], A[i, 1], b[i]))
+    # all boundary lines as rows (a1, a2, rhs): the two axes, then A x = b
+    lines = np.vstack([np.eye(2, 3), np.column_stack([A, b])])
 
     points = []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            M = np.array([lines[i][:2], lines[j][:2]])
-            rhs = np.array([lines[i][2], lines[j][2]])
+            M, rhs = lines[[i, j], :2], lines[[i, j], 2]
             det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
             if abs(det) <= 1e-12:
                 continue
@@ -357,7 +357,7 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
         if nv <= 1e-12:
             continue
         v = v / nv
-        if v[0] >= -1e-9 and v[1] >= -1e-9 and (lp.m == 0 or np.all(A @ v <= 1e-9)):
+        if v[0] >= -1e-9 and v[1] >= -1e-9 and np.all(A @ v <= 1e-9):
             if float(c @ v) > 1e-9:
                 return OracleResult(LpSolution("unbounded"), tuple(map(tuple, vertices)), (), slope)
 
@@ -365,7 +365,7 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     z_best = max(zs)
     best = [v for v, z in zip(vertices, zs) if z >= z_best - 1e-9]
     x = tuple(best[0].tolist())
-    slacks = tuple((b - A @ best[0]).tolist()) if lp.m else ()
+    slacks = tuple((b - A @ best[0]).tolist())
     sol = LpSolution("optimal", x, z_best, slacks, 0)
     return OracleResult(
         sol,

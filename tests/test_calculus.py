@@ -224,6 +224,10 @@ class TestDifferentiate:
         d = ca.differentiate(ca.parse("2^x"))
         assert ca.evaluate(d, 3.0) == pytest.approx(8 * math.log(2))
 
+    def test_quotient_by_a_constant(self):
+        # (u/c)' = u'/c: c is not squared (the CLI tests take c to the float range's ends)
+        assert ca.to_string(ca.differentiate(ca.parse("x^2/3"))) == "2*x/3"
+
     def test_finite_differences_on_random_trees(self):
         h = 1e-6
         checked = 0
@@ -453,6 +457,20 @@ class TestPolyRealRoots:
     def test_coefficients_outside_the_float_range(self):
         with pytest.raises(NumericalError, match="float range"):
             ca.poly_real_roots([1.0, math.inf])
+
+
+class TestAsRational:
+    def test_stops_at_the_first_operand_that_is_not_rational(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        calls = []
+        trim = analysis._trim
+        monkeypatch.setattr(analysis, "_trim", lambda c: calls.append(c) or trim(c))
+        assert ca.as_rational(ca.parse("exp(x) + x^3 - 2*x^2 + 1")) is None
+        assert calls == []  # the cubic after exp(x) is never converted
+        num, den = ca.as_rational(ca.parse("x^3 - 2*x^2 + 1"))
+        assert num.tolist() == [1.0, 0.0, -2.0, 1.0] and den.tolist() == [1.0]
+        assert calls
 
 
 class TestPolyDivide:

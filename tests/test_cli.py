@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecomath.cli import (
@@ -170,6 +171,16 @@ class TestExpressionLimits:
         assert "Traceback" not in out + err
         assert "negative constant -8.0 to the fractional power" in err
 
+    @pytest.mark.parametrize("text, derivative", [
+        ("x/1e-200", 1e200),
+        ("x/1e200", 1e-200),
+    ], ids=["tiny-divisor", "huge-divisor"])
+    def test_quotient_by_a_constant_exit_0(self, text, derivative, capsys):
+        # the quotient rule would square the divisor out of the float range
+        code, out, err = run(["--format", "json", "calc", "diff", text], capsys)
+        assert code == EXIT_OK, err
+        assert float(json.loads(out)["derivative"]) == derivative
+
     @pytest.mark.parametrize("text", [
         "+".join(["x"] * 3000),
         "(" * 400 + "x" + ")" * 400,
@@ -224,6 +235,52 @@ class TestSolveAndLinalg:
         code, _, _ = run(["linalg", "inverse", str(tmp_path / "A.txt")], capsys)
         assert code == EXIT_INPUT
 
+    def test_inverse(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("4,7\n2,6\n")
+        code, out, _ = run(
+            ["--format", "json", "linalg", "inverse", str(tmp_path / "A.txt")], capsys
+        )
+        assert code == EXIT_OK
+        assert np.allclose(json.loads(out)["inverse"], np.linalg.inv([[4, 7], [2, 6]]))
+
+    def test_mul(self, tmp_path, capsys):
+        A, B = [[1, 2, 3], [4, 5, 6]], [[1, 0], [2, -1], [0.5, 3]]
+        (tmp_path / "A.txt").write_text("1,2,3\n4,5,6\n")
+        (tmp_path / "B.txt").write_text("1,0\n2,-1\n0.5,3\n")
+        code, out, _ = run(
+            ["--format", "json", "linalg", "mul", str(tmp_path / "A.txt"), str(tmp_path / "B.txt")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert np.allclose(json.loads(out)["product"], np.array(A) @ np.array(B))
+
+    def test_matvec(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("1,2,3\n4,5,6\n")
+        (tmp_path / "v.txt").write_text("1\n-1\n2\n")
+        code, out, _ = run(
+            ["--format", "json", "linalg", "matvec", str(tmp_path / "A.txt"), str(tmp_path / "v.txt")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert np.allclose(json.loads(out)["result"], np.array([[1, 2, 3], [4, 5, 6]]) @ [1, -1, 2])
+
+    def test_angle(self, tmp_path, capsys):
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        (tmp_path / "a.txt").write_text("1,2,3\n")
+        (tmp_path / "b.txt").write_text("4,5,6\n")
+        code, out, _ = run(
+            ["--format", "json", "linalg", "angle", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["dot"] == pytest.approx(a @ b)
+        assert doc["angle_rad"] == pytest.approx(
+            np.arccos(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+        )
+        assert doc["orthogonal"] is False
+
+
 
 class TestLeontief:
     def test_report(self, tmp_path, capsys):
@@ -243,6 +300,28 @@ class TestLeontief:
         doc = json.loads(out)
         assert doc["total_output"] == pytest.approx([4.0, 2.0])
         assert doc["P"][0] == pytest.approx([0.0, 1.0])
+
+    def test_resources_and_forecast(self, tmp_path, capsys):
+        for name, text in (("table", "0,2\n1,0\n"), ("y", "2\n1\n"), ("R", "1,2\n3,1\n"),
+                           ("y2", "4\n2\n")):
+            (tmp_path / f"{name}.txt").write_text(text)
+        code, out, _ = run(
+            [
+                "--format", "json", "leontief",
+                str(tmp_path / "table.txt"), str(tmp_path / "y.txt"),
+                "--resources", str(tmp_path / "R.txt"),
+                "--next-demand", str(tmp_path / "y2.txt"),
+            ],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        R, P = np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([[0.0, 1.0], [0.25, 0.0]])
+        assert doc["resource_requirements"] == pytest.approx(R @ [4.0, 2.0])
+        q2 = np.linalg.solve(np.eye(2) - P, [4.0, 2.0])
+        assert doc["forecast_total_output"] == pytest.approx(q2)
+        assert doc["forecast_resources"] == pytest.approx(R @ q2)
+
 
 
 class TestFinance:
@@ -279,6 +358,48 @@ class TestFinance:
         assert out1 == out2  # byte-identical determinism
         doc = json.loads(out1)
         assert doc["meta"]["duration_exact"] == pytest.approx(14.2067, abs=1e-4)
+
+    def test_effective(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "finance", "effective", "--p", "12", "--m", "12"], capsys
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["q_eff"] == pytest.approx(1.01 ** 12)
+        assert doc["p_eff"] == pytest.approx(100 * (1.01 ** 12 - 1))
+
+    @pytest.mark.parametrize("flags, payments, balances", [
+        (["--method", "linear", "--N", "5"], [200, 200, 200], [800, 600, 400]),
+        (["--method", "declining", "--p", "10"], [100, 90, 81], [900, 810, 729]),
+    ], ids=["linear", "declining"])
+    def test_depreciation_schedule(self, flags, payments, balances, capsys):
+        code, out, _ = run(
+            ["--format", "json", "finance", "depreciation", "--K0", "1000", "--n", "3", *flags],
+            capsys,
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert [r["year"] for r in rows] == [1, 2, 3]
+        assert [r["payment"] for r in rows] == pytest.approx(payments)
+        assert [r["balance"] for r in rows] == pytest.approx(balances)
+
+    def test_declining_rate_from_remaining_value(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "finance", "depreciation", "--method", "declining",
+             "--K0", "1000", "--n", "2", "--Rn", "810"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["p"] == pytest.approx(10.0)
+
+    def test_master(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "finance", "master",
+             "--K0", "100", "--q", "1.05", "--R", "10", "--n", "3"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["Kn"] == pytest.approx(100 * 1.05 ** 3 + 10 * (1.05 ** 3 - 1) / 0.05)
 
     def test_rate_without_root_exit_1(self, capsys):
         code, _, err = run(

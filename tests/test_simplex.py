@@ -1,6 +1,9 @@
 """Simplex method: canonicalization, pivoting, solving, and the
 vertex-enumeration oracle for two-variable programs."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,51 @@ class TestLinearProgram:
         assert lp.sense == "min"
         assert lp.d == 2.5
         assert lp.names == ("u", "v")
+
+    def test_read_only_float64_arrays(self):
+        lp = LinearProgram("max", c=(3, 2), A=((1, 1), (1, 0), (0, 1)), b=(4, 2, 3))
+        for a, shape in ((lp.c, (2,)), (lp.A, (3, 2)), (lp.b, (3,))):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+        with pytest.raises(ValueError):
+            lp.A[0, 0] = 1
+        with pytest.raises(ValueError):
+            lp.c[0] = 1
+
+    def test_copies_stay_read_only(self):
+        for again in (pickle.loads(pickle.dumps(WORKED)), copy.deepcopy(WORKED)):
+            assert again == WORKED
+            assert not again.A.flags.writeable
+
+    def test_input_arrays_are_copied(self):
+        A = np.array([[1.0, 1.0], [1.0, 0.0]])
+        lp = LinearProgram("max", c=(3, 2), A=A, b=(4, 2))
+        A[0, 0] = 9.0
+        assert lp == WORKED
+
+    def test_mis_shaped_A_rejected(self):
+        # a 2x3 A holds six numbers, as a 3x2 one would: reshaping must not accept it
+        with pytest.raises(SimplexError, match="one entry per variable"):
+            LinearProgram("max", c=(1, 2), A=((1, 2, 3), (4, 5, 6)), b=(1, 1, 1))
+        with pytest.raises(SimplexError, match="one entry per variable"):
+            LinearProgram("max", c=(1, 2), A=((1, 2), (3,)), b=(1, 1))  # ragged
+        with pytest.raises(SimplexError, match="one entry per variable"):
+            LinearProgram("max", c=(1, 2), A=(1, 2), b=(1,))  # a flat row
+        with pytest.raises(SimplexError, match="rows"):
+            LinearProgram("max", c=(1, 2), A=(), b=(1,))
+
+    def test_no_restrictions(self):
+        lp = LinearProgram("max", c=(1, 2), A=(), b=())
+        assert (lp.m, lp.n) == (0, 2)
+        assert lp.A.shape == (0, 2) and lp.b.shape == (0,)
+        assert lp.to_dict()["A"] == []
+
+    def test_tuple_list_and_array_inputs_are_equal(self):
+        c, A, b = (3, 2), ((1, 1), (1, 0)), (4, 2)
+        as_lists = LinearProgram("max", c=list(c), A=[list(r) for r in A], b=list(b))
+        as_arrays = LinearProgram("max", c=np.array(c), A=np.array(A), b=np.array(b))
+        assert WORKED == as_lists == as_arrays
+        assert WORKED != LinearProgram("max", c=c, A=A, b=(4, 3))
+        assert WORKED != LinearProgram("min", c=c, A=A, b=b)
 
 
 class TestCanonicalize:
