@@ -42,6 +42,7 @@ from .expr import (
 )
 
 GRID_CELLS = 1024  # density of the sign-change scan in roots()
+MAX_DEGREE = 2000  # poly_real_roots refuses higher degrees: its work grows as degree^2
 
 
 class UnsupportedExpressionError(ValueError):
@@ -102,9 +103,27 @@ def second_elasticity(e: Expr, x: float) -> float:
 # Polynomial machinery
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    out = P.polytrim(np.asarray(coeffs, dtype=float), tol=0.0)
-    return np.atleast_1d(out)
+# numpy.polynomial's polytrim, polymul, polyadd, polypow and polyder, bit for
+# bit on finite float arrays, without their per-call input checks.
+
+def _trim(coeffs) -> np.ndarray:
+    c = np.array(coeffs, dtype=float, ndmin=1, copy=None)
+    n = len(c)
+    while n and not abs(c[n - 1]) > 0.0:  # zeros and NaNs, as polytrim drops them
+        n -= 1
+    return c[:n].copy() if n else c[:1] * 0.0
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _trim(np.convolve(a, b))
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b (a - b is _add(a, -b)) for trimmed a and b; not trimmed itself."""
+    a, b = (a, b) if len(a) <= len(b) else (b, a)
+    out = b.copy()
+    out[: len(a)] += a
+    return out
 
 
 def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -123,21 +142,21 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         rb = ra and as_rational(e.b)  # no need to convert b when a is not rational
         if not ra or not rb:
             return None
-        sign = 1.0 if isinstance(e, Add) else -1.0
-        num = P.polyadd(P.polymul(ra[0], rb[1]), sign * P.polymul(rb[0], ra[1]))
-        return _trim(num), _trim(P.polymul(ra[1], rb[1]))
+        b = _mul(rb[0], ra[1])
+        num = _add(_mul(ra[0], rb[1]), b if isinstance(e, Add) else -b)
+        return _trim(num), _mul(ra[1], rb[1])
     if isinstance(e, Mul):
         ra = as_rational(e.a)
         rb = ra and as_rational(e.b)
         if not ra or not rb:
             return None
-        return _trim(P.polymul(ra[0], rb[0])), _trim(P.polymul(ra[1], rb[1]))
+        return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
     if isinstance(e, Div):
         ra = as_rational(e.a)
         rb = ra and as_rational(e.b)
         if not ra or not rb or not rb[0].any():  # a zero divisor is defined nowhere
             return None
-        return _trim(P.polymul(ra[0], rb[1])), _trim(P.polymul(ra[1], rb[0]))
+        return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
     if isinstance(e, Pow):
         if not isinstance(e.exponent, Const):
             return None
@@ -148,7 +167,9 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         r = as_rational(e.base)
         if not r or (k < 0 and not r[0].any()):
             return None
-        num, den = P.polypow(r[0], abs(k)), P.polypow(r[1], abs(k))
+        num, den = r if k else (np.ones(1), np.ones(1))
+        for _ in range(abs(k) - 1):  # as polypow: repeated convolution, no trimming
+            num, den = np.convolve(num, r[0]), np.convolve(den, r[1])
         if k < 0:
             num, den = den, num
         return _trim(num), _trim(den)
@@ -225,7 +246,8 @@ def _monotone_roots(c: list[float], crit: list[float]) -> list[float]:
 
 def poly_real_roots(coeffs) -> list[float]:
     """All distinct real roots, sorted, of a polynomial with low-to-high
-    coefficients (none for a constant); O(n^2) work at degree n.
+    coefficients (none for a constant); O(n^2) work at degree n, so a degree
+    above MAX_DEGREE is a NumericalError before any work is done.
 
     The derivatives p^(k), each over its leading coefficient, are solved from
     k = n-1 (linear) down to p: the real roots of p^(k+1) and the Cauchy bound
@@ -235,7 +257,9 @@ def poly_real_roots(coeffs) -> list[float]:
     rounding-error bound is a multiple root; adjacent such points (split by
     rounding) merge into one.
     """
-    c = [float(v) for v in np.trim_zeros(np.asarray(coeffs, dtype=float), "b")]
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b").tolist()
+    if len(c) - 1 > MAX_DEGREE:
+        raise NumericalError(f"polynomial degree {len(c) - 1} exceeds MAX_DEGREE = {MAX_DEGREE}")
     if not all(map(math.isfinite, c)):
         raise NumericalError("polynomial coefficients outside the float range")
     n, crit = len(c) - 1, []
@@ -370,13 +394,13 @@ def _poly_reflect(coeffs: np.ndarray) -> np.ndarray:
 
 def _poly_close(a: np.ndarray, b: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return bool(np.max(np.abs(P.polysub(a, b))) <= 1e-9 * scale)
+    return bool(np.max(np.abs(_add(a, -b))) <= 1e-9 * scale)
 
 
 def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
-    d = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den)))
-    return _trim(d), _trim(P.polymul(den, den))
+    dn, dd = (np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0.0 for c in (num, den))
+    return _trim(_add(_mul(dn, den), -_mul(num, dd))), _mul(den, den)
 
 
 def _sign_intervals(rat, poles, undefined, lo, hi, pos_label, neg_label):
@@ -384,15 +408,15 @@ def _sign_intervals(rat, poles, undefined, lo, hi, pos_label, neg_label):
     points where f is undefined, labelled by the sign of num/den (left out where
     it vanishes) and merged across a cut that is no pole; and (x, label left of x)
     where the sign changes at a point where f is defined (not at a pole or hole)."""
-    num, den = rat
+    num, den = rat[0].tolist(), rat[1].tolist()
     cuts = _in_window(poly_real_roots(num), lo, hi, exclude=undefined) + undefined
     pts = sorted({lo, hi, *(p for p in cuts if lo < p < hi)})
     out: list[tuple[float, float, str]] = []
     changes: list[tuple[float, str]] = []
     for a, b in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (a + b)
-        d = float(P.polyval(mid, den))
-        v = float(P.polyval(mid, num)) / d if d else 0.0
+        d = _horner(den, mid)
+        v = _horner(num, mid) / d if d else 0.0
         if abs(v) <= 1e-12:
             continue
         label = pos_label if v > 0 else neg_label
@@ -421,7 +445,7 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     num, den = rat
 
     # symmetry, tested structurally on the coefficients: f(-x) against f(x)
-    a, b = P.polymul(_poly_reflect(num), den), P.polymul(num, _poly_reflect(den))
+    a, b = _mul(_poly_reflect(num), den), _mul(num, _poly_reflect(den))
     symmetry = "even" if _poly_close(a, b) else "odd" if _poly_close(a, -b) else "none"
 
     num_roots, den_roots = poly_real_roots(num), poly_real_roots(den)

@@ -8,14 +8,16 @@ psychological value function.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import calculus as ca
 from .calculus import Expr
+from .calculus import analysis as an
 
 MONOTONE_GRID = 256  # grid density for monotonicity precondition checks
 
@@ -24,12 +26,77 @@ class EconError(ValueError):
     pass
 
 
+class _Record:
+    """A result record; to_dict gives its fields in order, a nested record as a dict."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def _suspects(de: Expr, xs: np.ndarray, fails) -> np.ndarray:
     """The points of xs, in order, where evaluate(de, x) raises or gives a value
     v with fails(v), from one array pass (evaluate_many): the only points a
     point-by-point check has to visit to raise what it raised on all of xs."""
     values, undefined = ca.evaluate_many(de, xs)
     return xs[undefined | fails(values)]
+
+
+def _monotone_flaw(e: Expr, lo: float, hi: float, increasing: bool) -> Optional[str]:
+    """For a rational e, "" if it is strictly increasing (decreasing) on [lo, hi]
+    (the sign pieces of e' merge into one that covers it: e' may vanish at
+    points, a pole splits it), else where it is not; None for any other e."""
+    if not (rat := ca.as_rational(e)):
+        return None
+    undefined = an._in_window(an.poly_real_roots(rat[1]), lo, hi)
+    poles = an._in_window(undefined, lo, hi, an.poly_real_roots(rat[0])) if undefined else []
+    want = "increasing" if increasing else "decreasing"
+    # to max |coefficient| 1, as _sign_intervals takes |e'| <= 1e-12 for e' = 0
+    d = [c / (np.max(np.abs(c)) or 1.0) for c in an._rational_derivative(*rat)]
+    pieces, _ = an._sign_intervals(d, poles, undefined, lo, hi, "increasing", "decreasing")
+    if pieces == ((lo, hi, want),):
+        return ""
+    for a, b, label in pieces:
+        if label != want:
+            return f"it is {label} on ({a:.6g}, {b:.6g})"
+    x = pieces[0][1] if pieces and pieces[0][0] == lo else lo
+    return f"it is not {want} across x = {x:.6g}"
+
+
+class _Fn:
+    """f(x), its derivative and its roots in a window: for a rational f from its
+    (num, den) arrays (converted once, or given as rat) by Horner's rule,
+    _rational_derivative and poly_real_roots; otherwise from its tree."""
+
+    def __init__(self, e: Optional[Expr], rat=None):
+        self.e, self.rat = e, rat if e is None else ca.as_rational(e)
+        if self.rat:
+            self.num, self.den = self.rat[0].tolist(), self.rat[1].tolist()
+
+    def __call__(self, x: float) -> float:
+        if self.rat:
+            return an._horner(self.num, x) / an._horner(self.den, x)
+        return ca.evaluate(self.e, x)
+
+    @functools.cached_property
+    def d(self) -> _Fn:  # f', taken once
+        return _Fn(None, an._rational_derivative(*self.rat)) if self.rat else _Fn(
+            ca.differentiate(self.e))
+
+    def roots(self, lo: float, hi: float) -> list[float]:
+        if self.rat:
+            return an._in_window(an.poly_real_roots(self.num), lo, hi, an.poly_real_roots(self.den))
+        return ca.roots(self.e, lo, hi)
+
+    def best_maximum(self, lo: float, hi: float) -> Optional[float]:
+        """The stationary point in [lo, hi] with f'' < 0 where f is largest, or None."""
+        maxima = []
+        for r in self.d.roots(lo, hi):
+            try:
+                if self.d.d(r) < 0:
+                    maxima.append(r)
+            except ca.EvalDomainError:
+                pass
+        return max(maxima, key=self) if maxima else None
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +222,15 @@ class MarketModel:
     def __post_init__(self):
         if not self.x_max > 0:
             raise EconError(f"window must have positive length, got x_max={self.x_max}")
-        dp = ca.differentiate(self.price)
+        if (flaw := _monotone_flaw(self.price, 0.0, self.x_max, increasing=False)) == "":
+            return
+        dp = ca.differentiate(self.price)  # the grid names the first offending point
         grid = np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID)
         for x in _suspects(dp, grid, lambda v: v >= 0):
             if ca.evaluate(dp, float(x)) >= 0:
                 raise EconError(f"price function must be strictly decreasing; p'({x:.6g}) >= 0")
+        if flaw:
+            raise EconError(f"price function must be strictly decreasing; {flaw}")
 
     def revenue_expr(self) -> Expr:
         return ca.mul(ca.X, self.price)
@@ -169,74 +240,51 @@ class MarketModel:
 
 
 @dataclass(frozen=True)
-class ProfitAnalysis:
+class ProfitAnalysis(_Record):
     x_S: Optional[float]    # break-even: G = 0, G' > 0
     x_G: Optional[float]    # end of the profitable zone: G = 0, G' < 0
     x_M: Optional[float]    # maximum profit: G' = 0, G'' < 0
     G_max: Optional[float]
     parallel_tangent_gap: Optional[float]  # |E'(x_M) - K'(x_M)|
 
-    def to_dict(self) -> dict:
-        return {
-            "x_S": self.x_S,
-            "x_G": self.x_G,
-            "x_M": self.x_M,
-            "G_max": self.G_max,
-            "parallel_tangent_gap": self.parallel_tangent_gap,
-        }
-
 
 def profit_analysis(m: MarketModel) -> ProfitAnalysis:
     """Break-even point, end of the profitable zone, and profit maximum.
 
-    Absent features (a market that never turns a profit, say) are reported
-    as None rather than raised.
+    A rational G is converted once and solved on its coefficient arrays (_Fn);
+    the gap |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that
+    never turns a profit, say) are reported as None rather than raised.
     """
-    G = m.profit_expr()
-    dG = ca.differentiate(G)
-    d2G = ca.differentiate(dG)
-
+    G = _Fn(m.profit_expr())
     x_S = x_G = None
-    for r in ca.roots(G, 0.0, m.x_max):
-        slope = ca.evaluate(dG, r)
+    for r in G.roots(0.0, m.x_max):
+        slope = G.d(r)
         if slope > 0 and x_S is None:
             x_S = r
         elif slope < 0:
             x_G = r
 
-    x_M = G_max = gap = None
-    maxima = [r for r in ca.roots(dG, 0.0, m.x_max) if ca.evaluate(d2G, r) < 0]
-    if maxima:
-        # with several admissible stationary points, take the best one
-        x_M = max(maxima, key=lambda r: ca.evaluate(G, r))
-        G_max = ca.evaluate(G, x_M)
-        dE = ca.differentiate(m.revenue_expr())
-        gap = abs(ca.evaluate(dE, x_M) - m.cost.marginal(x_M))
-
+    x_M = G.best_maximum(0.0, m.x_max)
+    G_max = gap = None
+    if x_M is not None:
+        G_max, gap = G(x_M), abs(G.d(x_M))
     return ProfitAnalysis(x_S=x_S, x_G=x_G, x_M=x_M, G_max=G_max, parallel_tangent_gap=gap)
 
 
 @dataclass(frozen=True)
-class CournotPoint:
+class CournotPoint(_Record):
     x_M: float
     p_M: float
     amoroso_robinson_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x_M": self.x_M,
-            "p_M": self.p_M,
-            "amoroso_robinson_residual": self.amoroso_robinson_residual,
-        }
-
 
 def cournot(m: MarketModel) -> CournotPoint:
     """The profit-optimal quantity/price pair, cross-checked against the
-    Amoroso-Robinson relation p(x_M) = K'(x_M) / (1 + eps_p(x_M))."""
-    pa = profit_analysis(m)
-    if pa.x_M is None:
+    Amoroso-Robinson relation p(x_M) = K'(x_M) / (1 + eps_p(x_M)); x_M as in
+    profit_analysis, whose zeros of G it skips."""
+    x_M = _Fn(m.profit_expr()).best_maximum(0.0, m.x_max)
+    if x_M is None:
         raise EconError("no profit maximum in the window; Cournot point undefined")
-    x_M = pa.x_M
     p_M = ca.evaluate(m.price, x_M)
     eps_p = x_M * ca.evaluate(ca.differentiate(m.price), x_M) / p_M
     if abs(1.0 + eps_p) <= 1e-12:
@@ -250,48 +298,29 @@ def cournot(m: MarketModel) -> CournotPoint:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RatioOptimum:
+class RatioOptimum(_Record):
     x: float
     value: float
     elasticity_gap: float  # |eps_num(x) - eps_den(x)|, the optimality certificate
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "value": self.value, "elasticity_gap": self.elasticity_gap}
 
 
 def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> RatioOptimum:
     """Maximize numerator/denominator on (lo, hi).
 
-    Solves num'*den - num*den' = 0 with a second-derivative sign check.
-    At the optimum the elasticities of numerator and denominator agree
-    (for denominator = x this is the unit-elasticity condition).
+    Solves (num/den)' = 0 with a second-derivative sign check, on the
+    ratio's coefficient arrays when both are rational (_Fn).  At the optimum
+    the elasticities of numerator and denominator agree (for denominator = x
+    this is the unit-elasticity condition).
     """
     if not 0 <= lo < hi:
         raise EconError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
-    stationarity = ca.sub(
-        ca.mul(ca.differentiate(numerator), denominator),
-        ca.mul(numerator, ca.differentiate(denominator)),
-    )
-    ratio = ca.div(numerator, denominator)
-    d2 = ca.differentiate(ca.differentiate(ratio))
-
     eps = max(1e-9, (hi - lo) * 1e-9)
-    best = None
-    for r in ca.roots(stationarity, lo + eps, hi - eps):
-        try:
-            if ca.evaluate(d2, r) >= 0:
-                continue
-        except ca.EvalDomainError:
-            continue
-        val = ca.evaluate(ratio, r)
-        if best is None or val > best[1]:
-            best = (r, val)
-    if best is None:
+    ratio = _Fn(ca.div(numerator, denominator))
+    x_star = ratio.best_maximum(lo + eps, hi - eps)
+    if x_star is None:
         raise EconError("no interior maximum of the ratio found")
-
-    x_star, value = best
     gap = abs(ca.elasticity(numerator, x_star) - ca.elasticity(denominator, x_star))
-    return RatioOptimum(x=x_star, value=value, elasticity_gap=gap)
+    return RatioOptimum(x=x_star, value=ratio(x_star), elasticity_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +328,20 @@ def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> R
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Record):
     p_M: float
     quantity: float
     p_prohibitive: Optional[float]  # price at which demand dries up
     x_saturation: Optional[float]   # demand at price zero
 
-    def to_dict(self) -> dict:
-        return {
-            "p_M": self.p_M,
-            "quantity": self.quantity,
-            "p_prohibitive": self.p_prohibitive,
-            "x_saturation": self.x_saturation,
-        }
-
 
 def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str):
-    """EconError unless e' > 0 (increasing) or e' < 0 on a grid over [lo, hi],
-    skipping the points where e' is undefined; OverflowError propagates."""
+    """EconError unless e is strictly increasing (decreasing) on [lo, hi]: exact
+    for a rational e (_monotone_flaw), else e' > 0 (e' < 0) on a grid, skipping
+    the points where e' is undefined; OverflowError propagates."""
+    if (flaw := _monotone_flaw(e, lo, hi, increasing)) == "":
+        return
+    message = f"{name} must be monotonously {'increasing' if increasing else 'decreasing'}"
     de = ca.differentiate(e)
     fails = (lambda v: v <= 0) if increasing else (lambda v: v >= 0)
     for x in _suspects(de, np.linspace(lo, hi, MONOTONE_GRID), fails):
@@ -325,8 +350,9 @@ def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str):
         except ca.EvalDomainError:
             continue
         if fails(v):
-            kind = "increasing" if increasing else "decreasing"
-            raise EconError(f"{name} must be monotonously {kind} on the window")
+            raise EconError(f"{message} on the window")
+    if flaw:
+        raise EconError(f"{message} on the window; {flaw}")
 
 
 def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilibrium:
@@ -355,23 +381,13 @@ def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilib
 
 
 @dataclass(frozen=True)
-class MarketStrategies:
+class MarketStrategies(_Record):
     equilibrium: Equilibrium
     U1: float  # revenue selling all units at the equilibrium price
     U2: float  # U1 plus the consumer surplus (perfect price discrimination)
     U3: float  # U1 minus the producer surplus (marginal-cost pricing)
     consumer_surplus: float
     producer_surplus: float
-
-    def to_dict(self) -> dict:
-        return {
-            "equilibrium": self.equilibrium.to_dict(),
-            "U1": self.U1,
-            "U2": self.U2,
-            "U3": self.U3,
-            "consumer_surplus": self.consumer_surplus,
-            "producer_surplus": self.producer_surplus,
-        }
 
 
 def market_strategies(

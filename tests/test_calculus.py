@@ -15,11 +15,15 @@ from ecomath import calculus as ca
 from ecomath.calculus import (
     Add,
     Const,
+    Div,
     DivergenceError,
     EvalDomainError,
     ExprSyntaxError,
+    Mul,
+    Neg,
     PoleError,
     Pow,
+    Sub,
     UnsupportedExpressionError,
     X,
 )
@@ -458,6 +462,14 @@ class TestPolyRealRoots:
         with pytest.raises(NumericalError, match="float range"):
             ca.poly_real_roots([1.0, math.inf])
 
+    def test_degree_past_max_degree_is_refused(self):
+        from ecomath.calculus.analysis import MAX_DEGREE
+
+        with pytest.raises(NumericalError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+            ca.poly_real_roots([-1.0, *[0.0] * MAX_DEGREE, 1.0])
+        # trailing zeros do not count towards the degree
+        assert ca.poly_real_roots([-1.0, 1.0, *[0.0] * MAX_DEGREE]) == [1.0]
+
 
 class TestAsRational:
     def test_stops_at_the_first_operand_that_is_not_rational(self, monkeypatch):
@@ -471,6 +483,95 @@ class TestAsRational:
         num, den = ca.as_rational(ca.parse("x^3 - 2*x^2 + 1"))
         assert num.tolist() == [1.0, 0.0, -2.0, 1.0] and den.tolist() == [1.0]
         assert calls
+
+
+def random_rational(rng, depth):
+    """A tree of sums, differences, products, quotients, negations and integer
+    powers (-3 to 3) of linear factors c0 +- c1*x, built without folding."""
+    if depth == 0 or rng.random() < 0.25:
+        c0, c1 = (float(rng.choice([0.0, -1.5, 2.0, rng.uniform(-3, 3)])) for _ in range(2))
+        return (Add, Sub)[rng.integers(2)](Const(c0), Mul(Const(c1), X))
+    kind = rng.integers(6)
+    if kind == 4:
+        return Neg(random_rational(rng, depth - 1))
+    if kind == 5:
+        return Pow(random_rational(rng, depth - 1), Const(float(rng.integers(-3, 4))))
+    node = (Add, Sub, Mul, Div)[kind]
+    return node(random_rational(rng, depth - 1), random_rational(rng, depth - 1))
+
+
+def reference_trim(c):
+    return np.atleast_1d(npoly.polytrim(np.asarray(c, dtype=float), tol=0.0))
+
+
+def reference_rational(e):
+    """as_rational on numpy.polynomial's checked routines."""
+    one = np.array([1.0])
+    if isinstance(e, Const):
+        return np.array([e.value]), one
+    if e is X:
+        return np.array([0.0, 1.0]), one
+    if isinstance(e, Neg):
+        r = reference_rational(e.a)
+        return (-r[0], r[1]) if r else None
+    if isinstance(e, Pow):
+        k = int(e.exponent.value)
+        r = reference_rational(e.base)
+        if not r or (k < 0 and not r[0].any()):
+            return None
+        num, den = npoly.polypow(r[0], abs(k)), npoly.polypow(r[1], abs(k))
+        return (reference_trim(den), reference_trim(num)) if k < 0 else (
+            reference_trim(num), reference_trim(den))
+    ra, rb = reference_rational(e.a), reference_rational(e.b)
+    if not ra or not rb:
+        return None
+    if isinstance(e, (Add, Sub)):
+        sign = 1.0 if isinstance(e, Add) else -1.0
+        num = npoly.polyadd(npoly.polymul(ra[0], rb[1]), sign * npoly.polymul(rb[0], ra[1]))
+        return reference_trim(num), reference_trim(npoly.polymul(ra[1], rb[1]))
+    if isinstance(e, Mul):
+        return reference_trim(npoly.polymul(ra[0], rb[0])), reference_trim(
+            npoly.polymul(ra[1], rb[1]))
+    if not rb[0].any():
+        return None
+    return reference_trim(npoly.polymul(ra[0], rb[1])), reference_trim(
+        npoly.polymul(ra[1], rb[0]))
+
+
+def reference_derivative(num, den):
+    d = npoly.polysub(
+        npoly.polymul(npoly.polyder(num), den), npoly.polymul(num, npoly.polyder(den))
+    )
+    return reference_trim(d), reference_trim(npoly.polymul(den, den))
+
+
+def same_bits(got, want):
+    """Coefficient arrays equal bit for bit (signed zeros included)."""
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestPolynomialArithmetic:
+    """as_rational and _rational_derivative call np.convolve and slicing
+    directly; they must give what numpy.polynomial's routines give."""
+
+    def test_as_rational_matches_numpy_polynomial(self):
+        trees = np.random.default_rng(2718)
+        for _ in range(400):
+            e = random_rational(trees, 4)
+            got, want = ca.as_rational(e), reference_rational(e)
+            assert (got is None) == (want is None), ca.to_string(e)
+            assert want is None or same_bits(got, want), ca.to_string(e)
+
+    def test_rational_derivative_matches_numpy_polynomial(self):
+        from ecomath.calculus.analysis import _rational_derivative
+
+        trees = np.random.default_rng(1618)
+        for _ in range(400):
+            rat = ca.as_rational(random_rational(trees, 3))
+            if rat:
+                got = _rational_derivative(*rat)
+                assert same_bits(got, reference_derivative(*rat))
+                assert same_bits(_rational_derivative(*got), reference_derivative(*got))
 
 
 class TestPolyDivide:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,15 @@ class TestExpressionLimits:
         assert code == EXIT_INPUT
         assert "Traceback" not in out + err
         assert "levels deep at position" in err
+
+    def test_degree_past_max_degree_exit_3_quickly(self, capsys):
+        # poly_real_roots' O(n^2) work at degree 20000 would take minutes
+        start = time.perf_counter()
+        code, out, err = run(["calc", "roots", "x^20000-1", "--window=-2:2"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "degree 20000 exceeds MAX_DEGREE = 2000" in err
+        assert time.perf_counter() - start < 10.0
 
 
 class TestSolveAndLinalg:

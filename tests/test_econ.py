@@ -252,6 +252,113 @@ class TestMonotoneChecks:
         with pytest.raises(OverflowError):
             econ.equilibrium(ca.parse("100-exp(x)"), ca.parse("x"), 0, 1000)
 
+    def test_rational_demand_flat_at_the_window_start_is_decreasing(self):
+        # p'(0) = 0 at a grid point, yet the demand is strictly decreasing on [0, 60]
+        out = econ.market_strategies(ca.parse("100/(1+0.01*x^2)"), ca.parse("2*x+5"), 0, 60)
+        cubic = np.roots([0.02, 0.05, 2.0, 5.0 - 100.0])  # (2p+5)(1+0.01p^2) = 100
+        p_M = float(cubic[np.isreal(cubic)].real[0])
+        assert out.equilibrium.p_M == pytest.approx(p_M, rel=1e-12)
+
+    def test_rational_price_rising_between_grid_points_is_rejected(self):
+        # p' = 1e-6 - (x-5.01)^2 > 0 on (5.009, 5.011), between two grid points
+        with pytest.raises(EconError, match=r"it is increasing on \(5\.009, 5\.011\)"):
+            MarketModel(ca.parse("20 - (x-5.01)^3/3 + 1e-6*x"), COST, 10.0)
+
+    def test_rational_slope_far_below_one_is_monotone(self):
+        # the sign of the derivative decides, not its size
+        MarketModel(ca.parse("20 - 1e-13*x"), COST, 10.0)
+        econ._check_monotone(ca.parse("1e-20*x"), 0, 1, increasing=True, name="f")
+
+    def test_a_pole_splits_the_window(self):
+        # 1/x falls on each side of its pole, but not across it
+        with pytest.raises(EconError, match="it is not decreasing across x = 0"):
+            econ._check_monotone(ca.parse("1/x"), -1, 1, increasing=False, name="f")
+        econ._check_monotone(ca.parse("1/x"), 0, 1, increasing=False, name="f")
+
+
+def random_rational_market(rng):
+    """A falling rational price (linear, quadratic, hyperbolic or a linear
+    fraction) and an S-shaped cubic cost, on a window past the profit zone."""
+    a3 = rng.uniform(0.5, 2.0)
+    a2 = -a3 * rng.uniform(3.0, 8.0)
+    a1 = a2 * a2 / (3.0 * a3) * rng.uniform(1.1, 2.0)
+    cost = CostModel(a3, a2, a1, rng.uniform(0.0, 50.0))
+    a, b, c = rng.uniform(1.5, 3.0) * a1, rng.uniform(0.1, 2.0), rng.uniform(0.01, 0.2)
+    price = rng.choice([f"{a} - {b}*x", f"{a} - {b}*x - {c}*x^2",
+                        f"{a}/(1 + {c}*x)", f"({a} - {b}*x)/(1 + {c}*x)"])
+    return MarketModel(ca.parse(str(price)), cost, float(rng.uniform(8.0, 20.0)))
+
+
+def tree_profit(m):
+    """profit_analysis and cournot's figures from the expression trees alone:
+    differentiate, roots and evaluate."""
+    G = m.profit_expr()
+    dG = ca.differentiate(G)
+    d2G = ca.differentiate(dG)
+    x_S = x_G = None
+    for r in ca.roots(G, 0.0, m.x_max):
+        slope = ca.evaluate(dG, r)
+        if slope > 0 and x_S is None:
+            x_S = r
+        elif slope < 0:
+            x_G = r
+    maxima = [r for r in ca.roots(dG, 0.0, m.x_max) if ca.evaluate(d2G, r) < 0]
+    x_M = max(maxima, key=lambda r: ca.evaluate(G, r)) if maxima else None
+    G_max = ca.evaluate(G, x_M) if maxima else None
+    p_M = ca.evaluate(m.price, x_M) if maxima else None
+    return {"x_S": x_S, "x_G": x_G, "x_M": x_M, "G_max": G_max, "p_M": p_M}
+
+
+class TestProfitOnArrays:
+    """A rational profit G goes through one as_rational call and its
+    coefficient arrays; the figures must agree with the tree path."""
+
+    def test_agrees_with_the_tree_path(self):
+        markets = np.random.default_rng(4242)
+        seen = 0
+        for _ in range(60):
+            m = random_rational_market(markets)
+            want = tree_profit(m)
+            pa = econ.profit_analysis(m)
+            got = {k: getattr(pa, k) for k in ("x_S", "x_G", "x_M", "G_max")}
+            if pa.x_M is not None:
+                cp = econ.cournot(m)
+                assert cp.x_M == pa.x_M
+                got["p_M"] = cp.p_M
+                seen += 1
+            else:
+                got["p_M"] = None
+            for k, v in want.items():
+                assert (got[k] is None) == (v is None), k
+                assert v is None or abs(got[k] - v) <= 1e-12 * abs(v), (k, got[k], v)
+        assert seen >= 30
+
+    def test_one_conversion_and_no_tree_derivatives_of_G(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        calls = {"as_rational": [], "differentiate": [], "roots": []}
+        for name, log in calls.items():
+            fn = getattr(ca, name)
+            wrapped = (lambda fn, log: lambda e, *a, **k: log.append(e) or fn(e, *a, **k))(fn, log)
+            monkeypatch.setattr(ca, name, wrapped)
+            if name != "as_rational":  # which recurses through analysis' global
+                monkeypatch.setattr(analysis, name, wrapped)
+        for step in (econ.profit_analysis, econ.cournot):
+            for log in calls.values():
+                log.clear()
+            assert step(MARKET).x_M == pytest.approx(3.775, abs=1e-3)
+            assert calls["as_rational"] == [MARKET.profit_expr()]
+            assert calls["roots"] == []
+            assert all(e == MARKET.price for e in calls["differentiate"])
+
+    def test_ratio_optimum_agrees_with_the_tree_path(self):
+        G = MARKET.profit_expr()
+        out = econ.ratio_optimum(G, ca.X, 0.55, 5.7)
+        # G/x is stationary where G'x - G = 0
+        stationarity = ca.sub(ca.mul(ca.differentiate(G), ca.X), G)
+        assert out.x == pytest.approx(ca.roots(stationarity, 0.55, 5.7)[0], rel=1e-12)
+        assert out.value == pytest.approx(ca.evaluate(G, out.x) / out.x, rel=1e-12)
+
 
 class TestMarketStrategies:
     def test_worked_example(self):
