@@ -154,9 +154,6 @@ class CostAnalysis:
     tangent_g2: tuple[float, float]        # (slope, intercept) at x_g2
     mes_coincides_with_g1: bool            # a0 = 0 edge case
 
-    def phase_boundaries(self) -> tuple[float, float, float]:
-        return self.x_W, self.x_g1, self.x_g2
-
     def to_dict(self) -> dict:
         return {
             "x_W": self.x_W,

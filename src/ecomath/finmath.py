@@ -23,6 +23,7 @@ class FinanceError(ValueError):
 
 
 _Q_LO, _Q_HI = 1.0 + 1e-12, 1e3  # interest factors searched when solving for q
+MAX_ROWS = 10_000  # schedule rows built without a horizon; longer plans are refused
 
 
 def _solve_q(residual, target: str) -> float:
@@ -33,6 +34,12 @@ def _solve_q(residual, target: str) -> float:
     except NoSignChangeError:
         msg = f"no interest factor q in [{_Q_LO!r}, {_Q_HI:g}] gives {target}"
         raise FinanceError(msg) from None
+
+
+def _check_rows(n_exact: float, horizon: Optional[int]) -> None:
+    """Refuse a plan of more than MAX_ROWS years unless a horizon cuts it."""
+    if horizon is None and n_exact > MAX_ROWS:
+        raise FinanceError(f"the plan runs {n_exact:.6g} years, past MAX_ROWS = {MAX_ROWS}")
 
 
 def _require_exactly_one_missing(**known):
@@ -235,10 +242,11 @@ def redemption_plan(
         raise FinanceError("annuity does not exceed the interest; debt never shrinks")
 
     n_exact = math.log(A / (A - R0 * (q - 1.0))) / math.log(q)
+    _check_rows(n_exact, horizon)
     rows = []
     balance = R0
     year = 0
-    while balance > 1e-9:
+    while balance > 1e-12 * R0:
         year += 1
         if horizon is not None and year > horizon:
             break
@@ -339,14 +347,16 @@ def pension_plan(
     meta = {"kind": "pension", "K0": K0, "p": p, "q": q, "m": m, "a": a}
     try:
         n_exact = pension_duration(K0, q, m, a)
-        meta["duration_exact"] = n_exact
-        meta["duration_full_years"] = math.floor(n_exact + 1e-12)
-        meta["everlasting_capable"] = False
-        n_rows = math.ceil(n_exact - 1e-12)
     except FinanceError:
         meta["everlasting_capable"] = True
         meta["everlasting_amount"] = everlasting_pension(K0, q, m)
         n_rows = 50
+    else:
+        _check_rows(n_exact, horizon)
+        meta["duration_exact"] = n_exact
+        meta["duration_full_years"] = math.floor(n_exact + 1e-12)
+        meta["everlasting_capable"] = False
+        n_rows = math.ceil(n_exact - 1e-12)
     if horizon is not None:
         n_rows = min(n_rows, horizon)
     rows = []

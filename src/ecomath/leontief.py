@@ -110,7 +110,8 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
     """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2),
-    and equal bit for bit to eliminating [I - P | y]."""
+    and what eliminating [I - P | y] gives, bit for bit up to ONE_PANEL
+    sectors (``linsolve.replay``)."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
     q = linsolve.replay(m.elimination, y.to_array())

@@ -17,6 +17,8 @@ from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 from .numeric import NumericalError
 
 PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
+ONE_PANEL = 128  # at most this many columns: one panel, one rank-1 update per pivot
+NB = 16  # columns per panel above ONE_PANEL
 
 
 class SingularMatrixError(ValueError):
@@ -82,39 +84,80 @@ def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None):
     """Reduce a to RREF in place; a column takes no pivot if its candidates
     are within PIVOT_TOL max|a| of zero.  Returns (rank, pivot_cols,
     (mant, expo)) with det_factor = mant * 2**expo, kept apart so that the
-    product of the pivots cannot overflow on the way; appends (swapped row,
-    pivot, multipliers) per pivot to steps if given."""
+    product of the pivots cannot overflow on the way.
+
+    Up to ONE_PANEL columns, a is one panel: one rank-1 update per pivot, and
+    steps, if given, gets (0, ((swapped row, pivot, multipliers), ...), None).
+    Wider, each panel of NB columns is reduced on rows r0 on, in a copy whose
+    NB more columns collect its transform's columns G at the pivot rows r0,
+    r0+1, ...; the rows above then take the pivot rows in one product, the
+    columns to the right G in another, and steps gets (r0, swapped rows, G).
+    Rows r0 on are zero left of the panel, so swaps need not touch them."""
     m, n = a.shape
     tol = PIVOT_TOL * np.abs(a).max()
+    nb = n if n <= ONE_PANEL else NB
     mant, expo = 1.0, 0
     pivot_cols = []
-    r = 0
-    for j in range(n):
-        if r >= m:
+    r0 = 0
+    for j0 in range(0, n, nb):
+        w = min(nb, n - j0)
+        blocked = w < n
+        P = np.hstack([a[:, j0:j0 + w], np.zeros((m, w))]) if blocked else a
+        Q, pivots, cols = P[r0:], [], []  # Q's row r is a's row r0 + r
+        for c in range(w):
+            r = len(pivots)
+            if r0 + r >= m:
+                break
+            col = np.abs(Q[r:, c])
+            i = r + int(col.argmax())  # argmax returns the first maximum
+            if col[i - r] <= tol:
+                Q[r:, c] = 0.0  # structural zero, keep the tail clean
+                continue
+            if i != r:
+                Q[r], Q[i] = Q[i].copy(), Q[r].copy()
+                mant = -mant
+            p = Q[r, c]
+            # mant * p rounds like the plain product: frexp and ldexp are exact
+            pm, pe = math.frexp(p)
+            mant, me = math.frexp(mant * pm)
+            expo += pe + me
+            if blocked:
+                Q[r, w + r] = 1.0  # the transform's column for row r, so far e_r
+            # row r is zero left of c; the transform's later columns are still zero
+            f = _pivot_step(Q[:, :w + r + 1] if blocked else Q, r, c, first=c)
+            pivots.append((i, p, f))
+            cols.append(c)
+        k = len(pivots)
+        if not blocked:
+            step = (0, tuple(pivots), None)
+        else:
+            P[:r0] -= P[:r0, cols] @ Q[:k]
+            a[:, j0:j0 + w] = P[:, :w]
+            step = (r0, tuple(i for i, _, _ in pivots), P[:, w:w + k].copy())
+            _apply_panel(a[:, j0 + w:], *step)
+        if steps is not None and k:
+            steps.append(step)
+        pivot_cols += [j0 + c for c in cols]
+        r0 += k
+        if r0 >= m:
             break
-        col = np.abs(a[r:, j])
-        i = r + int(col.argmax())  # argmax returns the first maximum
-        if col[i - r] <= tol:
-            a[r:, j] = 0.0  # structural zero, keep the tail clean
-            continue
+    return r0, tuple(pivot_cols), (mant, expo)
+
+
+def _apply_panel(b: np.ndarray, r0: int, rows: tuple, G: np.ndarray) -> None:
+    """One panel's row operations on b, in place: its swaps among rows r0 on,
+    then b <- b + (G - I_S) b_S at its pivot rows S, one matrix product."""
+    v = b[r0:]
+    for r, i in enumerate(rows):
         if i != r:
-            a[r], a[i] = a[i].copy(), a[r].copy()
-            mant = -mant
-        p = a[r, j]
-        # mant * p rounds like the plain product: frexp and ldexp are exact
-        pm, pe = math.frexp(p)
-        mant, me = math.frexp(mant * pm)
-        expo += pe + me
-        f = _pivot_step(a, r, j, first=j)  # row r is zero left of j
-        if steps is not None:
-            steps.append((i, p, f))
-        pivot_cols.append(j)
-        r += 1
-    return r, tuple(pivot_cols), (mant, expo)
+            v[r], v[i] = v[i].copy(), v[r].copy()
+    b_s = v[:len(rows)].copy()
+    v[:len(rows)] = 0.0
+    b += G @ b_s
 
 
 def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[int, ...], float]:
-    """Reduced row-echelon form via partial pivoting.
+    """Reduced row-echelon form via partial pivoting, by blocked Gauss-Jordan.
 
     Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
     the effect of row swaps and scalings, so for a square input
@@ -123,7 +166,7 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
     index; a column whose candidates are all within PIVOT_TOL times the
     largest entry of M has no pivot, so the rank does not depend on the scale
     of M.  If ``steps`` is a list, the row operations are recorded in it for
-    ``replay``.
+    ``replay``, one entry per panel.
     """
     a = M.to_array().copy()
     rk, pivot_cols, (mant, expo) = _gauss_jordan(a, steps)
@@ -133,13 +176,19 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
 
 def replay(steps: list, b) -> np.ndarray:
     """The row operations recorded by ``rref(M, steps)`` applied to a copy of
-    b (one or more columns): bit for bit what eliminating [M | b] leaves there."""
+    b (one or more columns): what eliminating [M | b] leaves there, bit for
+    bit up to ONE_PANEL columns of M.  Wider, each panel is one matrix
+    product, which sums in another order than the elimination of [M | b]."""
     b = np.array(b, dtype=float)
-    for r, (i, p, f) in enumerate(steps):
-        if i != r:
-            b[r], b[i] = b[i].copy(), b[r].copy()
-        b[r] = b[r] / p
-        b -= np.multiply.outer(f, b[r])
+    for r0, pivots, G in steps:
+        if G is not None:
+            _apply_panel(b, r0, pivots, G)
+            continue
+        for r, (i, p, f) in enumerate(pivots):  # one panel: a rank-1 update per pivot
+            if i != r:
+                b[r], b[i] = b[i].copy(), b[r].copy()
+            b[r] = b[r] / p
+            b -= np.multiply.outer(f, b[r])
     return b
 
 

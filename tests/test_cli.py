@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecomath
 from ecomath.cli import (
     EXIT_INPUT,
     EXIT_NO_SOLUTION,
@@ -417,6 +421,19 @@ class TestFinance:
         )
         assert code == EXIT_INPUT
         assert "no interest factor q in [1.000000000001, 1000]" in err
+
+    def test_endless_redemption_exit_1(self):
+        # duration_exact is ~1.6e9 years; a fresh process, so a build of
+        # every row ends at the timeout instead of holding the suite
+        src = str(Path(ecomath.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ecomath.cli import dispatch; sys.exit(dispatch())",
+             "finance", "redemption", "--R0", "1000", "--p", "1e-6", "--A", "1.0000001e-5"],
+            capture_output=True, text=True, timeout=2,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "past MAX_ROWS" in proc.stderr
 
     def test_overdetermined_exit_1(self, capsys):
         code, _, _ = run(

@@ -2,6 +2,7 @@
 row-by-row elimination, and one elimination per Leontief model."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -110,3 +111,71 @@ def test_leontief_model_eliminates_once(monkeypatch):
         q, _ = leontief.forecast(model, Vector(y))
         assert np.allclose(q.to_array(), np.linalg.solve(np.eye(n) - P, y), rtol=1e-10)
     assert calls == [n]
+
+
+# Above ONE_PANEL columns the kernel works in panels; the oracle is the same
+# kernel as one panel (ONE_PANEL raised past the width), one rank-1 update
+# per pivot.  A matrix product sums in another order, so values agree to
+# rounding, and rank decisions agree away from PIVOT_TOL.
+
+def one_panel(f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "ONE_PANEL", 10**9)
+        return f(*args)
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [129, 200, 300])
+def test_blocked_rref_and_inverse_match_one_panel(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n + 7))  # 7 more columns: R is not just I
+    R, rank, pivots, det_factor = linsolve.rref(Matrix.from_array(A))
+    want_R, want_rank, want_pivots, want_det = one_panel(linsolve.rref, Matrix.from_array(A))
+    assert (rank, pivots) == (want_rank, want_pivots) == (n, tuple(range(n)))
+    assert_close(R.to_array(), want_R.to_array())
+    assert det_factor == pytest.approx(want_det, rel=1e-12)
+
+    sq = Matrix.from_array(A[:, :n])
+    inv = linsolve.inverse(sq).to_array()
+    assert_close(inv, one_panel(linsolve.inverse, sq).to_array())
+    assert np.abs(A[:, :n] @ inv - np.eye(n)).max() <= 1e-10
+
+
+@given(st.integers(130, 200), st.integers(130, 200), st.integers(0, 60),
+       st.sampled_from([1.0, 3.0, 7.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_blocked_rank_deficient_matches_one_panel(m, n, k, d, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.integers(-5, 6, (m, k)).astype(float)
+    C = rng.integers(-5, 6, (k, n)).astype(float)
+    M = Matrix.from_array(B @ C / d)
+    _, rank, pivots, _ = linsolve.rref(M)
+    _, want_rank, want_pivots, _ = one_panel(linsolve.rref, M)
+    assert (rank, pivots) == (want_rank, want_pivots)
+    assert rank == np.linalg.matrix_rank(B @ C)
+
+
+@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 300])
+def test_blocked_replay_equals_augmented_elimination(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    steps = []
+    linsolve.rref(Matrix.from_array(A), steps)
+    R, _, _, _ = linsolve.rref(Matrix.from_array(np.hstack([A, b])))
+    assert_close(linsolve.replay(steps, b), R.to_array()[:, n:])
+    R, _, _, _ = linsolve.rref(Matrix.from_array(np.hstack([A, b[:, :1]])))
+    assert_close(linsolve.replay(steps, b[:, 0]), R.to_array()[:, n])
+
+
+def test_blocked_determinant():
+    rng = np.random.default_rng(200)
+    A = rng.standard_normal((200, 200))
+    sign, logdet = np.linalg.slogdet(A)
+    assert linsolve.determinant(Matrix.from_array(A)) == pytest.approx(
+        sign * np.exp(logdet), rel=1e-12)
+    A[:, 150] = A[:, :150] @ rng.standard_normal(150)  # rank 199
+    assert linsolve.determinant(Matrix.from_array(A)) == 0.0

@@ -215,8 +215,30 @@ class TestRedemption:
                 R, rel=1e-8, abs=1e-6
             )
 
+    def test_plan_past_max_rows_refused(self):
+        # duration_exact is 69 315 years
+        with pytest.raises(FinanceError, match="69315.1 years, past MAX_ROWS"):
+            finmath.redemption_plan(1000, 0.001, A=0.02)
+        plan = finmath.redemption_plan(1000, 0.001, A=0.02, horizon=3)
+        assert [r.year for r in plan.rows] == [1, 2, 3]
+
+    def test_plan_does_not_depend_on_scale(self):
+        want = finmath.redemption_plan(1.0, 5, t=1)
+        for R0 in (1e-9, 1e9):
+            plan = finmath.redemption_plan(R0, 5, t=1)
+            assert len(plan.rows) == len(want.rows) == 37
+            assert plan.rows[-1].balance == 0.0
+            assert [r.payment / R0 for r in plan.rows] == pytest.approx(
+                [r.payment for r in want.rows], rel=1e-12)
+
 
 class TestPension:
+    def test_plan_past_max_rows_refused(self):
+        with pytest.raises(FinanceError, match="461414 years, past MAX_ROWS"):
+            finmath.pension_plan(1000, 0.001, 1, 0.0101)
+        plan = finmath.pension_plan(1000, 0.001, 1, 0.0101, horizon=2)
+        assert len(plan.rows) == 2
+
     def test_worked_first_year(self):
         plan = finmath.pension_plan(100000, 5, 12, 500)
         assert plan.rows[0].interest == pytest.approx(4837.50)
