@@ -2,9 +2,9 @@
 curve sketching and definite integration.
 
 The names from ``expr`` (trees, parser, evaluation, differentiation; standard
-library only) load with the package.  Those from ``analysis``, which needs
-NumPy, load on first attribute access (PEP 562), so a call that only parses
-and differentiates loads no NumPy.
+library only) load with the package; those from ``analysis`` on first attribute
+access (PEP 562).  Only its array functions import NumPy, so elasticities and
+the integral of an expression with no non-constant divisor load none.
 """
 
 import importlib

@@ -1,5 +1,6 @@
 """Numeric/structural analysis on expression trees: tangents, elasticities,
 root finding, polynomial machinery, curve reports, and definite integration.
+Only the functions that work on arrays import NumPy.
 """
 
 from __future__ import annotations
@@ -7,10 +8,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-from numpy.polynomial import polynomial as P
+if TYPE_CHECKING:
+    import numpy as np
 
 from ..numeric import NumericalError, brent
 from .expr import (
@@ -107,6 +108,7 @@ def second_elasticity(e: Expr, x: float) -> float:
 # bit on finite float arrays, without their per-call input checks.
 
 def _trim(coeffs) -> np.ndarray:
+    import numpy as np
     c = np.array(coeffs, dtype=float, ndmin=1, copy=None)
     n = len(c)
     while n and not abs(c[n - 1]) > 0.0:  # zeros and NaNs, as polytrim drops them
@@ -115,6 +117,7 @@ def _trim(coeffs) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
     return _trim(np.convolve(a, b))
 
 
@@ -126,9 +129,17 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rational_sum(ra, rb, subtract: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """ra + rb (ra - rb) for (num, den) pairs, as as_rational takes a sum."""
+    b = _mul(rb[0], ra[1])
+    return _trim(_add(_mul(ra[0], rb[1]), -b if subtract else b)), _mul(ra[1], rb[1])
+
+
 def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(numerator, denominator) coefficient arrays (low to high) when the
-    expression is a ratio of polynomials, else None."""
+    expression is a ratio of polynomials, else None.  A power whose degree
+    would pass MAX_DEGREE is a NumericalError before it is expanded."""
+    import numpy as np
     one = np.array([1.0])
     if isinstance(e, Const):
         return np.array([e.value]), one
@@ -142,9 +153,7 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         rb = ra and as_rational(e.b)  # no need to convert b when a is not rational
         if not ra or not rb:
             return None
-        b = _mul(rb[0], ra[1])
-        num = _add(_mul(ra[0], rb[1]), b if isinstance(e, Add) else -b)
-        return _trim(num), _mul(ra[1], rb[1])
+        return _rational_sum(ra, rb, subtract=isinstance(e, Sub))
     if isinstance(e, Mul):
         ra = as_rational(e.a)
         rb = ra and as_rational(e.b)
@@ -167,6 +176,8 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         r = as_rational(e.base)
         if not r or (k < 0 and not r[0].any()):
             return None
+        if (n := abs(k) * (max(len(r[0]), len(r[1])) - 1)) > MAX_DEGREE:
+            raise NumericalError(f"polynomial degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
         num, den = r if k else (np.ones(1), np.ones(1))
         for _ in range(abs(k) - 1):  # as polypow: repeated convolution, no trimming
             num, den = np.convolve(num, r[0]), np.convolve(den, r[1])
@@ -189,9 +200,8 @@ def poly_coeffs(e: Expr) -> Optional[np.ndarray]:
 
 def expr_from_poly(coeffs) -> Expr:
     """Build an expression tree from low-to-high polynomial coefficients."""
-    coeffs = list(np.asarray(coeffs, dtype=float))
     e: Expr = const(0.0)
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(map(float, coeffs)):
         if c == 0.0:
             continue
         term = const(c) if k == 0 else mul(const(c), pow_(X, const(k)))
@@ -202,6 +212,8 @@ def expr_from_poly(coeffs) -> Expr:
 def poly_divide(num, den) -> tuple[np.ndarray, np.ndarray]:
     """Polynomial long division: num = quotient*den + remainder with
     deg(remainder) < deg(den).  Coefficients are low to high."""
+    import numpy as np
+    from numpy.polynomial import polynomial as P
     den = _trim(den)
     if len(den) == 1 and den[0] == 0.0:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -257,7 +269,9 @@ def poly_real_roots(coeffs) -> list[float]:
     rounding-error bound is a multiple root; adjacent such points (split by
     rounding) merge into one.
     """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b").tolist()
+    c = [float(v) for v in coeffs]
+    while c and c[-1] == 0.0:
+        c.pop()
     if len(c) - 1 > MAX_DEGREE:
         raise NumericalError(f"polynomial degree {len(c) - 1} exceeds MAX_DEGREE = {MAX_DEGREE}")
     if not all(map(math.isfinite, c)):
@@ -304,6 +318,7 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     if rat:
         return _in_window(poly_real_roots(rat[0]), lo, hi, poly_real_roots(rat[1]), tol)
 
+    import numpy as np
     deriv = differentiate(e)
 
     def f(x):
@@ -389,16 +404,18 @@ class CurveReport:
 
 def _poly_reflect(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of p(-x)."""
+    import numpy as np
     return np.array([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
 
 
 def _poly_close(a: np.ndarray, b: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return bool(np.max(np.abs(_add(a, -b))) <= 1e-9 * scale)
+    scale = max(abs(a).max(), abs(b).max())
+    return bool(abs(_add(a, -b)).max() <= 1e-9 * scale)
 
 
 def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
+    import numpy as np
     dn, dd = (np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0.0 for c in (num, den))
     return _trim(_add(_mul(dn, den), -_mul(num, dd))), _mul(den, den)
 
@@ -406,20 +423,22 @@ def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, 
 def _sign_intervals(rat, poles, undefined, lo, hi, pos_label, neg_label):
     """Pieces (a, b, label) of [lo, hi] cut at the numerator's real roots and the
     points where f is undefined, labelled by the sign of num/den (left out where
-    it vanishes) and merged across a cut that is no pole; and (x, label left of x)
+    num is within _monotone_roots' rounding bound at the midpoint, whatever f's
+    scale) and merged across a cut that is no pole; and (x, label left of x)
     where the sign changes at a point where f is defined (not at a pole or hole)."""
     num, den = rat[0].tolist(), rat[1].tolist()
+    anum = [abs(v) for v in num]
     cuts = _in_window(poly_real_roots(num), lo, hi, exclude=undefined) + undefined
     pts = sorted({lo, hi, *(p for p in cuts if lo < p < hi)})
     out: list[tuple[float, float, str]] = []
     changes: list[tuple[float, str]] = []
     for a, b in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (a + b)
-        d = _horner(den, mid)
-        v = _horner(num, mid) / d if d else 0.0
-        if abs(v) <= 1e-12:
+        y, d = _horner(num, mid), _horner(den, mid)
+        err = 2.0 * len(num) * 2.0 ** -52 * _horner(anum, abs(mid))
+        if not d or abs(y) <= err and not math.isinf(y):
             continue
-        label = pos_label if v > 0 else neg_label
+        label = pos_label if y / d > 0 else neg_label
         if out and out[-1][1] == a and a not in poles:
             if out[-1][2] == label:
                 out[-1] = (out[-1][0], b, label)
@@ -437,6 +456,8 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     and poly_real_roots.  An extremum (inflection) is an interior point where f
     is defined and f' (f'') changes sign; roots and poles leave out the points
     where numerator and denominator vanish together."""
+    import numpy as np
+    from numpy.polynomial import polynomial as P
     rat = as_rational(e)
     if rat is None:
         raise UnsupportedExpressionError(

@@ -9,7 +9,8 @@ Output is deterministic and locale-independent: numbers always use '.' as
 the decimal separator, and identical argv plus input files produce
 byte-identical output.
 
-Each handler imports the modules it uses, so a call loads only those.
+Each handler imports the modules it uses, so a call loads only those, and
+dispatch builds the parser's arguments only for the command that argv names.
 """
 
 from __future__ import annotations
@@ -297,152 +298,156 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _linalg_args(leaves):
+    for p in leaves.values():
+        p.add_argument("matrix", help="matrix (or first vector) file, matrix text format")
+    leaves["matvec"].add_argument("vector", help="vector file")
+    for name in ("mul", "angle"):
+        leaves[name].add_argument("other", help="second matrix/vector file")
+
+
+def _solve_args(leaves):
+    leaves["solve"].add_argument("matrix", help="coefficient matrix file")
+    leaves["solve"].add_argument("rhs", help="right-hand-side vector file")
+
+
+def _leontief_args(leaves):
+    p = leaves["leontief"]
+    p.add_argument("table", help="deliveries table file (square matrix)")
+    p.add_argument("demand", help="final-demand vector file")
+    p.add_argument("--resources", help="resource consumption matrix file")
+    p.add_argument("--next-demand", dest="next_demand", help="forecast demand vector file")
+
+
+def _lp_args(leaves):
+    leaves["solve"].add_argument("problem", help="LP JSON file")
+
+
+def _finance_args(leaves):
+    for name, flags in (("compound", "K0 Kn q n"), ("installment", "Kn E q n")):
+        for flag in flags.split():
+            leaves[name].add_argument(f"--{flag}", type=float)
+    p = leaves["effective"]
+    p.add_argument("--p", type=float, required=True, help="nominal rate, percent")
+    p.add_argument("--m", type=int, required=True, help="periods per year")
+    p = leaves["redemption"]
+    p.add_argument("--R0", type=float, required=True, help="initial debt")
+    p.add_argument("--p", type=float, required=True, help="interest rate, percent")
+    p.add_argument("--t", type=float, help="initial redemption rate, percent")
+    p.add_argument("--A", type=float, help="annuity, currency units")
+    p.add_argument("--horizon", type=int, help="limit the schedule length")
+    p = leaves["pension"]
+    p.add_argument("--K0", type=float, required=True, help="initial capital")
+    p.add_argument("--p", type=float, required=True, help="interest rate, percent")
+    p.add_argument("--m", type=int, required=True, help="withdrawals per year")
+    p.add_argument("--a", type=float, required=True, help="withdrawal amount")
+    p.add_argument("--horizon", type=int, help="limit the schedule length")
+    p = leaves["depreciation"]
+    p.add_argument("--method", choices=("linear", "declining"), required=True)
+    p.add_argument("--K0", type=float, required=True, help="acquisition value")
+    p.add_argument("--N", type=int, help="useful life in years (linear)")
+    p.add_argument("--p", type=float, help="declining rate, percent")
+    p.add_argument("--n", type=int, help="year of interest")
+    p.add_argument("--Rn", type=float, help="target remaining value (declining)")
+    for flag in ("K0", "q", "R", "n"):
+        leaves["master"].add_argument(f"--{flag}", type=float, required=True)
+
+
+def _calc_args(leaves):
+    for p in leaves.values():
+        p.add_argument("expr")
+    leaves["elasticity"].add_argument("--at", type=float, required=True)
+    leaves["integrate"].add_argument("--from", type=float, required=True, dest="from")
+    leaves["integrate"].add_argument("--to", type=float, required=True)
+    for name in ("roots", "report"):
+        leaves[name].add_argument("--window", required=True, metavar="LO:HI")
+
+
+def _econ_args(leaves):
+    p = leaves["cost"]
+    for flag in ("a3", "a2", "a1"):
+        p.add_argument(f"--{flag}", type=float, required=True)
+    p.add_argument("--a0", type=float, default=0.0)
+    p = leaves["profit"]
+    p.add_argument("--price", required=True, help="unit price p(x) as an expression")
+    p.add_argument("--cost", required=True, metavar="a3,a2,a1,a0")
+    p.add_argument("--window", required=True, metavar="LO:HI")
+    p = leaves["surplus"]
+    p.add_argument("--demand", required=True, help="demand N(p) as an expression in x")
+    p.add_argument("--supply", required=True, help="supply A(p) as an expression in x")
+    p.add_argument("--pu", type=float, required=True, help="lower price bound")
+    p.add_argument("--po", type=float, required=True, help="upper price bound")
+    p = leaves["value"]
+    p.add_argument("--a", type=float, required=True, help="scale parameter")
+    p.add_argument("--x", type=float, required=True, help="gain (x>=0) or loss (x<0)")
+
+
+# command: (help, handler, adds the leaves' arguments, {operation: help}); a
+# command without operations (None) is a leaf itself
+_COMMANDS = {
+    "linalg": ("matrix and vector operations", _cmd_linalg, _linalg_args,
+               dict.fromkeys(("det", "inverse", "mul", "matvec", "angle"))),
+    "solve": ("classify and solve a linear system A x = b", _cmd_solve, _solve_args, None),
+    "leontief": ("input-output analysis from a deliveries table", _cmd_leontief,
+                 _leontief_args, None),
+    "lp": ("linear programming", _cmd_lp, _lp_args,
+           {"solve": "solve a standard-form LP from a JSON file"}),
+    "finance": ("financial mathematics", _cmd_finance, _finance_args, {
+        "compound": "solve Kn = K0 q^n (leave one flag out)",
+        "effective": "effective annual rate",
+        "installment": "installment savings (leave one flag out)",
+        "redemption": "redemption payment plan",
+        "pension": "pension payment plan",
+        "depreciation": "linear or declining-balance depreciation",
+        "master": "master formula Kn = K0 q^n + R (q^n-1)/(q-1)",
+    }),
+    "calc": ("differentiation, roots, integration, curve reports", _cmd_calc, _calc_args, {
+        "diff": "symbolic derivative",
+        "elasticity": "point elasticity x f'(x)/f(x)",
+        "roots": "all roots in a window",
+        "integrate": "definite integral",
+        "report": "curve sketch of a polynomial/rational function",
+    }),
+    "econ": ("cost, profit, surplus and value analysis", _cmd_econ, _econ_args, {
+        "cost": "cost-phase analysis of a cubic cost function",
+        "profit": "break-even, profit maximum and Cournot point",
+        "surplus": "equilibrium and the three selling strategies",
+        "value": "psychological value of a gain/loss",
+    }),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser for argv, or with argv None the whole tree.  Every command is
+    added, so the top-level help and invalid-choice errors do not depend on argv,
+    but only a command named in argv gets its operations and arguments: argparse
+    enters a command only on an exact name."""
     parser = argparse.ArgumentParser(
         prog="ecomath", description="Quantitative-economics toolkit"
     )
     _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(parent, name, **kw):
-        p = parent.add_parser(name, **kw)
-        _global_flags(p, suppress=True)
-        return p
-
-    # linalg
-    p = sub.add_parser("linalg", help="matrix and vector operations")
-    ops = p.add_subparsers(dest="linalg_op", required=True)
-    for name, nargs2 in (("det", False), ("inverse", False), ("mul", True),
-                         ("matvec", False), ("angle", True)):
-        q = leaf(ops, name)
-        q.add_argument("matrix", help="matrix (or first vector) file, matrix text format")
-        if name == "matvec":
-            q.add_argument("vector", help="vector file")
-        elif nargs2:
-            q.add_argument("other", help="second matrix/vector file")
-        q.set_defaults(handler=_cmd_linalg)
-
-    # solve
-    p = leaf(sub, "solve", help="classify and solve a linear system A x = b")
-    p.add_argument("matrix", help="coefficient matrix file")
-    p.add_argument("rhs", help="right-hand-side vector file")
-    p.set_defaults(handler=_cmd_solve)
-
-    # leontief
-    p = leaf(sub, "leontief", help="input-output analysis from a deliveries table")
-    p.add_argument("table", help="deliveries table file (square matrix)")
-    p.add_argument("demand", help="final-demand vector file")
-    p.add_argument("--resources", help="resource consumption matrix file")
-    p.add_argument("--next-demand", dest="next_demand", help="forecast demand vector file")
-    p.set_defaults(handler=_cmd_leontief)
-
-    # lp
-    p = sub.add_parser("lp", help="linear programming")
-    ops = p.add_subparsers(dest="lp_op", required=True)
-    q = leaf(ops, "solve", help="solve a standard-form LP from a JSON file")
-    q.add_argument("problem", help="LP JSON file")
-    q.set_defaults(handler=_cmd_lp)
-
-    # finance
-    p = sub.add_parser("finance", help="financial mathematics")
-    ops = p.add_subparsers(dest="finance_op", required=True)
-    q = leaf(ops, "compound", help="solve Kn = K0 q^n (leave one flag out)")
-    for flag in ("K0", "Kn", "q", "n"):
-        q.add_argument(f"--{flag}", type=float)
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "effective", help="effective annual rate")
-    q.add_argument("--p", type=float, required=True, help="nominal rate, percent")
-    q.add_argument("--m", type=int, required=True, help="periods per year")
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "installment", help="installment savings (leave one flag out)")
-    for flag in ("Kn", "E", "q", "n"):
-        q.add_argument(f"--{flag}", type=float)
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "redemption", help="redemption payment plan")
-    q.add_argument("--R0", type=float, required=True, help="initial debt")
-    q.add_argument("--p", type=float, required=True, help="interest rate, percent")
-    q.add_argument("--t", type=float, help="initial redemption rate, percent")
-    q.add_argument("--A", type=float, help="annuity, currency units")
-    q.add_argument("--horizon", type=int, help="limit the schedule length")
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "pension", help="pension payment plan")
-    q.add_argument("--K0", type=float, required=True, help="initial capital")
-    q.add_argument("--p", type=float, required=True, help="interest rate, percent")
-    q.add_argument("--m", type=int, required=True, help="withdrawals per year")
-    q.add_argument("--a", type=float, required=True, help="withdrawal amount")
-    q.add_argument("--horizon", type=int, help="limit the schedule length")
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "depreciation", help="linear or declining-balance depreciation")
-    q.add_argument("--method", choices=("linear", "declining"), required=True)
-    q.add_argument("--K0", type=float, required=True, help="acquisition value")
-    q.add_argument("--N", type=int, help="useful life in years (linear)")
-    q.add_argument("--p", type=float, help="declining rate, percent")
-    q.add_argument("--n", type=int, help="year of interest")
-    q.add_argument("--Rn", type=float, help="target remaining value (declining)")
-    q.set_defaults(handler=_cmd_finance)
-    q = leaf(ops, "master", help="master formula Kn = K0 q^n + R (q^n-1)/(q-1)")
-    q.add_argument("--K0", type=float, required=True)
-    q.add_argument("--q", type=float, required=True)
-    q.add_argument("--R", type=float, required=True)
-    q.add_argument("--n", type=float, required=True)
-    q.set_defaults(handler=_cmd_finance)
-
-    # calc
-    p = sub.add_parser("calc", help="differentiation, roots, integration, curve reports")
-    ops = p.add_subparsers(dest="calc_op", required=True)
-    q = leaf(ops, "diff", help="symbolic derivative")
-    q.add_argument("expr")
-    q.set_defaults(handler=_cmd_calc)
-    q = leaf(ops, "elasticity", help="point elasticity x f'(x)/f(x)")
-    q.add_argument("expr")
-    q.add_argument("--at", type=float, required=True)
-    q.set_defaults(handler=_cmd_calc)
-    q = leaf(ops, "roots", help="all roots in a window")
-    q.add_argument("expr")
-    q.add_argument("--window", required=True, metavar="LO:HI")
-    q.set_defaults(handler=_cmd_calc)
-    q = leaf(ops, "integrate", help="definite integral")
-    q.add_argument("expr")
-    q.add_argument("--from", type=float, required=True, dest="from")
-    q.add_argument("--to", type=float, required=True)
-    q.set_defaults(handler=_cmd_calc)
-    q = leaf(ops, "report", help="curve sketch of a polynomial/rational function")
-    q.add_argument("expr")
-    q.add_argument("--window", required=True, metavar="LO:HI")
-    q.set_defaults(handler=_cmd_calc)
-
-    # econ
-    p = sub.add_parser("econ", help="cost, profit, surplus and value analysis")
-    ops = p.add_subparsers(dest="econ_op", required=True)
-    q = leaf(ops, "cost", help="cost-phase analysis of a cubic cost function")
-    q.add_argument("--a3", type=float, required=True)
-    q.add_argument("--a2", type=float, required=True)
-    q.add_argument("--a1", type=float, required=True)
-    q.add_argument("--a0", type=float, default=0.0)
-    q.set_defaults(handler=_cmd_econ)
-    q = leaf(ops, "profit", help="break-even, profit maximum and Cournot point")
-    q.add_argument("--price", required=True, help="unit price p(x) as an expression")
-    q.add_argument("--cost", required=True, metavar="a3,a2,a1,a0")
-    q.add_argument("--window", required=True, metavar="LO:HI")
-    q.set_defaults(handler=_cmd_econ)
-    q = leaf(ops, "surplus", help="equilibrium and the three selling strategies")
-    q.add_argument("--demand", required=True, help="demand N(p) as an expression in x")
-    q.add_argument("--supply", required=True, help="supply A(p) as an expression in x")
-    q.add_argument("--pu", type=float, required=True, help="lower price bound")
-    q.add_argument("--po", type=float, required=True, help="upper price bound")
-    q.set_defaults(handler=_cmd_econ)
-    q = leaf(ops, "value", help="psychological value of a gain/loss")
-    q.add_argument("--a", type=float, required=True, help="scale parameter")
-    q.add_argument("--x", type=float, required=True, help="gain (x>=0) or loss (x<0)")
-    q.set_defaults(handler=_cmd_econ)
-
+    for name, (help_, handler, add_args, ops) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if argv is not None and name not in argv:
+            continue
+        leaves = {name: p}
+        if ops is not None:
+            group = p.add_subparsers(dest=f"{name}_op", required=True)
+            # help=None would still list the name under its group's help
+            leaves = {op: group.add_parser(op, **({"help": h} if h else {}))
+                      for op, h in ops.items()}
+        for q in leaves.values():
+            _global_flags(q, suppress=True)
+            q.set_defaults(handler=handler)
+        add_args(leaves)
     return parser
 
 
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; ours is the input-error code 1
         return EXIT_OK if exc.code == 0 else EXIT_INPUT

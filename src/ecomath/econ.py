@@ -3,7 +3,7 @@
 Cost-phase analysis for cubic total-cost functions, profit and Cournot
 analysis for a monopolist, ratio optima (average profit, efficiency),
 market equilibrium with surplus strategies, and the piecewise-logarithmic
-psychological value function.
+psychological value function; cost phases and values load no NumPy.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import calculus as ca
 from .calculus import Expr
@@ -33,7 +31,7 @@ class _Record:
         return asdict(self)
 
 
-def _suspects(de: Expr, xs: np.ndarray, fails) -> np.ndarray:
+def _suspects(de: Expr, xs, fails):
     """The points of xs, in order, where evaluate(de, x) raises or gives a value
     v with fails(v), from one array pass (evaluate_many): the only points a
     point-by-point check has to visit to raise what it raised on all of xs."""
@@ -41,17 +39,16 @@ def _suspects(de: Expr, xs: np.ndarray, fails) -> np.ndarray:
     return xs[undefined | fails(values)]
 
 
-def _monotone_flaw(e: Expr, lo: float, hi: float, increasing: bool) -> Optional[str]:
-    """For a rational e, "" if it is strictly increasing (decreasing) on [lo, hi]
-    (the sign pieces of e' merge into one that covers it: e' may vanish at
-    points, a pole splits it), else where it is not; None for any other e."""
-    if not (rat := ca.as_rational(e)):
+def _monotone_flaw(f: _Fn, lo: float, hi: float, increasing: bool) -> Optional[str]:
+    """For a rational f, "" if it is strictly increasing (decreasing) on [lo, hi]
+    (the sign pieces of f' merge into one that covers it: f' may vanish at
+    points, a pole splits it), else where it is not; None for any other f."""
+    if not (rat := f.rat):
         return None
     undefined = an._in_window(an.poly_real_roots(rat[1]), lo, hi)
     poles = an._in_window(undefined, lo, hi, an.poly_real_roots(rat[0])) if undefined else []
     want = "increasing" if increasing else "decreasing"
-    # to max |coefficient| 1, as _sign_intervals takes |e'| <= 1e-12 for e' = 0
-    d = [c / (np.max(np.abs(c)) or 1.0) for c in an._rational_derivative(*rat)]
+    d = an._rational_derivative(*rat)
     pieces, _ = an._sign_intervals(d, poles, undefined, lo, hi, "increasing", "decreasing")
     if pieces == ((lo, hi, want),):
         return ""
@@ -219,8 +216,9 @@ class MarketModel:
     def __post_init__(self):
         if not self.x_max > 0:
             raise EconError(f"window must have positive length, got x_max={self.x_max}")
-        if (flaw := _monotone_flaw(self.price, 0.0, self.x_max, increasing=False)) == "":
+        if (flaw := _monotone_flaw(_Fn(self.price), 0.0, self.x_max, increasing=False)) == "":
             return
+        import numpy as np
         dp = ca.differentiate(self.price)  # the grid names the first offending point
         grid = np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID)
         for x in _suspects(dp, grid, lambda v: v >= 0):
@@ -332,12 +330,14 @@ class Equilibrium(_Record):
     x_saturation: Optional[float]   # demand at price zero
 
 
-def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str):
-    """EconError unless e is strictly increasing (decreasing) on [lo, hi]: exact
-    for a rational e (_monotone_flaw), else e' > 0 (e' < 0) on a grid, skipping
-    the points where e' is undefined; OverflowError propagates."""
-    if (flaw := _monotone_flaw(e, lo, hi, increasing)) == "":
-        return
+def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> _Fn:
+    """e as a _Fn, or EconError unless e is strictly increasing (decreasing) on
+    [lo, hi]: exact for a rational e (_monotone_flaw), else e' > 0 (e' < 0) on a
+    grid, skipping the points where e' is undefined; OverflowError propagates."""
+    f = _Fn(e)
+    if (flaw := _monotone_flaw(f, lo, hi, increasing)) == "":
+        return f
+    import numpy as np
     message = f"{name} must be monotonously {'increasing' if increasing else 'decreasing'}"
     de = ca.differentiate(e)
     fails = (lambda v: v <= 0) if increasing else (lambda v: v >= 0)
@@ -350,6 +350,7 @@ def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str):
             raise EconError(f"{message} on the window")
     if flaw:
         raise EconError(f"{message} on the window; {flaw}")
+    return f
 
 
 def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilibrium:
@@ -357,15 +358,18 @@ def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilib
     (root of demand) and the saturation quantity N(0) when visible."""
     if not p_lo < p_hi:
         raise EconError(f"need p_lo < p_hi, got [{p_lo}, {p_hi}]")
-    _check_monotone(demand, p_lo, p_hi, increasing=False, name="demand")
-    _check_monotone(supply, p_lo, p_hi, increasing=True, name="supply")
+    N = _check_monotone(demand, p_lo, p_hi, increasing=False, name="demand")
+    A = _check_monotone(supply, p_lo, p_hi, increasing=True, name="supply")
 
-    crossings = ca.roots(ca.sub(supply, demand), p_lo, p_hi)
+    if N.rat and A.rat:  # A - N as as_rational(ca.sub(supply, demand)) takes it
+        crossings = _Fn(None, an._rational_sum(A.rat, N.rat, subtract=True)).roots(p_lo, p_hi)
+    else:
+        crossings = ca.roots(ca.sub(supply, demand), p_lo, p_hi)
     if not crossings:
         raise EconError("demand and supply do not intersect in the window")
     p_M = crossings[0]
 
-    proh = ca.roots(demand, p_lo, p_hi)
+    proh = N.roots(p_lo, p_hi)
     p_proh = proh[0] if proh else None
     x_sat = ca.evaluate(demand, 0.0) if p_lo <= 0.0 <= p_hi else None
 

@@ -484,6 +484,19 @@ class TestAsRational:
         assert num.tolist() == [1.0, 0.0, -2.0, 1.0] and den.tolist() == [1.0]
         assert calls
 
+    def test_refuses_a_power_past_max_degree_before_expanding_it(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(a) or convolve(*a))
+        with pytest.raises(NumericalError, match="degree 20000 exceeds MAX_DEGREE = 2000"):
+            ca.as_rational(ca.parse("x^20000-1"))
+        assert calls == []
+        with pytest.raises(NumericalError, match="degree 2002 exceeds"):
+            ca.poly_coeffs(ca.parse("(x^2+1)^1001"))
+        with pytest.raises(NumericalError, match="degree 2001 exceeds"):
+            ca.as_rational(ca.parse("1/x^2001"))
+        assert len(ca.poly_coeffs(ca.parse("(x^2+1)^1000"))) == 2001
+
 
 def random_rational(rng, depth):
     """A tree of sums, differences, products, quotients, negations and integer
@@ -595,7 +608,40 @@ class TestPolyDivide:
             ca.poly_divide([1, 1], [0.0])
 
 
+def same_report(got, want):
+    """Two curve reports with the same decisions, at positions equal to 1e-12."""
+    def pts(xs):
+        return pytest.approx(list(xs), rel=1e-12, abs=1e-12)
+
+    assert got.symmetry == want.symmetry and got.domain == want.domain
+    assert list(got.roots) == pts(want.roots)
+    assert [k for _, k in got.extrema] == [k for _, k in want.extrema]
+    assert [x for x, _ in got.extrema] == pts(x for x, _ in want.extrema)
+    assert list(got.inflections) == pts(want.inflections)
+    for g, w in ((got.monotone_intervals, want.monotone_intervals),
+                 (got.curvature_intervals, want.curvature_intervals)):
+        assert [k for *_, k in g] == [k for *_, k in w]
+        assert [v for a, b, _ in g for v in (a, b)] == pts(v for a, b, _ in w for v in (a, b))
+
+
 class TestCurveReport:
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("x", 0, 1),
+        ("x^3-6*x^2+9*x+1", -1, 5),
+        ("x^4-2*x^2", -2, 2),
+        ("(x^2-1)/(x^2+1)", -3, 3),
+        ("(x^3-2*x)/(x-3)", -5, 5),
+        ("1/x", -1, 1),
+    ])
+    def test_decisions_do_not_depend_on_scale(self, text, lo, hi):
+        # c*f has the pieces, extrema, inflections and symmetry of f, however small
+        # or large c: a derivative vanishes only within its rounding error
+        f = ca.parse(text)
+        want = ca.curve_report(f, lo, hi)
+        assert want.monotone_intervals
+        for c in (1e-13, 1e13):
+            same_report(ca.curve_report(ca.mul(ca.const(c), f), lo, hi), want)
+
     def test_odd_monomial(self):
         rep = ca.curve_report(ca.parse("x^3"), -3, 3)
         assert rep.symmetry == "odd"

@@ -1,5 +1,6 @@
 """CLI dispatch, rendering, exit codes, and determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -533,6 +534,62 @@ class TestPlumbing:
         _, out1, _ = run(["lp", "solve", lp_file], capsys)
         _, out2, _ = run(["lp", "solve", lp_file], capsys)
         assert out1 == out2
+
+
+def leaves(parser, path=()):
+    """(path, parser) for every leaf of a parser tree."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)] or [None]
+    if sub is None:
+        yield path, parser
+        return
+    for name, child in sub.choices.items():
+        yield from leaves(child, (*path, name))
+
+
+def sample_argv(path, leaf):
+    """path plus a value for every argument of the leaf: a valid command line."""
+    argv = list(path)
+    for action in leaf._actions:
+        if not action.option_strings:
+            argv.append("1")
+        elif action.nargs == 0:
+            argv += [] if isinstance(action, argparse._HelpAction) else action.option_strings[:1]
+        else:
+            argv += [action.option_strings[0], action.choices[-1] if action.choices else "1"]
+    return argv
+
+
+def node(parser, path):
+    for name in path:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+class TestParserForArgv:
+    """build_parser(argv) builds only the branch argv names; whatever argv
+    reaches must parse and print as on the full tree."""
+
+    FULL = list(leaves(build_parser()))
+
+    def test_every_leaf_is_seen(self):
+        assert len(self.FULL) == 24
+        assert ("calc", "integrate") in dict(self.FULL)
+
+    @pytest.mark.parametrize("path", [p for p, _ in FULL], ids=" ".join)
+    def test_same_help_and_namespace(self, path):
+        full = build_parser()
+        argv = sample_argv(path, node(full, path))
+        branch = build_parser(argv)
+        assert branch.parse_args(argv) == full.parse_args(argv)
+        for depth in range(len(path) + 1):  # the help at every level on the way
+            want = node(full, path[:depth]).format_help()
+            assert node(branch, path[:depth]).format_help() == want
+
+    def test_dispatch_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ecomath", "calc", "diff", "x^2"])
+        assert dispatch() == EXIT_OK
+        assert capsys.readouterr().out == "derivative  2*x\n"
 
 
 class TestNonFiniteInput:

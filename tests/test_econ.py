@@ -175,6 +175,37 @@ class TestEquilibrium:
         with pytest.raises(EconError):
             econ.equilibrium(ca.parse("10-x"), ca.parse("5-x"), 0, 4)
 
+    def test_rational_curves_are_converted_once(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        demand, supply = ca.parse("100/(1+0.01*x^2)"), ca.parse("2*x+5+0.01*x^2")
+        seen = []
+        as_rational = analysis.as_rational
+
+        def spy(e):
+            seen.append(e)
+            return as_rational(e)
+
+        monkeypatch.setattr(analysis, "as_rational", spy)
+        monkeypatch.setattr(ca, "as_rational", spy)
+        econ.equilibrium(demand, supply, 0, 60)
+        assert [e is demand for e in seen].count(True) == 1
+        assert [e is supply for e in seen].count(True) == 1
+
+    def test_rational_roots_match_roots_of_the_difference(self):
+        # the crossing comes from supply - demand on the arrays, bit for bit
+        # what roots(supply - demand) gives on the tree
+        draw = np.random.default_rng(2024)
+        for _ in range(40):
+            a, b, c, s0, s2 = draw.uniform([50, 1, 0.001, 1, 0], [150, 5, 0.05, 10, 0.05])
+            demand = ca.parse(str(draw.choice(
+                [f"{a}/(1+{c}*x^2)", f"{a}-{b}*x", f"({a}-{b}*x)/(1+{c}*x)"])))
+            supply = ca.parse(f"{s0}+{b}*x+{s2}*x^2")
+            out = econ.equilibrium(demand, supply, 0, 60)
+            assert out.p_M == ca.roots(ca.sub(supply, demand), 0, 60)[0]
+            proh = ca.roots(demand, 0, 60)
+            assert out.p_prohibitive == (proh[0] if proh else None)
+
 
 def outcome(fn, *args):
     """(exception type, message) of fn(*args), or None if it returns."""

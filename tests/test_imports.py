@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ecomath
 
 SRC = str(Path(ecomath.__file__).resolve().parents[1])
@@ -58,6 +60,20 @@ def test_calc_diff_loads_no_numpy():
     )
     assert "ecomath.calculus.expr" in modules
     assert "ecomath.calculus.analysis" not in modules
+    assert not {"numpy", "scipy"} & top_level(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["calc", "integrate", "x^3-2*x+1", "--from", "0", "--to", "2"],
+    ["calc", "elasticity", "100-2*x", "--at", "10"],
+    ["econ", "cost", "--a3", "1", "--a2", "-6", "--a1", "15", "--a0", "20"],
+    ["econ", "value", "--a", "1", "--x", "-2"],
+])
+def test_calls_on_no_array_load_no_numpy(argv):
+    # the integral of a polynomial, an elasticity, cost phases and the value
+    # function work on floats and lists, so they need no NumPy
+    modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
+    assert f"ecomath.{argv[0] if argv[0] == 'econ' else 'calculus'}" in modules
     assert not {"numpy", "scipy"} & top_level(modules)
 
 
