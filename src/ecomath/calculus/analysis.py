@@ -135,45 +135,51 @@ def _rational_sum(ra, rb, subtract: bool = False) -> tuple[np.ndarray, np.ndarra
     return _trim(_add(_mul(ra[0], rb[1]), -b if subtract else b)), _mul(ra[1], rb[1])
 
 
+def _rational_shape(e: Expr) -> bool:
+    """Whether e is built from constants, x, +, -, *, / and integer constant
+    powers only: the one walk that decides whether as_rational converts e."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)  # node classes have no subclasses
+        if kind in (Add, Sub, Mul, Div):
+            stack += node.a, node.b
+        elif kind is Neg:
+            stack.append(node.a)
+        elif kind is Pow:
+            if type(node.exponent) is not Const or not node.exponent.value.is_integer():
+                return False
+            stack.append(node.base)
+        elif kind is not Const and kind is not Var:
+            return False
+    return True
+
+
 def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(numerator, denominator) coefficient arrays (low to high) when the
-    expression is a ratio of polynomials, else None.  A power whose degree
-    would pass MAX_DEGREE is a NumericalError before it is expanded."""
+    expression is a ratio of polynomials, else None.
+
+    Whether every node is rational-shaped is decided on the whole tree before
+    anything is converted, so a tree with exp, ln or |.| anywhere is None.  In
+    a rational-shaped tree every operand is converted, and a power whose
+    degree would pass MAX_DEGREE is a NumericalError before it is expanded,
+    wherever in the tree it stands; a divisor that cancels to zero makes the
+    tree None."""
+    return _to_rational(e) if _rational_shape(e) else None
+
+
+def _to_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
     import numpy as np
-    one = np.array([1.0])
     if isinstance(e, Const):
-        return np.array([e.value]), one
+        return np.array([e.value]), np.array([1.0])
     if isinstance(e, Var):
-        return np.array([0.0, 1.0]), one
+        return np.array([0.0, 1.0]), np.array([1.0])
     if isinstance(e, Neg):
-        r = as_rational(e.a)
+        r = _to_rational(e.a)
         return (-r[0], r[1]) if r else None
-    if isinstance(e, (Add, Sub)):
-        ra = as_rational(e.a)
-        rb = ra and as_rational(e.b)  # no need to convert b when a is not rational
-        if not ra or not rb:
-            return None
-        return _rational_sum(ra, rb, subtract=isinstance(e, Sub))
-    if isinstance(e, Mul):
-        ra = as_rational(e.a)
-        rb = ra and as_rational(e.b)
-        if not ra or not rb:
-            return None
-        return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
-    if isinstance(e, Div):
-        ra = as_rational(e.a)
-        rb = ra and as_rational(e.b)
-        if not ra or not rb or not rb[0].any():  # a zero divisor is defined nowhere
-            return None
-        return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
     if isinstance(e, Pow):
-        if not isinstance(e.exponent, Const):
-            return None
-        k = e.exponent.value
-        if k != int(k):
-            return None
-        k = int(k)
-        r = as_rational(e.base)
+        k = int(e.exponent.value)
+        r = _to_rational(e.base)
         if not r or (k < 0 and not r[0].any()):
             return None
         if (n := abs(k) * (max(len(r[0]), len(r[1])) - 1)) > MAX_DEGREE:
@@ -184,7 +190,16 @@ def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         if k < 0:
             num, den = den, num
         return _trim(num), _trim(den)
-    return None
+    ra, rb = _to_rational(e.a), _to_rational(e.b)
+    if not ra or not rb:
+        return None
+    if isinstance(e, (Add, Sub)):
+        return _rational_sum(ra, rb, subtract=isinstance(e, Sub))
+    if isinstance(e, Mul):
+        return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
+    if not rb[0].any():  # a zero divisor is defined nowhere
+        return None
+    return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
 
 
 def poly_coeffs(e: Expr) -> Optional[np.ndarray]:

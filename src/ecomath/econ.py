@@ -43,12 +43,12 @@ def _monotone_flaw(f: _Fn, lo: float, hi: float, increasing: bool) -> Optional[s
     """For a rational f, "" if it is strictly increasing (decreasing) on [lo, hi]
     (the sign pieces of f' merge into one that covers it: f' may vanish at
     points, a pole splits it), else where it is not; None for any other f."""
-    if not (rat := f.rat):
+    if not f.rat:
         return None
-    undefined = an._in_window(an.poly_real_roots(rat[1]), lo, hi)
-    poles = an._in_window(undefined, lo, hi, an.poly_real_roots(rat[0])) if undefined else []
+    undefined = an._in_window(f.den_roots, lo, hi)
+    poles = an._in_window(undefined, lo, hi, f.num_roots) if undefined else []
     want = "increasing" if increasing else "decreasing"
-    d = an._rational_derivative(*rat)
+    d = an._rational_derivative(*f.rat)
     pieces, _ = an._sign_intervals(d, poles, undefined, lo, hi, "increasing", "decreasing")
     if pieces == ((lo, hi, want),):
         return ""
@@ -62,12 +62,18 @@ def _monotone_flaw(f: _Fn, lo: float, hi: float, increasing: bool) -> Optional[s
 class _Fn:
     """f(x), its derivative and its roots in a window: for a rational f from its
     (num, den) arrays (converted once, or given as rat) by Horner's rule,
-    _rational_derivative and poly_real_roots; otherwise from its tree."""
+    _rational_derivative and poly_real_roots; otherwise from its tree.
+
+    Each is worked out once and kept on the instance: f' (d), the roots in
+    each window asked for, and for a rational f the real roots of num and den,
+    which _monotone_flaw reads too.  The kept roots are shared; callers only
+    read them."""
 
     def __init__(self, e: Optional[Expr], rat=None):
         self.e, self.rat = e, rat if e is None else ca.as_rational(e)
         if self.rat:
             self.num, self.den = self.rat[0].tolist(), self.rat[1].tolist()
+        self._roots: dict[tuple[float, float], list[float]] = {}
 
     def __call__(self, x: float) -> float:
         if self.rat:
@@ -79,10 +85,20 @@ class _Fn:
         return _Fn(None, an._rational_derivative(*self.rat)) if self.rat else _Fn(
             ca.differentiate(self.e))
 
+    @functools.cached_property
+    def num_roots(self) -> list[float]:
+        return an.poly_real_roots(self.num)
+
+    @functools.cached_property
+    def den_roots(self) -> list[float]:
+        return an.poly_real_roots(self.den)
+
     def roots(self, lo: float, hi: float) -> list[float]:
-        if self.rat:
-            return an._in_window(an.poly_real_roots(self.num), lo, hi, an.poly_real_roots(self.den))
-        return ca.roots(self.e, lo, hi)
+        if (lo, hi) not in self._roots:
+            self._roots[lo, hi] = (
+                an._in_window(self.num_roots, lo, hi, self.den_roots) if self.rat
+                else ca.roots(self.e, lo, hi))
+        return self._roots[lo, hi]
 
     def best_maximum(self, lo: float, hi: float) -> Optional[float]:
         """The stationary point in [lo, hi] with f'' < 0 where f is largest, or None."""
@@ -207,7 +223,13 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """A monopolist's unit-price function p(x) and cost model on [0, x_max]."""
+    """A monopolist's unit-price function p(x) and cost model on [0, x_max].
+
+    profit is the profit function G = x p(x) - K(x) as a _Fn, built on first
+    use and kept with the model (not a field: equality and hash see only
+    price, cost and x_max), so G, G', G'' and the roots of G' are converted
+    and solved once for all the analyses of one model.
+    """
 
     price: Expr
     cost: CostModel
@@ -233,6 +255,10 @@ class MarketModel:
     def profit_expr(self) -> Expr:
         return ca.sub(self.revenue_expr(), self.cost.expr())
 
+    @functools.cached_property
+    def profit(self) -> _Fn:
+        return _Fn(self.profit_expr())
+
 
 @dataclass(frozen=True)
 class ProfitAnalysis(_Record):
@@ -246,11 +272,12 @@ class ProfitAnalysis(_Record):
 def profit_analysis(m: MarketModel) -> ProfitAnalysis:
     """Break-even point, end of the profitable zone, and profit maximum.
 
-    A rational G is converted once and solved on its coefficient arrays (_Fn);
-    the gap |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that
-    never turns a profit, say) are reported as None rather than raised.
+    G is m.profit, so what is solved here is kept for cournot on the same
+    model; a rational G is solved on its coefficient arrays (_Fn).  The gap
+    |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that never
+    turns a profit, say) are reported as None rather than raised.
     """
-    G = _Fn(m.profit_expr())
+    G = m.profit
     x_S = x_G = None
     for r in G.roots(0.0, m.x_max):
         slope = G.d(r)
@@ -276,8 +303,9 @@ class CournotPoint(_Record):
 def cournot(m: MarketModel) -> CournotPoint:
     """The profit-optimal quantity/price pair, cross-checked against the
     Amoroso-Robinson relation p(x_M) = K'(x_M) / (1 + eps_p(x_M)); x_M as in
-    profit_analysis, whose zeros of G it skips."""
-    x_M = _Fn(m.profit_expr()).best_maximum(0.0, m.x_max)
+    profit_analysis, from the same m.profit, so after profit_analysis on the
+    model it solves nothing again (and it skips the zeros of G)."""
+    x_M = m.profit.best_maximum(0.0, m.x_max)
     if x_M is None:
         raise EconError("no profit maximum in the window; Cournot point undefined")
     p_M = ca.evaluate(m.price, x_M)

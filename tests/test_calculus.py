@@ -497,6 +497,18 @@ class TestAsRational:
             ca.as_rational(ca.parse("1/x^2001"))
         assert len(ca.poly_coeffs(ca.parse("(x^2+1)^1000"))) == 2001
 
+    def test_refusal_does_not_depend_on_operand_order(self):
+        # a tree with exp(x) anywhere is not rational, so its power is never expanded
+        for text in ("x^3000+exp(x)", "exp(x)+x^3000"):
+            assert ca.as_rational(ca.parse(text)) is None
+            assert ca.roots(ca.parse(text), -1, 0.5) == []
+        # in a rational-shaped tree the power is refused wherever it stands
+        for text in ("x^3000+1/(2*x-x-x)", "1/(2*x-x-x)+x^3000"):
+            with pytest.raises(NumericalError, match="degree 3000 exceeds"):
+                ca.as_rational(ca.parse(text))
+        with pytest.raises(NumericalError, match="degree 20000 exceeds"):
+            ca.roots(ca.parse("x^20000-1"), -1, 0.5)
+
 
 def random_rational(rng, depth):
     """A tree of sums, differences, products, quotients, negations and integer

@@ -206,6 +206,13 @@ class TestExpressionLimits:
         assert "degree 20000 exceeds MAX_DEGREE = 2000" in err
         assert time.perf_counter() - start < 10.0
 
+    def test_over_degree_power_in_a_non_rational_tree_exit_0(self, capsys):
+        code, out, err = run(
+            ["--format", "json", "calc", "roots", "x^3000+exp(x)", "--window=-1:0.5"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["roots"] == []
+
 
 class TestSolveAndLinalg:
     def test_unique_system(self, tmp_path, capsys):

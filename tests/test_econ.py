@@ -192,6 +192,23 @@ class TestEquilibrium:
         assert [e is demand for e in seen].count(True) == 1
         assert [e is supply for e in seen].count(True) == 1
 
+    def test_the_demand_denominator_is_solved_once_per_owner(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        demand, supply = ca.parse("100/(1+0.01*x^2)"), ca.parse("2*x+5")
+        calls = []
+        poly_real_roots = analysis.poly_real_roots
+        monkeypatch.setattr(analysis, "poly_real_roots",
+                            lambda c: calls.append(list(c)) or poly_real_roots(c))
+        econ.equilibrium(demand, supply, 0, 60)
+        # N.roots reads the denominator roots that the monotonicity check found;
+        # the crossing's own denominator is another _Fn's
+        assert len(calls) == 7 and calls.count([1.0, 0.0, 0.01]) == 2
+        calls.clear()
+        econ.market_strategies(demand, supply, 0, 60)
+        # and integrate's pole check solves the demand's tree once more
+        assert len(calls) == 9 and calls.count([1.0, 0.0, 0.01]) == 3
+
     def test_rational_roots_match_roots_of_the_difference(self):
         # the crossing comes from supply - demand on the arrays, bit for bit
         # what roots(supply - demand) gives on the tree
@@ -367,6 +384,7 @@ class TestProfitOnArrays:
     def test_one_conversion_and_no_tree_derivatives_of_G(self, monkeypatch):
         from ecomath.calculus import analysis
 
+        m = MarketModel(MARKET.price, MARKET.cost, MARKET.x_max)  # nothing solved on it yet
         calls = {"as_rational": [], "differentiate": [], "roots": []}
         for name, log in calls.items():
             fn = getattr(ca, name)
@@ -374,13 +392,31 @@ class TestProfitOnArrays:
             monkeypatch.setattr(ca, name, wrapped)
             if name != "as_rational":  # which recurses through analysis' global
                 monkeypatch.setattr(analysis, name, wrapped)
-        for step in (econ.profit_analysis, econ.cournot):
-            for log in calls.values():
-                log.clear()
-            assert step(MARKET).x_M == pytest.approx(3.775, abs=1e-3)
-            assert calls["as_rational"] == [MARKET.profit_expr()]
-            assert calls["roots"] == []
-            assert all(e == MARKET.price for e in calls["differentiate"])
+        pa, cp = econ.profit_analysis(m), econ.cournot(m)
+        assert pa.x_M == cp.x_M == pytest.approx(3.775, abs=1e-3)
+        # the two steps together convert G once: cournot reads what profit_analysis solved
+        assert calls["as_rational"] == [m.profit_expr()]
+        assert calls["roots"] == []
+        assert all(e == m.price for e in calls["differentiate"])
+
+    def test_cournot_reuses_the_roots_of_an_exponential_price(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        price, cost = ca.parse("60*exp(-0.1*x)"), CostModel(1, -6, 15, 4)
+        m, fresh = MarketModel(price, cost, 10.0), MarketModel(price, cost, 10.0)
+        calls = []
+        roots = analysis.roots
+        spy = lambda e, *a, **k: calls.append(e) or roots(e, *a, **k)
+        monkeypatch.setattr(ca, "roots", spy)
+        monkeypatch.setattr(analysis, "roots", spy)
+        pa = econ.profit_analysis(m)
+        cp = econ.cournot(m)
+        assert len(calls) == 2  # the zeros of G and of G', each solved once
+        assert pa.x_M is not None and cp.x_M == pa.x_M == econ.cournot(fresh).x_M
+        # the kept G is no field: the model stays frozen, equal and hashed as before
+        assert m == fresh and hash(m) == hash(fresh)
+        with pytest.raises(AttributeError):
+            m.x_max = 5.0
 
     def test_ratio_optimum_agrees_with_the_tree_path(self):
         G = MARKET.profit_expr()
