@@ -332,9 +332,13 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     rat = as_rational(e)
     if rat:
         return _in_window(poly_real_roots(rat[0]), lo, hi, poly_real_roots(rat[1]), tol)
+    return _scan_roots(e, differentiate(e), lo, hi, tol)
 
+
+def _scan_roots(e: Expr, deriv: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
+    """roots' sign-change scan of e on [lo, hi]; deriv is e', given by the
+    caller so that one who keeps e' does not take it again."""
     import numpy as np
-    deriv = differentiate(e)
 
     def f(x):
         return evaluate(e, x)

@@ -97,7 +97,7 @@ class _Fn:
         if (lo, hi) not in self._roots:
             self._roots[lo, hi] = (
                 an._in_window(self.num_roots, lo, hi, self.den_roots) if self.rat
-                else ca.roots(self.e, lo, hi))
+                else an._scan_roots(self.e, self.d.e, lo, hi))
         return self._roots[lo, hi]
 
     def best_maximum(self, lo: float, hi: float) -> Optional[float]:
@@ -225,10 +225,11 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 class MarketModel:
     """A monopolist's unit-price function p(x) and cost model on [0, x_max].
 
-    profit is the profit function G = x p(x) - K(x) as a _Fn, built on first
-    use and kept with the model (not a field: equality and hash see only
-    price, cost and x_max), so G, G', G'' and the roots of G' are converted
-    and solved once for all the analyses of one model.
+    profit is the profit function G = x p(x) - K(x) as a _Fn, and
+    price_slope the tree of p'; each is built on first use and kept with the
+    model (not a field: equality and hash see only price, cost and x_max), so
+    G, G', G'' and the roots of G' are converted and solved, and p' taken,
+    once for all the analyses of one model.
     """
 
     price: Expr
@@ -241,7 +242,7 @@ class MarketModel:
         if (flaw := _monotone_flaw(_Fn(self.price), 0.0, self.x_max, increasing=False)) == "":
             return
         import numpy as np
-        dp = ca.differentiate(self.price)  # the grid names the first offending point
+        dp = self.price_slope  # the grid names the first offending point
         grid = np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID)
         for x in _suspects(dp, grid, lambda v: v >= 0):
             if ca.evaluate(dp, float(x)) >= 0:
@@ -258,6 +259,10 @@ class MarketModel:
     @functools.cached_property
     def profit(self) -> _Fn:
         return _Fn(self.profit_expr())
+
+    @functools.cached_property
+    def price_slope(self) -> Expr:  # p', taken once
+        return ca.differentiate(self.price)
 
 
 @dataclass(frozen=True)
@@ -309,7 +314,7 @@ def cournot(m: MarketModel) -> CournotPoint:
     if x_M is None:
         raise EconError("no profit maximum in the window; Cournot point undefined")
     p_M = ca.evaluate(m.price, x_M)
-    eps_p = x_M * ca.evaluate(ca.differentiate(m.price), x_M) / p_M
+    eps_p = x_M * ca.evaluate(m.price_slope, x_M) / p_M
     if abs(1.0 + eps_p) <= 1e-12:
         raise EconError("price elasticity is -1 at the optimum; relation degenerates")
     residual = abs(p_M - m.cost.marginal(x_M) / (1.0 + eps_p))

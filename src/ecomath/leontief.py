@@ -109,9 +109,10 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
 
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
-    """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2),
-    and what eliminating [I - P | y] gives, bit for bit up to ONE_PANEL
-    sectors (``linsolve.replay``)."""
+    """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2)
+    (``linsolve.replay``).  Up to ONE_PANEL (32) sectors that is bit for bit
+    what eliminating [I - P | y] as one panel gives; from 33 sectors on, one
+    matrix product per panel of NB columns, equal to it up to rounding."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
     q = linsolve.replay(m.elimination, y.to_array())

@@ -17,8 +17,8 @@ from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 from .numeric import NumericalError
 
 PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
-ONE_PANEL = 128  # at most this many columns: one panel, one rank-1 update per pivot
-NB = 16  # columns per panel above ONE_PANEL
+ONE_PANEL = 32  # at most this many columns: one panel, one rank-1 update per pivot
+NB = 16  # columns per panel above ONE_PANEL; 2 NB is the measured crossover
 
 
 class SingularMatrixError(ValueError):
@@ -86,13 +86,14 @@ def _gauss_jordan(a: np.ndarray, steps: Optional[list] = None):
     (mant, expo)) with det_factor = mant * 2**expo, kept apart so that the
     product of the pivots cannot overflow on the way.
 
-    Up to ONE_PANEL columns, a is one panel: one rank-1 update per pivot, and
-    steps, if given, gets (0, ((swapped row, pivot, multipliers), ...), None).
-    Wider, each panel of NB columns is reduced on rows r0 on, in a copy whose
-    NB more columns collect its transform's columns G at the pivot rows r0,
-    r0+1, ...; the rows above then take the pivot rows in one product, the
-    columns to the right G in another, and steps gets (r0, swapped rows, G).
-    Rows r0 on are zero left of the panel, so swaps need not touch them."""
+    Up to ONE_PANEL (32) columns, a is one panel: one rank-1 update per pivot,
+    and steps, if given, gets (0, ((swapped row, pivot, multipliers), ...),
+    None).  Wider, each panel of NB columns is reduced on rows r0 on, in a
+    copy whose NB more columns collect its transform's columns G at the pivot
+    rows r0, r0+1, ...; the rows above then take the pivot rows in one
+    product, the columns to the right G in another, and steps gets (r0,
+    swapped rows, G).  Rows r0 on are zero left of the panel, so swaps need
+    not touch them."""
     m, n = a.shape
     tol = PIVOT_TOL * np.abs(a).max()
     nb = n if n <= ONE_PANEL else NB
@@ -165,8 +166,10 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
     Pivots are chosen by maximum absolute value, ties broken by smallest row
     index; a column whose candidates are all within PIVOT_TOL times the
     largest entry of M has no pivot, so the rank does not depend on the scale
-    of M.  If ``steps`` is a list, the row operations are recorded in it for
-    ``replay``, one entry per panel.
+    of M.  Above ONE_PANEL (32) columns the panel products round in another
+    order than one rank-1 update per pivot, so a candidate within rounding of
+    that tolerance can take the other side of it.  If ``steps`` is a list,
+    the row operations are recorded in it for ``replay``, one entry per panel.
     """
     a = M.to_array().copy()
     rk, pivot_cols, (mant, expo) = _gauss_jordan(a, steps)
@@ -176,9 +179,10 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
 
 def replay(steps: list, b) -> np.ndarray:
     """The row operations recorded by ``rref(M, steps)`` applied to a copy of
-    b (one or more columns): what eliminating [M | b] leaves there, bit for
-    bit up to ONE_PANEL columns of M.  Wider, each panel is one matrix
-    product, which sums in another order than the elimination of [M | b]."""
+    b (one or more columns): up to ONE_PANEL (32) columns of M, what
+    eliminating [M | b] as one panel leaves there, bit for bit.  Wider, each
+    panel is one matrix product, which sums in another order than the
+    elimination of [M | b], so the two agree to rounding."""
     b = np.array(b, dtype=float)
     for r0, pivots, G in steps:
         if G is not None:

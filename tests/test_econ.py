@@ -405,10 +405,9 @@ class TestProfitOnArrays:
         price, cost = ca.parse("60*exp(-0.1*x)"), CostModel(1, -6, 15, 4)
         m, fresh = MarketModel(price, cost, 10.0), MarketModel(price, cost, 10.0)
         calls = []
-        roots = analysis.roots
-        spy = lambda e, *a, **k: calls.append(e) or roots(e, *a, **k)
-        monkeypatch.setattr(ca, "roots", spy)
-        monkeypatch.setattr(analysis, "roots", spy)
+        scan = analysis._scan_roots
+        monkeypatch.setattr(analysis, "_scan_roots",
+                            lambda e, *a, **k: calls.append(e) or scan(e, *a, **k))
         pa = econ.profit_analysis(m)
         cp = econ.cournot(m)
         assert len(calls) == 2  # the zeros of G and of G', each solved once
@@ -417,6 +416,23 @@ class TestProfitOnArrays:
         assert m == fresh and hash(m) == hash(fresh)
         with pytest.raises(AttributeError):
             m.x_max = 5.0
+
+    def test_each_derivative_of_an_exponential_price_is_taken_once(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        calls = []
+        differentiate = ca.differentiate
+        spy = lambda e: calls.append(e) or differentiate(e)
+        monkeypatch.setattr(ca, "differentiate", spy)
+        monkeypatch.setattr(analysis, "differentiate", spy)
+        # the grid check takes p' and keeps it for cournot
+        m = MarketModel(ca.parse("60*exp(-0.1*x)"), CostModel(1, -6, 15, 4), 10.0)
+        econ.profit_analysis(m)
+        econ.cournot(m)
+        G = m.profit
+        # p', G' (the scan's Newton step and the sign of G' at the zeros of G)
+        # and G'' (the scan of G' and the sign of G'' at its zeros): once each
+        assert calls == [m.price, G.e, G.d.e]
 
     def test_ratio_optimum_agrees_with_the_tree_path(self):
         G = MARKET.profit_expr()

@@ -113,7 +113,7 @@ def test_leontief_model_eliminates_once(monkeypatch):
     assert calls == [n]
 
 
-# Above ONE_PANEL columns the kernel works in panels; the oracle is the same
+# Above ONE_PANEL (32) columns the kernel works in panels; the oracle is the same
 # kernel as one panel (ONE_PANEL raised past the width), one rank-1 update
 # per pivot.  A matrix product sums in another order, so values agree to
 # rounding, and rank decisions agree away from PIVOT_TOL.
@@ -128,7 +128,7 @@ def assert_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [129, 200, 300])
+@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 50, 100, 129, 200, 300])
 def test_blocked_rref_and_inverse_match_one_panel(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n + 7))  # 7 more columns: R is not just I
@@ -144,8 +144,8 @@ def test_blocked_rref_and_inverse_match_one_panel(n):
     assert np.abs(A[:, :n] @ inv - np.eye(n)).max() <= 1e-10
 
 
-@given(st.integers(130, 200), st.integers(130, 200), st.integers(0, 60),
-       st.sampled_from([1.0, 3.0, 7.0]), st.integers(0, 2**32 - 1))
+@given(st.integers(linsolve.ONE_PANEL + 1, 200), st.integers(linsolve.ONE_PANEL + 1, 200),
+       st.integers(0, 60), st.sampled_from([1.0, 3.0, 7.0]), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_blocked_rank_deficient_matches_one_panel(m, n, k, d, seed):
     rng = np.random.default_rng(seed)
@@ -179,3 +179,24 @@ def test_blocked_determinant():
         sign * np.exp(logdet), rel=1e-12)
     A[:, 150] = A[:, :150] @ rng.standard_normal(150)  # rank 199
     assert linsolve.determinant(Matrix.from_array(A)) == 0.0
+
+
+def test_blocked_determinant_at_100_columns():
+    A = np.random.default_rng(100).standard_normal((100, 100))
+    sign, logdet = np.linalg.slogdet(A)
+    assert linsolve.determinant(Matrix.from_array(A)) == pytest.approx(
+        sign * np.exp(logdet), rel=1e-12)
+
+
+def test_replay_equals_one_panel_elimination_at_one_panel_columns():
+    # the widest A that is one panel: replay repeats bit for bit what
+    # eliminating [A | b] as one panel leaves, though [A | b] is wider
+    n = linsolve.ONE_PANEL
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    steps = []
+    linsolve.rref(Matrix.from_array(A), steps)
+    assert len(steps) == 1 and steps[0][2] is None  # one panel
+    R, _, _, _ = one_panel(linsolve.rref, Matrix.from_array(np.hstack([A, b])))
+    assert np.array_equal(linsolve.replay(steps, b), R.to_array()[:, n:])
