@@ -158,7 +158,7 @@ def test_blocked_rank_deficient_matches_one_panel(m, n, k, d, seed):
     assert rank == np.linalg.matrix_rank(B @ C)
 
 
-@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 300])
+@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 129, 300])
 def test_blocked_replay_equals_augmented_elimination(n):
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n))
