@@ -1,10 +1,13 @@
 """Numeric/structural analysis on expression trees: tangents, elasticities,
 root finding, polynomial machinery, curve reports, and definite integration.
-Only the functions that work on arrays import NumPy.
+Only the functions that work on arrays import NumPy.  Whether f is a ratio of
+polynomials, solved on its (num, den) arrays, or a tree, scanned on a grid, is
+decided in _Fn alone: roots, curve_report and the econ analyses use it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -133,6 +136,13 @@ def _rational_sum(ra, rb, subtract: bool = False) -> tuple[np.ndarray, np.ndarra
     """ra + rb (ra - rb) for (num, den) pairs, as as_rational takes a sum."""
     b = _mul(rb[0], ra[1])
     return _trim(_add(_mul(ra[0], rb[1]), -b if subtract else b)), _mul(ra[1], rb[1])
+
+
+def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
+    import numpy as np
+    dn, dd = (np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0.0 for c in (num, den))
+    return _trim(_add(_mul(dn, den), -_mul(num, dd))), _mul(den, den)
 
 
 def _rational_shape(e: Expr) -> bool:
@@ -312,6 +322,91 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
             and all(abs(r - o) > 1e-9 * max(1.0, abs(r)) for o in exclude)]
 
 
+class _Fn:
+    """f(x), its derivative and its roots in a window: for a rational f from its
+    (num, den) arrays (converted once, or given as rat) by Horner's rule,
+    _rational_derivative and poly_real_roots; otherwise from its tree.
+
+    Each is worked out once and kept on the instance: f' (d), the roots in
+    each window asked for, and for a rational f the real roots of num and den,
+    which sign_pieces reads too.  The kept roots are shared; callers only
+    read them."""
+
+    def __init__(self, e: Optional[Expr], rat=None):
+        self.e, self.rat = e, rat if e is None else as_rational(e)
+        if self.rat:
+            self.num, self.den = self.rat[0].tolist(), self.rat[1].tolist()
+        self._roots: dict[tuple[float, float, float], list[float]] = {}
+
+    def __call__(self, x: float) -> float:
+        if self.rat:
+            return _horner(self.num, x) / _horner(self.den, x)
+        return evaluate(self.e, x)
+
+    @functools.cached_property
+    def d(self) -> _Fn:  # f', taken once
+        return _Fn(None, _rational_derivative(*self.rat)) if self.rat else _Fn(
+            differentiate(self.e))
+
+    @functools.cached_property
+    def num_roots(self) -> list[float]:
+        return poly_real_roots(self.num)
+
+    @functools.cached_property
+    def den_roots(self) -> list[float]:
+        return poly_real_roots(self.den)
+
+    def roots(self, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
+        """What roots(f.e, lo, hi, tol) gives, with no check that lo < hi."""
+        if (lo, hi, tol) not in self._roots:
+            self._roots[lo, hi, tol] = (
+                _in_window(self.num_roots, lo, hi, self.den_roots, tol) if self.rat
+                else _scan_roots(self, lo, hi, tol))
+        return self._roots[lo, hi, tol]
+
+    def best_maximum(self, lo: float, hi: float) -> Optional[float]:
+        """The stationary point in [lo, hi] with f'' < 0 where f is largest, or None."""
+        maxima = []
+        for r in self.d.roots(lo, hi):
+            try:
+                if self.d.d(r) < 0:
+                    maxima.append(r)
+            except EvalDomainError:
+                pass
+        return max(maxima, key=self) if maxima else None
+
+    def sign_pieces(self, g: _Fn, lo, hi, pos_label, neg_label):
+        """For a rational f and g (f' or f''): the poles of f in [lo, hi]; the
+        pieces (a, b, label) of [lo, hi] cut at the real roots of g's numerator
+        and the points where f is undefined, labelled by the sign of g (left out
+        where g's numerator is within _monotone_roots' rounding bound at the
+        midpoint, whatever g's scale) and merged across a cut that is no pole;
+        and (x, label left of x) where the sign changes at a point where f is
+        defined (not at a pole or hole)."""
+        undefined = _in_window(self.den_roots, lo, hi)
+        poles = _in_window(undefined, lo, hi, self.num_roots) if undefined else []
+        anum = [abs(v) for v in g.num]
+        cuts = _in_window(g.num_roots, lo, hi, exclude=undefined) + undefined
+        pts = sorted({lo, hi, *(p for p in cuts if lo < p < hi)})
+        out: list[tuple[float, float, str]] = []
+        changes: list[tuple[float, str]] = []
+        for a, b in zip(pts[:-1], pts[1:]):
+            mid = 0.5 * (a + b)
+            y, d = _horner(g.num, mid), _horner(g.den, mid)
+            err = 2.0 * len(g.num) * 2.0 ** -52 * _horner(anum, abs(mid))
+            if not d or abs(y) <= err and not math.isinf(y):
+                continue
+            label = pos_label if y / d > 0 else neg_label
+            if out and out[-1][1] == a and a not in poles:
+                if out[-1][2] == label:
+                    out[-1] = (out[-1][0], b, label)
+                    continue
+                if a not in undefined:
+                    changes.append((a, out[-1][2]))
+            out.append((a, b, label))
+        return poles, tuple(out), changes
+
+
 def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     """All roots of e on [lo, hi].
 
@@ -329,22 +424,16 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    rat = as_rational(e)
-    if rat:
-        return _in_window(poly_real_roots(rat[0]), lo, hi, poly_real_roots(rat[1]), tol)
-    return _scan_roots(e, differentiate(e), lo, hi, tol)
+    return _Fn(e).roots(lo, hi, tol)
 
 
-def _scan_roots(e: Expr, deriv: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
-    """roots' sign-change scan of e on [lo, hi]; deriv is e', given by the
-    caller so that one who keeps e' does not take it again."""
+def _scan_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
+    """roots' sign-change scan of the tree f.e on [lo, hi], polished with f.d.e."""
     import numpy as np
 
-    def f(x):
-        return evaluate(e, x)
-
+    deriv = f.d.e
     grid = np.linspace(lo, hi, GRID_CELLS + 1)
-    values, _ = evaluate_many(e, grid)  # NaN where e is undefined or overflows
+    values, _ = evaluate_many(f.e, grid)  # NaN where e is undefined or overflows
     with np.errstate(over="ignore", invalid="ignore"):
         ends = values[:-1] * values[1:]
     # cells that start at a zero or change sign; a NaN end rules a cell out
@@ -432,42 +521,6 @@ def _poly_close(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(abs(_add(a, -b)).max() <= 1e-9 * scale)
 
 
-def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
-    import numpy as np
-    dn, dd = (np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0.0 for c in (num, den))
-    return _trim(_add(_mul(dn, den), -_mul(num, dd))), _mul(den, den)
-
-
-def _sign_intervals(rat, poles, undefined, lo, hi, pos_label, neg_label):
-    """Pieces (a, b, label) of [lo, hi] cut at the numerator's real roots and the
-    points where f is undefined, labelled by the sign of num/den (left out where
-    num is within _monotone_roots' rounding bound at the midpoint, whatever f's
-    scale) and merged across a cut that is no pole; and (x, label left of x)
-    where the sign changes at a point where f is defined (not at a pole or hole)."""
-    num, den = rat[0].tolist(), rat[1].tolist()
-    anum = [abs(v) for v in num]
-    cuts = _in_window(poly_real_roots(num), lo, hi, exclude=undefined) + undefined
-    pts = sorted({lo, hi, *(p for p in cuts if lo < p < hi)})
-    out: list[tuple[float, float, str]] = []
-    changes: list[tuple[float, str]] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        y, d = _horner(num, mid), _horner(den, mid)
-        err = 2.0 * len(num) * 2.0 ** -52 * _horner(anum, abs(mid))
-        if not d or abs(y) <= err and not math.isinf(y):
-            continue
-        label = pos_label if y / d > 0 else neg_label
-        if out and out[-1][1] == a and a not in poles:
-            if out[-1][2] == label:
-                out[-1] = (out[-1][0], b, label)
-                continue
-            if a not in undefined:
-                changes.append((a, out[-1][2]))
-        out.append((a, b, label))
-    return tuple(out), changes
-
-
 def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     """Curve sketch of a polynomial or rational function over a window:
     symmetry, roots, extrema, inflections, monotonicity, curvature, asymptotes
@@ -477,29 +530,22 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     where numerator and denominator vanish together."""
     import numpy as np
     from numpy.polynomial import polynomial as P
-    rat = as_rational(e)
-    if rat is None:
+    f = _Fn(e)
+    if f.rat is None:
         raise UnsupportedExpressionError(
             f"curve reports support polynomials and rational functions, got {to_string(e)}"
         )
-    num, den = rat
+    num, den = f.rat
 
     # symmetry, tested structurally on the coefficients: f(-x) against f(x)
     a, b = _mul(_poly_reflect(num), den), _mul(num, _poly_reflect(den))
     symmetry = "even" if _poly_close(a, b) else "odd" if _poly_close(a, -b) else "none"
 
-    num_roots, den_roots = poly_real_roots(num), poly_real_roots(den)
-    poles = _in_window(den_roots, lo, hi, exclude=num_roots)
+    f_roots = f.roots(lo, hi)
+    poles, monotone, turns = f.sign_pieces(f.d, lo, hi, "increasing", "decreasing")
+    _, curvature_iv, bends = f.sign_pieces(f.d.d, lo, hi, "convex", "concave")
     domain = "all reals" if not poles else (
         "all reals except " + ", ".join(f"{p:.6g}" for p in poles)
-    )
-    f_roots = _in_window(num_roots, lo, hi, exclude=den_roots)
-
-    undefined = _in_window(den_roots, lo, hi)
-    d1 = _rational_derivative(num, den)
-    monotone, turns = _sign_intervals(d1, poles, undefined, lo, hi, "increasing", "decreasing")
-    curvature_iv, bends = _sign_intervals(
-        _rational_derivative(*d1), poles, undefined, lo, hi, "convex", "concave"
     )
     extrema = [(x, "min" if k == "decreasing" else "max") for x, k in turns]
     inflections = [x for x, _ in bends]

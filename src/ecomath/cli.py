@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -101,15 +102,28 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _finite(text: str) -> float:
+    """A finite float from text: the type of every number flag, and how
+    --window and --cost read theirs.  NaN and +-inf are refused here, so no
+    computation sees them and no output carries them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_window(spec: str) -> tuple[float, float]:
     lo, _, hi = spec.partition(":")
     if not _:
         raise ValueError(f"window must look like LO:HI, got {spec!r}")
-    return float(lo), float(hi)
+    return _finite(lo), _finite(hi)
 
 
 def _parse_coeffs(spec: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in spec.split(","))
+    return tuple(_finite(v) for v in spec.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +268,10 @@ def _cmd_econ(args):
         return econ.cost_analysis(model).to_dict()
     if op == "profit":
         a3, a2, a1, a0 = _parse_coeffs(args.cost)
-        _, x_max = _parse_window(args.window)
+        lo, x_max = _parse_window(args.window)
+        if lo != 0:
+            raise ValueError(f"--window must start at 0 (a market model lives on "
+                             f"[0, x_max]), got {args.window!r}")
         market = econ.MarketModel(
             price=ca.parse(args.price),
             cost=econ.CostModel(a3=a3, a2=a2, a1=a1, a0=a0),
@@ -326,39 +343,39 @@ def _lp_args(leaves):
 def _finance_args(leaves):
     for name, flags in (("compound", "K0 Kn q n"), ("installment", "Kn E q n")):
         for flag in flags.split():
-            leaves[name].add_argument(f"--{flag}", type=float)
+            leaves[name].add_argument(f"--{flag}", type=_finite)
     p = leaves["effective"]
-    p.add_argument("--p", type=float, required=True, help="nominal rate, percent")
+    p.add_argument("--p", type=_finite, required=True, help="nominal rate, percent")
     p.add_argument("--m", type=int, required=True, help="periods per year")
     p = leaves["redemption"]
-    p.add_argument("--R0", type=float, required=True, help="initial debt")
-    p.add_argument("--p", type=float, required=True, help="interest rate, percent")
-    p.add_argument("--t", type=float, help="initial redemption rate, percent")
-    p.add_argument("--A", type=float, help="annuity, currency units")
+    p.add_argument("--R0", type=_finite, required=True, help="initial debt")
+    p.add_argument("--p", type=_finite, required=True, help="interest rate, percent")
+    p.add_argument("--t", type=_finite, help="initial redemption rate, percent")
+    p.add_argument("--A", type=_finite, help="annuity, currency units")
     p.add_argument("--horizon", type=int, help="limit the schedule length")
     p = leaves["pension"]
-    p.add_argument("--K0", type=float, required=True, help="initial capital")
-    p.add_argument("--p", type=float, required=True, help="interest rate, percent")
+    p.add_argument("--K0", type=_finite, required=True, help="initial capital")
+    p.add_argument("--p", type=_finite, required=True, help="interest rate, percent")
     p.add_argument("--m", type=int, required=True, help="withdrawals per year")
-    p.add_argument("--a", type=float, required=True, help="withdrawal amount")
+    p.add_argument("--a", type=_finite, required=True, help="withdrawal amount")
     p.add_argument("--horizon", type=int, help="limit the schedule length")
     p = leaves["depreciation"]
     p.add_argument("--method", choices=("linear", "declining"), required=True)
-    p.add_argument("--K0", type=float, required=True, help="acquisition value")
+    p.add_argument("--K0", type=_finite, required=True, help="acquisition value")
     p.add_argument("--N", type=int, help="useful life in years (linear)")
-    p.add_argument("--p", type=float, help="declining rate, percent")
+    p.add_argument("--p", type=_finite, help="declining rate, percent")
     p.add_argument("--n", type=int, help="year of interest")
-    p.add_argument("--Rn", type=float, help="target remaining value (declining)")
+    p.add_argument("--Rn", type=_finite, help="target remaining value (declining)")
     for flag in ("K0", "q", "R", "n"):
-        leaves["master"].add_argument(f"--{flag}", type=float, required=True)
+        leaves["master"].add_argument(f"--{flag}", type=_finite, required=True)
 
 
 def _calc_args(leaves):
     for p in leaves.values():
         p.add_argument("expr")
-    leaves["elasticity"].add_argument("--at", type=float, required=True)
-    leaves["integrate"].add_argument("--from", type=float, required=True, dest="from")
-    leaves["integrate"].add_argument("--to", type=float, required=True)
+    leaves["elasticity"].add_argument("--at", type=_finite, required=True)
+    leaves["integrate"].add_argument("--from", type=_finite, required=True, dest="from")
+    leaves["integrate"].add_argument("--to", type=_finite, required=True)
     for name in ("roots", "report"):
         leaves[name].add_argument("--window", required=True, metavar="LO:HI")
 
@@ -366,8 +383,8 @@ def _calc_args(leaves):
 def _econ_args(leaves):
     p = leaves["cost"]
     for flag in ("a3", "a2", "a1"):
-        p.add_argument(f"--{flag}", type=float, required=True)
-    p.add_argument("--a0", type=float, default=0.0)
+        p.add_argument(f"--{flag}", type=_finite, required=True)
+    p.add_argument("--a0", type=_finite, default=0.0)
     p = leaves["profit"]
     p.add_argument("--price", required=True, help="unit price p(x) as an expression")
     p.add_argument("--cost", required=True, metavar="a3,a2,a1,a0")
@@ -375,11 +392,11 @@ def _econ_args(leaves):
     p = leaves["surplus"]
     p.add_argument("--demand", required=True, help="demand N(p) as an expression in x")
     p.add_argument("--supply", required=True, help="supply A(p) as an expression in x")
-    p.add_argument("--pu", type=float, required=True, help="lower price bound")
-    p.add_argument("--po", type=float, required=True, help="upper price bound")
+    p.add_argument("--pu", type=_finite, required=True, help="lower price bound")
+    p.add_argument("--po", type=_finite, required=True, help="upper price bound")
     p = leaves["value"]
-    p.add_argument("--a", type=float, required=True, help="scale parameter")
-    p.add_argument("--x", type=float, required=True, help="gain (x>=0) or loss (x<0)")
+    p.add_argument("--a", type=_finite, required=True, help="scale parameter")
+    p.add_argument("--x", type=_finite, required=True, help="gain (x>=0) or loss (x<0)")
 
 
 # command: (help, handler, adds the leaves' arguments, {operation: help}); a
@@ -468,6 +485,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         return EXIT_NUMERICAL
     except (
         ValueError,
+        argparse.ArgumentTypeError,  # _finite refusing a number in --window or --cost
         ArithmeticError,
         OSError,
         json.JSONDecodeError,

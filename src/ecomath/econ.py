@@ -3,7 +3,8 @@
 Cost-phase analysis for cubic total-cost functions, profit and Cournot
 analysis for a monopolist, ratio optima (average profit, efficiency),
 market equilibrium with surplus strategies, and the piecewise-logarithmic
-psychological value function; cost phases and values load no NumPy.
+psychological value function; cost phases and values load no NumPy.  Profit,
+ratio, demand and supply functions are calculus.analysis' _Fn objects.
 """
 
 from __future__ import annotations
@@ -39,17 +40,14 @@ def _suspects(de: Expr, xs, fails):
     return xs[undefined | fails(values)]
 
 
-def _monotone_flaw(f: _Fn, lo: float, hi: float, increasing: bool) -> Optional[str]:
+def _monotone_flaw(f: an._Fn, lo: float, hi: float, increasing: bool) -> Optional[str]:
     """For a rational f, "" if it is strictly increasing (decreasing) on [lo, hi]
     (the sign pieces of f' merge into one that covers it: f' may vanish at
     points, a pole splits it), else where it is not; None for any other f."""
     if not f.rat:
         return None
-    undefined = an._in_window(f.den_roots, lo, hi)
-    poles = an._in_window(undefined, lo, hi, f.num_roots) if undefined else []
     want = "increasing" if increasing else "decreasing"
-    d = an._rational_derivative(*f.rat)
-    pieces, _ = an._sign_intervals(d, poles, undefined, lo, hi, "increasing", "decreasing")
+    _, pieces, _ = f.sign_pieces(f.d, lo, hi, "increasing", "decreasing")
     if pieces == ((lo, hi, want),):
         return ""
     for a, b, label in pieces:
@@ -57,59 +55,6 @@ def _monotone_flaw(f: _Fn, lo: float, hi: float, increasing: bool) -> Optional[s
             return f"it is {label} on ({a:.6g}, {b:.6g})"
     x = pieces[0][1] if pieces and pieces[0][0] == lo else lo
     return f"it is not {want} across x = {x:.6g}"
-
-
-class _Fn:
-    """f(x), its derivative and its roots in a window: for a rational f from its
-    (num, den) arrays (converted once, or given as rat) by Horner's rule,
-    _rational_derivative and poly_real_roots; otherwise from its tree.
-
-    Each is worked out once and kept on the instance: f' (d), the roots in
-    each window asked for, and for a rational f the real roots of num and den,
-    which _monotone_flaw reads too.  The kept roots are shared; callers only
-    read them."""
-
-    def __init__(self, e: Optional[Expr], rat=None):
-        self.e, self.rat = e, rat if e is None else ca.as_rational(e)
-        if self.rat:
-            self.num, self.den = self.rat[0].tolist(), self.rat[1].tolist()
-        self._roots: dict[tuple[float, float], list[float]] = {}
-
-    def __call__(self, x: float) -> float:
-        if self.rat:
-            return an._horner(self.num, x) / an._horner(self.den, x)
-        return ca.evaluate(self.e, x)
-
-    @functools.cached_property
-    def d(self) -> _Fn:  # f', taken once
-        return _Fn(None, an._rational_derivative(*self.rat)) if self.rat else _Fn(
-            ca.differentiate(self.e))
-
-    @functools.cached_property
-    def num_roots(self) -> list[float]:
-        return an.poly_real_roots(self.num)
-
-    @functools.cached_property
-    def den_roots(self) -> list[float]:
-        return an.poly_real_roots(self.den)
-
-    def roots(self, lo: float, hi: float) -> list[float]:
-        if (lo, hi) not in self._roots:
-            self._roots[lo, hi] = (
-                an._in_window(self.num_roots, lo, hi, self.den_roots) if self.rat
-                else an._scan_roots(self.e, self.d.e, lo, hi))
-        return self._roots[lo, hi]
-
-    def best_maximum(self, lo: float, hi: float) -> Optional[float]:
-        """The stationary point in [lo, hi] with f'' < 0 where f is largest, or None."""
-        maxima = []
-        for r in self.d.roots(lo, hi):
-            try:
-                if self.d.d(r) < 0:
-                    maxima.append(r)
-            except ca.EvalDomainError:
-                pass
-        return max(maxima, key=self) if maxima else None
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +170,7 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 class MarketModel:
     """A monopolist's unit-price function p(x) and cost model on [0, x_max].
 
-    profit is the profit function G = x p(x) - K(x) as a _Fn, and
+    profit is the profit function G = x p(x) - K(x) as an analysis._Fn, and
     price_slope the tree of p'; each is built on first use and kept with the
     model (not a field: equality and hash see only price, cost and x_max), so
     G, G', G'' and the roots of G' are converted and solved, and p' taken,
@@ -239,7 +184,7 @@ class MarketModel:
     def __post_init__(self):
         if not self.x_max > 0:
             raise EconError(f"window must have positive length, got x_max={self.x_max}")
-        if (flaw := _monotone_flaw(_Fn(self.price), 0.0, self.x_max, increasing=False)) == "":
+        if (flaw := _monotone_flaw(an._Fn(self.price), 0.0, self.x_max, increasing=False)) == "":
             return
         import numpy as np
         dp = self.price_slope  # the grid names the first offending point
@@ -257,8 +202,8 @@ class MarketModel:
         return ca.sub(self.revenue_expr(), self.cost.expr())
 
     @functools.cached_property
-    def profit(self) -> _Fn:
-        return _Fn(self.profit_expr())
+    def profit(self) -> an._Fn:
+        return an._Fn(self.profit_expr())
 
     @functools.cached_property
     def price_slope(self) -> Expr:  # p', taken once
@@ -278,8 +223,8 @@ def profit_analysis(m: MarketModel) -> ProfitAnalysis:
     """Break-even point, end of the profitable zone, and profit maximum.
 
     G is m.profit, so what is solved here is kept for cournot on the same
-    model; a rational G is solved on its coefficient arrays (_Fn).  The gap
-    |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that never
+    model; a rational G is solved on its coefficient arrays (an._Fn).  The
+    gap |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that never
     turns a profit, say) are reported as None rather than raised.
     """
     G = m.profit
@@ -336,14 +281,14 @@ def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> R
     """Maximize numerator/denominator on (lo, hi).
 
     Solves (num/den)' = 0 with a second-derivative sign check, on the
-    ratio's coefficient arrays when both are rational (_Fn).  At the optimum
+    ratio's coefficient arrays when both are rational (an._Fn).  At the optimum
     the elasticities of numerator and denominator agree (for denominator = x
     this is the unit-elasticity condition).
     """
     if not 0 <= lo < hi:
         raise EconError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
     eps = max(1e-9, (hi - lo) * 1e-9)
-    ratio = _Fn(ca.div(numerator, denominator))
+    ratio = an._Fn(ca.div(numerator, denominator))
     x_star = ratio.best_maximum(lo + eps, hi - eps)
     if x_star is None:
         raise EconError("no interior maximum of the ratio found")
@@ -363,16 +308,17 @@ class Equilibrium(_Record):
     x_saturation: Optional[float]   # demand at price zero
 
 
-def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> _Fn:
-    """e as a _Fn, or EconError unless e is strictly increasing (decreasing) on
-    [lo, hi]: exact for a rational e (_monotone_flaw), else e' > 0 (e' < 0) on a
-    grid, skipping the points where e' is undefined; OverflowError propagates."""
-    f = _Fn(e)
+def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> an._Fn:
+    """e as an _Fn, or EconError unless e is strictly increasing (decreasing)
+    on [lo, hi]: exact for a rational e (_monotone_flaw), else e' > 0 (e' < 0)
+    on a grid, skipping the points where e' is undefined; OverflowError
+    propagates."""
+    f = an._Fn(e)
     if (flaw := _monotone_flaw(f, lo, hi, increasing)) == "":
         return f
     import numpy as np
     message = f"{name} must be monotonously {'increasing' if increasing else 'decreasing'}"
-    de = ca.differentiate(e)
+    de = ca.differentiate(e) if f.rat else f.d.e  # a rational f.d has no tree
     fails = (lambda v: v <= 0) if increasing else (lambda v: v >= 0)
     for x in _suspects(de, np.linspace(lo, hi, MONOTONE_GRID), fails):
         try:
@@ -395,7 +341,7 @@ def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilib
     A = _check_monotone(supply, p_lo, p_hi, increasing=True, name="supply")
 
     if N.rat and A.rat:  # A - N as as_rational(ca.sub(supply, demand)) takes it
-        crossings = _Fn(None, an._rational_sum(A.rat, N.rat, subtract=True)).roots(p_lo, p_hi)
+        crossings = an._Fn(None, an._rational_sum(A.rat, N.rat, subtract=True)).roots(p_lo, p_hi)
     else:
         crossings = ca.roots(ca.sub(supply, demand), p_lo, p_hi)
     if not crossings:

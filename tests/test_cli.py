@@ -475,6 +475,16 @@ class TestEcon:
         assert doc["x_M"] == pytest.approx(3.775, abs=1e-3)
         assert doc["cournot"]["p_M"] == pytest.approx(16.225, abs=1e-3)
 
+    @pytest.mark.parametrize("window", ["5:10", "10:5"])
+    def test_profit_window_not_from_zero_exit_1(self, window, capsys):
+        # a market model lives on [0, x_max]; LO was read as 0 whatever it was
+        code, out, err = run(
+            ["econ", "profit", "--price", "20-x", "--cost", "1,-6,15,4", "--window", window],
+            capsys,
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert repr(window) in err
+
     def test_surplus(self, capsys):
         code, out, _ = run(
             [
@@ -607,6 +617,21 @@ class TestNonFiniteInput:
         assert code == EXIT_INPUT
         assert "Traceback" not in out + err
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["calc", "integrate", "x", "--from", "nan", "--to", "1"],
+        ["calc", "elasticity", "100-2*x", "--at", "nan"],
+        ["calc", "report", "x^2", "--window=-inf:inf"],
+        ["finance", "effective", "--p", "nan", "--m", "12"],
+        ["finance", "compound", "--K0", "100", "--q", "1.05", "--n", "inf"],
+        ["econ", "value", "--a", "1", "--x", "nan"],
+        ["econ", "profit", "--price", "20-x", "--cost", "1,-6,nan,4", "--window", "0:10"],
+        ["econ", "surplus", "--demand", "100-x", "--supply", "x", "--pu", "0", "--po", "nan"],
+    ])
+    def test_non_finite_number_exit_1(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "expected a finite number" in err
 
     def test_whitespace_separated_matrix_file(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1 2\n3 4\n")

@@ -209,6 +209,20 @@ class TestEquilibrium:
         # and integrate's pole check solves the demand's tree once more
         assert len(calls) == 9 and calls.count([1.0, 0.0, 0.01]) == 3
 
+    def test_an_exponential_demand_is_differentiated_once(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        calls = []
+        differentiate = ca.differentiate
+        spy = lambda e: calls.append(e) or differentiate(e)
+        monkeypatch.setattr(ca, "differentiate", spy)
+        monkeypatch.setattr(analysis, "differentiate", spy)
+        demand = ca.parse("80*exp(-0.05*x)")
+        econ.market_strategies(demand, ca.parse("2*x+5"), 0, 60)
+        # N' for the grid check, kept for the scan of N; (A - N)' for the
+        # crossing's scan; the exponent's slope in integrate's antiderivative
+        assert len(calls) == 3 and calls.count(demand) == 1
+
     def test_rational_roots_match_roots_of_the_difference(self):
         # the crossing comes from supply - demand on the arrays, bit for bit
         # what roots(supply - demand) gives on the tree
@@ -390,8 +404,7 @@ class TestProfitOnArrays:
             fn = getattr(ca, name)
             wrapped = (lambda fn, log: lambda e, *a, **k: log.append(e) or fn(e, *a, **k))(fn, log)
             monkeypatch.setattr(ca, name, wrapped)
-            if name != "as_rational":  # which recurses through analysis' global
-                monkeypatch.setattr(analysis, name, wrapped)
+            monkeypatch.setattr(analysis, name, wrapped)
         pa, cp = econ.profit_analysis(m), econ.cournot(m)
         assert pa.x_M == cp.x_M == pytest.approx(3.775, abs=1e-3)
         # the two steps together convert G once: cournot reads what profit_analysis solved
