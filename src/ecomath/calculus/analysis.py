@@ -327,16 +327,22 @@ class _Fn:
     (num, den) arrays (converted once, or given as rat) by Horner's rule,
     _rational_derivative and poly_real_roots; otherwise from its tree.
 
-    Each is worked out once and kept on the instance: f' (d), the roots in
-    each window asked for, and for a rational f the real roots of num and den,
-    which sign_pieces reads too.  The kept roots are shared; callers only
-    read them."""
+    Each is worked out on first use and kept on the instance: the arrays, f'
+    (d), the roots in each window asked for, and for a rational f the real
+    roots of num and den, which sign_pieces reads too.  The kept roots are
+    shared; callers only read them."""
 
     def __init__(self, e: Optional[Expr], rat=None):
-        self.e, self.rat = e, rat if e is None else as_rational(e)
-        if self.rat:
-            self.num, self.den = self.rat[0].tolist(), self.rat[1].tolist()
-        self._roots: dict[tuple[float, float, float], list[float]] = {}
+        self.e, self._roots = e, {}  # roots by (lo, hi, tol)
+        if e is None:
+            self.rat = rat
+
+    @functools.cached_property
+    def rat(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        return as_rational(self.e)  # on first use, so reading f.d.e converts nothing
+
+    num = functools.cached_property(lambda self: self.rat[0].tolist())
+    den = functools.cached_property(lambda self: self.rat[1].tolist())
 
     def __call__(self, x: float) -> float:
         if self.rat:

@@ -509,6 +509,14 @@ class TestAsRational:
         with pytest.raises(NumericalError, match="degree 20000 exceeds"):
             ca.roots(ca.parse("x^20000-1"), -1, 0.5)
 
+    def test_a_rational_shaped_derivative_past_max_degree_is_not_converted(self):
+        # f = ln(x) + x^2002 is scanned; f' = 1/x + 2002 x^2001 is rational-shaped
+        # past MAX_DEGREE, and the scan's Newton step reads only its tree
+        e = ca.parse("ln(x)+x^2002")
+        assert ca.roots(e, 0.1, 1) == [0.9970883705111784]
+        with pytest.raises(PoleError, match="pole at x = 0.997088"):
+            ca.integrate(ca.div(ca.Const(1.0), e), 0.1, 1)
+
 
 def random_rational(rng, depth):
     """A tree of sums, differences, products, quotients, negations and integer

@@ -213,6 +213,13 @@ class TestExpressionLimits:
         assert code == EXIT_OK
         assert json.loads(out)["roots"] == []
 
+    def test_over_degree_derivative_of_a_non_rational_tree_exit_0(self, capsys):
+        code, out, err = run(
+            ["--format", "json", "calc", "roots", "ln(x)+x^2002", "--window", "0.1:1"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["roots"] == [0.9970883705111784]
+
 
 class TestSolveAndLinalg:
     def test_unique_system(self, tmp_path, capsys):
