@@ -10,13 +10,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     import numpy as np
 
-from ..numeric import NumericalError, brent
+from ..numeric import NumericalError, _FrozenRecord, brent
 from .expr import (
     Add,
     Const,
@@ -480,18 +479,18 @@ def _scan_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
 # Curve reports for polynomial and rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveReport:
-    domain: str
-    symmetry: str  # "even" | "odd" | "none"
-    roots: tuple[float, ...]
-    extrema: tuple[tuple[float, str], ...]  # (x, "min"/"max")
-    inflections: tuple[float, ...]
-    monotone_intervals: tuple[tuple[float, float, str], ...]
-    curvature_intervals: tuple[tuple[float, float, str], ...]
-    vertical_asymptotes: tuple[float, ...]
-    asymptote: Optional[tuple[float, float]]  # (slope, intercept) or None
-    range_estimate: Optional[tuple[float, float]]
+class CurveReport(_FrozenRecord):
+    __slots__ = (
+        "domain",
+        "symmetry",  # "even" | "odd" | "none"
+        "roots",
+        "extrema",  # ((x, "min"/"max"), ...)
+        "inflections",
+        "monotone_intervals", "curvature_intervals",  # ((a, b, behaviour), ...)
+        "vertical_asymptotes",
+        "asymptote",  # (slope, intercept) or None
+        "range_estimate",  # (lo, hi) or None
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -533,7 +532,10 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     and a sampled range estimate, all from the (numerator, denominator) arrays
     and poly_real_roots.  An extremum (inflection) is an interior point where f
     is defined and f' (f'') changes sign; roots and poles leave out the points
-    where numerator and denominator vanish together."""
+    where numerator and denominator vanish together.  The window must be
+    finite, with lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     import numpy as np
     from numpy.polynomial import polynomial as P
     f = _Fn(e)
@@ -704,9 +706,12 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     """Definite integral of e from a to b.
 
     Uses the structural antiderivative when one exists, otherwise adaptive
-    Simpson quadrature to `tol` (absolute or relative).  Poles inside the
-    interval and divergent power-law endpoints are rejected.
+    Simpson quadrature to `tol` (absolute or relative).  NaN or infinite
+    bounds, poles inside the interval and divergent power-law endpoints are
+    rejected.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0
     if a > b:

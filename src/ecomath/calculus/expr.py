@@ -12,8 +12,9 @@ quotient and chain rules.  The simplifier is deliberately conservative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from ..numeric import _FrozenRecord
 
 
 class ExprSyntaxError(ValueError):
@@ -26,8 +27,9 @@ class EvalDomainError(ArithmeticError):
     pass
 
 
-class Expr:
-    """Base class; all nodes are frozen dataclasses and compare structurally.
+class Expr(_FrozenRecord):
+    """Base class; all nodes are immutable slotted records (numeric._FrozenRecord,
+    each with a plain __init__) and compare structurally.
 
     ``==`` and ``hash`` walk the tree with an explicit stack, not one Python
     frame per level, so they work on any tree that evaluate handles; a
@@ -50,7 +52,7 @@ class Expr:
             seen.add((id(a), id(b)))
             if a.__class__ is not b.__class__:
                 return False
-            for u, v in zip(vars(a).values(), vars(b).values()):
+            for u, v in zip(a._values(), b._values()):
                 if isinstance(u, Expr):
                     stack.append((u, v))
                 elif u != v:
@@ -62,77 +64,81 @@ class Expr:
         stack = [self]
         while stack:
             e = stack[-1]
-            todo = [c for c in vars(e).values() if isinstance(c, Expr) and id(c) not in hashes]
+            kids = e._values()
+            todo = [c for c in kids if isinstance(c, Expr) and id(c) not in hashes]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            fields = (hashes[id(c)] if isinstance(c, Expr) else c for c in vars(e).values())
+            fields = (hashes[id(c)] if isinstance(c, Expr) else c for c in kids)
             hashes[id(e)] = hash((e.__class__, *fields))
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", float(value))
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class _Unary(Expr):
+    __slots__ = ("a",)
+
+    def __init__(self, a: Expr):
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True, eq=False)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class _Binary(Expr):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Expr, b: Expr):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Expr):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
-    a: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    a: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Ln(Expr):
-    a: Expr
+class Ln(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Abs(Expr):
-    a: Expr
+class Abs(_Unary):
+    __slots__ = ()
 
 
 X = Var()

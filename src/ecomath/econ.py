@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import calculus as ca
 from .calculus import Expr
 from .calculus import analysis as an
+from .numeric import _FrozenRecord
 
 MONOTONE_GRID = 256  # grid density for monotonicity precondition checks
 
@@ -25,11 +25,14 @@ class EconError(ValueError):
     pass
 
 
-class _Record:
+class _Record(_FrozenRecord):
     """A result record; to_dict gives its fields in order, a nested record as a dict."""
 
+    __slots__ = ()
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f: v.to_dict() if isinstance(v, _Record) else v
+                for f, v in zip(self._fields, self._values())}
 
 
 def _suspects(de: Expr, xs, fails):
@@ -61,18 +64,15 @@ def _monotone_flaw(f: an._Fn, lo: float, hi: float, increasing: bool) -> Optiona
 # Cost models and cost-phase analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_FrozenRecord):
     """Total costs K(x) = a3 x^3 + a2 x^2 + a1 x + a0 in currency units.
 
     The coefficient constraints produce the classical S-shape: positive and
     increasing everywhere, concave then convex, with fixed costs a0.
     """
 
-    a3: float
-    a2: float
-    a1: float
-    a0: float = 0.0
+    __slots__ = ("a3", "a2", "a1", "a0")
+    _defaults = {"a0": 0.0}
 
     def __post_init__(self):
         if not self.a3 > 0:
@@ -102,15 +102,16 @@ class CostModel:
         return (3.0 * self.a3 * x + 2.0 * self.a2) * x + self.a1
 
 
-@dataclass(frozen=True)
-class CostAnalysis:
-    x_W: float      # inflection of K; minimum of marginal costs
-    x_g1: float     # minimum of variable average costs
-    x_g2: float     # minimum of average costs (minimum efficient scale)
-    marginal_min: float                    # K'(x_W)
-    tangent_g1: tuple[float, float]        # (slope, intercept) at x_g1
-    tangent_g2: tuple[float, float]        # (slope, intercept) at x_g2
-    mes_coincides_with_g1: bool            # a0 = 0 edge case
+class CostAnalysis(_FrozenRecord):
+    __slots__ = (
+        "x_W",  # inflection of K; minimum of marginal costs
+        "x_g1",  # minimum of variable average costs
+        "x_g2",  # minimum of average costs (minimum efficient scale)
+        "marginal_min",  # K'(x_W)
+        "tangent_g1",  # (slope, intercept) at x_g1
+        "tangent_g2",  # (slope, intercept) at x_g2
+        "mes_coincides_with_g1",  # a0 = 0 edge case
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -166,20 +167,17 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 # Market models, profit and Cournot analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarketModel:
+class MarketModel(_FrozenRecord):
     """A monopolist's unit-price function p(x) and cost model on [0, x_max].
 
     profit is the profit function G = x p(x) - K(x) as an analysis._Fn, and
     price_slope the tree of p'; each is built on first use and kept with the
-    model (not a field: equality and hash see only price, cost and x_max), so
-    G, G', G'' and the roots of G' are converted and solved, and p' taken,
-    once for all the analyses of one model.
+    model in its __dict__ (not a field: equality, hash and repr see only
+    price, cost and x_max), so G, G', G'' and the roots of G' are converted
+    and solved, and p' taken, once for all the analyses of one model.
     """
 
-    price: Expr
-    cost: CostModel
-    x_max: float
+    __slots__ = ("price", "cost", "x_max", "__dict__")
 
     def __post_init__(self):
         if not self.x_max > 0:
@@ -210,13 +208,14 @@ class MarketModel:
         return ca.differentiate(self.price)
 
 
-@dataclass(frozen=True)
 class ProfitAnalysis(_Record):
-    x_S: Optional[float]    # break-even: G = 0, G' > 0
-    x_G: Optional[float]    # end of the profitable zone: G = 0, G' < 0
-    x_M: Optional[float]    # maximum profit: G' = 0, G'' < 0
-    G_max: Optional[float]
-    parallel_tangent_gap: Optional[float]  # |E'(x_M) - K'(x_M)|
+    __slots__ = (
+        "x_S",  # break-even: G = 0, G' > 0
+        "x_G",  # end of the profitable zone: G = 0, G' < 0
+        "x_M",  # maximum profit: G' = 0, G'' < 0
+        "G_max",
+        "parallel_tangent_gap",  # |E'(x_M) - K'(x_M)|
+    )
 
 
 def profit_analysis(m: MarketModel) -> ProfitAnalysis:
@@ -243,11 +242,8 @@ def profit_analysis(m: MarketModel) -> ProfitAnalysis:
     return ProfitAnalysis(x_S=x_S, x_G=x_G, x_M=x_M, G_max=G_max, parallel_tangent_gap=gap)
 
 
-@dataclass(frozen=True)
 class CournotPoint(_Record):
-    x_M: float
-    p_M: float
-    amoroso_robinson_residual: float
+    __slots__ = ("x_M", "p_M", "amoroso_robinson_residual")
 
 
 def cournot(m: MarketModel) -> CournotPoint:
@@ -270,11 +266,9 @@ def cournot(m: MarketModel) -> CournotPoint:
 # Ratio optima: average profit, economic efficiency
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RatioOptimum(_Record):
-    x: float
-    value: float
-    elasticity_gap: float  # |eps_num(x) - eps_den(x)|, the optimality certificate
+    # elasticity_gap is |eps_num(x) - eps_den(x)|, the optimality certificate
+    __slots__ = ("x", "value", "elasticity_gap")
 
 
 def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> RatioOptimum:
@@ -300,12 +294,12 @@ def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> R
 # Market equilibrium and surplus strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Equilibrium(_Record):
-    p_M: float
-    quantity: float
-    p_prohibitive: Optional[float]  # price at which demand dries up
-    x_saturation: Optional[float]   # demand at price zero
+    __slots__ = (
+        "p_M", "quantity",
+        "p_prohibitive",  # price at which demand dries up
+        "x_saturation",  # demand at price zero
+    )
 
 
 def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> an._Fn:
@@ -360,14 +354,14 @@ def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilib
     )
 
 
-@dataclass(frozen=True)
 class MarketStrategies(_Record):
-    equilibrium: Equilibrium
-    U1: float  # revenue selling all units at the equilibrium price
-    U2: float  # U1 plus the consumer surplus (perfect price discrimination)
-    U3: float  # U1 minus the producer surplus (marginal-cost pricing)
-    consumer_surplus: float
-    producer_surplus: float
+    __slots__ = (
+        "equilibrium",  # an Equilibrium record
+        "U1",  # revenue selling all units at the equilibrium price
+        "U2",  # U1 plus the consumer surplus (perfect price discrimination)
+        "U3",  # U1 minus the producer surplus (marginal-cost pricing)
+        "consumer_surplus", "producer_surplus",
+    )
 
 
 def market_strategies(

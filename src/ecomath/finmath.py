@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .numeric import NoSignChangeError, brent
+from .numeric import NoSignChangeError, _FrozenRecord, brent
 
 
 class FinanceError(ValueError):
@@ -55,14 +54,11 @@ def _require_exactly_one_missing(**known):
 # Sequences and series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(_FrozenRecord):
     """Arithmetical (constant difference d != 0) or geometrical sequence
     (constant quotient q not in {0, 1})."""
 
-    kind: str  # "arith" or "geom"
-    a1: float
-    step: float
+    __slots__ = ("kind", "a1", "step")  # kind is "arith" or "geom"
 
     def __post_init__(self):
         if self.kind not in ("arith", "geom"):
@@ -156,18 +152,12 @@ def installment_present_value(E: float, q: float, n: float) -> float:
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleRow:
-    year: int
-    interest: float
-    payment: float
-    balance: float
+class ScheduleRow(_FrozenRecord):
+    __slots__ = ("year", "interest", "payment", "balance")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    rows: tuple[ScheduleRow, ...]
-    meta: dict
+class Schedule(_FrozenRecord):
+    __slots__ = ("rows", "meta")
 
     def to_csv(self) -> str:
         """CSV with 2-decimal display values; full precision lives in JSON."""

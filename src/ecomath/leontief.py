@@ -8,25 +8,23 @@ total output supports, and which total output a given final demand needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 from . import linsolve
+from .numeric import _FrozenRecord
 
 
 class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeliveriesTable:
+class DeliveriesTable(_FrozenRecord):
     """n x n goods flows n_ij (units) plus the final-demand vector y."""
 
-    deliveries: Matrix
-    final_demand: Vector
+    __slots__ = ("deliveries", "final_demand")
 
     def __post_init__(self):
         d = self.deliveries
@@ -42,15 +40,14 @@ class DeliveriesTable:
         return self.deliveries.rows
 
 
-@dataclass(frozen=True)
-class LeontiefModel:
+class LeontiefModel(_FrozenRecord):
     """Input-output matrix P plus an optional resource consumption matrix R.
-    I - P is eliminated once; every solve replays ``elimination`` on its y."""
+    I - P is eliminated once; every solve replays ``elimination`` on its y
+    (a slot, not a field: no argument of __init__, unseen by == and repr)."""
 
-    P: Matrix
-    R: Optional[Matrix] = None
-    labels: Optional[tuple[str, ...]] = None
-    elimination: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("P", "R", "labels", "elimination")
+    _fields = ("P", "R", "labels")
+    _defaults = {"R": None, "labels": None}
 
     def __post_init__(self):
         if not self.P.is_square:

@@ -8,13 +8,12 @@ it.  The small symmetric eigenproblems come from ``numpy.linalg.eigh``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
-from .numeric import NumericalError
+from .numeric import NumericalError, _FrozenRecord
 
 PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
 ONE_PANEL = 32  # at most this many columns: one panel, one rank-1 update per pivot
@@ -29,12 +28,10 @@ class DeterminantOverflowError(NumericalError, OverflowError):
     """|det| lies beyond the largest float."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(_FrozenRecord):
     """A x = b with an m x n coefficient matrix and an m-dim image vector."""
 
-    A: Matrix
-    b: Vector
+    __slots__ = ("A", "b")
 
     def __post_init__(self):
         if self.A.rows != self.b.n:
@@ -43,8 +40,7 @@ class LinearSystem:
             )
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_FrozenRecord):
     """Classification and parametrization of the solutions of a LinearSystem.
 
     kind is one of "none", "unique", "multiple".  For "multiple" the full
@@ -52,11 +48,7 @@ class SolutionSet:
     carries entry 1 at its free column.
     """
 
-    kind: str
-    particular: Optional[Vector]
-    free_directions: tuple[Vector, ...]
-    rank_A: int
-    rank_Ab: int
+    __slots__ = ("kind", "particular", "free_directions", "rank_A", "rank_Ab")
 
     def to_dict(self) -> dict:
         return {

@@ -1,7 +1,8 @@
-"""Numerical primitives shared by the modules, on the standard library only:
+"""Primitives shared by the modules, on the standard library only:
 ``NumericalError``, the base of every numerical failure (CLI exit code 3),
-and ``brent``, the one bracketed root finder (``finmath`` rates and the
-sign-change cells of ``calculus.roots``).
+``brent``, the one bracketed root finder (``finmath`` rates and the
+sign-change cells of ``calculus.roots``), and ``_FrozenRecord``, the base of
+the expression nodes and of every result record.
 """
 
 from __future__ import annotations
@@ -9,6 +10,64 @@ from __future__ import annotations
 import math
 
 RTOL = 2.0 ** -50  # relative accuracy of brent's roots: four machine epsilons
+
+
+class _FrozenRecord:
+    """An immutable record on __slots__.  A subclass lists its fields in
+    __slots__ (or in _fields, when it has other slots) and the defaults of
+    trailing fields in _defaults.  __init__ takes the fields by position or
+    keyword, then calls __post_init__ to validate; == compares the fields of
+    two records of one class, hash hashes them, repr lists them, and pickle
+    and copy rebuild a record through __init__."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields += tuple(s for s in vars(cls).get("__slots__", ()) if s != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # keywords or defaults
+            try:
+                args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f]
+                               for f in fields[len(args):]])
+            except KeyError:  # a field neither given nor defaulted
+                args = ()
+            if kwargs or len(args) != len(fields):  # also too many, unknown or repeated
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class NumericalError(Exception):

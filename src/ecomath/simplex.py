@@ -12,13 +12,12 @@ reported as "unsupported" rather than solved by an invented phase-1 method.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .linsolve import _pivot_step
-from .numeric import NumericalError
+from .numeric import NumericalError, _FrozenRecord
 
 FEAS_TOL = 1e-9
 PIVOT_MIN = 1e-9
@@ -32,16 +31,11 @@ class IterationLimitError(NumericalError, RuntimeError):
     """Cycling guard tripped: the iteration cap was exceeded."""
 
 
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
+class LinearProgram(_FrozenRecord):
     """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,)."""
 
-    sense: str  # "max" or "min"
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    d: float = 0.0
-    names: Optional[tuple[str, ...]] = None
+    __slots__ = ("sense", "c", "A", "b", "d", "names")  # sense is "max" or "min"
+    _defaults = {"d": 0.0, "names": None}
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -68,9 +62,6 @@ class LinearProgram:
             return NotImplemented
         same = (self.sense, self.d, self.names) == (other.sense, other.d, other.names)
         return same and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in "cAb")
-
-    def __reduce__(self):  # through __post_init__, so copies keep read-only arrays
-        return LinearProgram, (self.sense, self.c, self.A, self.b, self.d, self.names)
 
     @property
     def n(self) -> int:
@@ -118,13 +109,10 @@ def _numbers(value, key: str, depth: int):
     raise SimplexError(f"LP field {key!r} must be {kind}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal" | "unbounded" | "infeasible" | "unsupported"
-    x: tuple[float, ...] = ()
-    z: float = float("nan")
-    slacks: tuple[float, ...] = ()
-    iterations: int = 0
+class LpSolution(_FrozenRecord):
+    # status is "optimal" | "unbounded" | "infeasible" | "unsupported"
+    __slots__ = ("status", "x", "z", "slacks", "iterations")
+    _defaults = {"x": (), "z": float("nan"), "slacks": (), "iterations": 0}
 
     def to_dict(self) -> dict:
         return {
@@ -187,7 +175,7 @@ def negate_to_max(lp: LinearProgram) -> LinearProgram:
     """min z = c.x + d  <=>  max -z = (-c).x - d over the same feasible set."""
     if lp.sense == "max":
         return lp
-    return replace(lp, sense="max", c=-lp.c, d=-lp.d)
+    return LinearProgram("max", -lp.c, lp.A, lp.b, -lp.d, lp.names)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
@@ -290,12 +278,10 @@ def solve_simplex(
 # Vertex-enumeration oracle for n = 2 (the graphical method, made exact).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
-    solution: LpSolution
-    vertices: tuple[tuple[float, float], ...] = ()
-    optimal_vertices: tuple[tuple[float, float], ...] = ()
-    isoquant_slope: Optional[float] = None  # slope of the (0,0)-isoquant
+class OracleResult(_FrozenRecord):
+    # isoquant_slope is the slope of the (0,0)-isoquant
+    __slots__ = ("solution", "vertices", "optimal_vertices", "isoquant_slope")
+    _defaults = {"vertices": (), "optimal_vertices": (), "isoquant_slope": None}
 
 
 def _feasible(lp: LinearProgram, pt: np.ndarray, tol: float = 1e-7) -> bool:

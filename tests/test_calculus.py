@@ -735,6 +735,15 @@ class TestCurveReport:
         assert rep.monotone_intervals == ((-1, 0.0, "decreasing"), (0.0, 1, "decreasing"))
         assert [k for _, _, k in rep.curvature_intervals] == ["concave", "convex"]
 
+    @pytest.mark.parametrize("lo, hi", [
+        (5, -5), (1, 1), (0, math.nan), (math.nan, 1), (-math.inf, 1), (0, math.inf),
+    ])
+    def test_window_not_finite_and_ordered_refused(self, lo, hi):
+        # a reversed window gave no roots and one convex piece; a NaN end gave
+        # x^2 "decreasing" on [0, nan]
+        with pytest.raises(ValueError, match="lo < hi"):
+            ca.curve_report(ca.parse("x^2-1"), lo, hi)
+
 
 class TestAntiderivative:
     def test_linear(self):
@@ -811,6 +820,14 @@ class TestIntegrate:
     def test_integrable_endpoint_singularity(self):
         # x^(-1/2) is integrable at 0: exact value 2
         assert ca.integrate(ca.parse("x^-0.5"), 0, 1) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, math.inf), (-math.inf, 0), (math.nan, 1), (1, math.nan), (math.inf, math.inf),
+    ])
+    def test_bound_not_finite_refused(self, a, b):
+        # integrate(x, 0, inf) returned inf; with both bounds inf, 0.0
+        with pytest.raises(ValueError, match="finite"):
+            ca.integrate(X, a, b)
 
 
 class TestEvaluateMany:

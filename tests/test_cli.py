@@ -129,6 +129,12 @@ class TestCalc:
         assert code == EXIT_OK
         assert json.loads(out)["symmetry"] == "odd"
 
+    def test_report_reversed_window_exit_1(self, capsys):
+        # it exited 0 with no roots and one convex piece from -5 to 5
+        code, out, err = run(["calc", "report", "x^2-1", "--window", "5:-5"], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "lo < hi" in err
+
     def test_roots_past_overflow_exit_0(self, capsys):
         code, out, _ = run(
             ["--format", "json", "calc", "roots", "exp(x)-5", "--window", "0:1000"], capsys

@@ -87,3 +87,33 @@ def test_lazy_calculus_names_are_package_attributes():
         "assert all(vars(ca)[n] is getattr(ca.analysis, n) for n in ca._LAZY)\n"
         "assert set(ca._LAZY) <= set(ca.__all__)"
     )
+
+
+NUMPY_FREE_CALLS = [
+    ["calc", "diff", "x^2"],
+    ["calc", "integrate", "x^3-2*x+1", "--from", "0", "--to", "2"],
+    ["econ", "cost", "--a3", "1", "--a2", "-6", "--a1", "15", "--a0", "20"],
+    ["finance", "pension", "--K0", "100000", "--p", "5", "--m", "12", "--a", "800"],
+    ["finance", "installment", "--Kn", "215.25", "--E", "100", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_CALLS)
+def test_numpy_free_calls_load_neither_dataclasses_nor_inspect(argv):
+    # expression nodes and result records are plain slotted classes: importing
+    # dataclasses (with inspect) and creating frozen dataclasses is import time
+    # that a CLI call pays before it computes
+    modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_array_calls_and_record_modules_load_no_dataclasses(tmp_path):
+    lp = tmp_path / "lp.json"
+    lp.write_text(json.dumps({"c": [3, 2], "A": [[1, 1], [1, 0]], "b": [4, 2]}))
+    for code in (
+        "from ecomath.cli import dispatch\n"
+        "assert dispatch(['calc', 'report', 'x^3-3*x', '--window=-3:3']) == 0",
+        f"from ecomath.cli import dispatch\nassert dispatch(['lp', 'solve', {str(lp)!r}]) == 0",
+        "import ecomath.econ, ecomath.finmath, ecomath.simplex, ecomath.leontief",
+    ):
+        assert "dataclasses" not in loaded_after(code), code
