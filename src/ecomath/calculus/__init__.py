@@ -1,10 +1,11 @@
 """Symbolic-lite calculus: expression trees, differentiation, root finding,
 curve sketching and definite integration.
 
-The names from ``expr`` (trees, parser, evaluation, differentiation; standard
-library only) load with the package; those from ``analysis`` on first attribute
-access (PEP 562).  Only its array functions import NumPy, so elasticities and
-the integral of an expression with no non-constant divisor load none.
+The names from ``expr`` (trees, parser, evaluation, interval enclosures,
+differentiation; standard library only) load with the package; those from
+``analysis`` on first attribute access (PEP 562).  Only its array functions
+import NumPy, so elasticities, the roots of a non-rational function and the
+integral of an expression with no non-constant divisor load none.
 """
 
 import importlib
@@ -30,8 +31,8 @@ from .expr import (
     const,
     differentiate,
     div,
+    enclose,
     evaluate,
-    evaluate_many,
     exp_,
     ln_,
     log_base,
@@ -45,8 +46,8 @@ from .expr import (
 
 # defined in .analysis, which binds them here when it loads
 _LAZY = (
-    "CurveReport", "DivergenceError", "PoleError", "UnsupportedExpressionError",
-    "antiderivative", "as_rational", "curve_report", "elasticity",
+    "CurveReport", "DivergenceError", "PoleError", "UndecidedError",
+    "UnsupportedExpressionError", "antiderivative", "as_rational", "curve_report", "elasticity",
     "elasticity_expr", "elasticity_label", "expr_from_poly", "integrate",
     "poly_coeffs", "poly_divide", "poly_real_roots", "roots", "second_elasticity",
     "tangent_line",
@@ -55,7 +56,7 @@ _LAZY = (
 __all__ = [
     "Abs", "Add", "Const", "Div", "EvalDomainError", "Exp", "Expr",
     "ExprSyntaxError", "Ln", "Mul", "Neg", "Pow", "Sub", "Var", "X",
-    "abs_", "add", "const", "differentiate", "div", "evaluate", "evaluate_many",
+    "abs_", "add", "const", "differentiate", "div", "enclose", "evaluate",
     "exp_", "ln_", "log_base", "mul", "neg", "parse", "pow_", "sub", "to_string",
     *_LAZY,
 ]

@@ -1,8 +1,9 @@
 """Numeric/structural analysis on expression trees: tangents, elasticities,
 root finding, polynomial machinery, curve reports, and definite integration.
 Only the functions that work on arrays import NumPy.  Whether f is a ratio of
-polynomials, solved on its (num, den) arrays, or a tree, scanned on a grid, is
-decided in _Fn alone: roots, curve_report and the econ analyses use it.
+polynomials, solved on its (num, den) arrays, or a tree, bisected on interval
+enclosures, is decided in _Fn alone: roots, curve_report and the econ analyses
+use it, for roots and for monotonicity alike.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .expr import (
     const,
     differentiate,
     div,
+    enclose,
     evaluate,
-    evaluate_many,
     ln_,
     mul,
     neg,
@@ -44,7 +45,7 @@ from .expr import (
     to_string,
 )
 
-GRID_CELLS = 1024  # density of the sign-change scan in roots()
+MAX_CELLS = 16384  # cells one bisection walk (tree roots, monotonicity) may visit
 MAX_DEGREE = 2000  # poly_real_roots refuses higher degrees: its work grows as degree^2
 
 
@@ -58,6 +59,10 @@ class PoleError(NumericalError, ArithmeticError):
 
 class DivergenceError(NumericalError, ArithmeticError):
     """The integral diverges (power-law singularity of order <= -1)."""
+
+
+class UndecidedError(NumericalError):
+    """A bisection walk left part of its window undecided after MAX_CELLS cells."""
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +327,10 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
 
 
 class _Fn:
-    """f(x), its derivative and its roots in a window: for a rational f from its
-    (num, den) arrays (converted once, or given as rat) by Horner's rule,
-    _rational_derivative and poly_real_roots; otherwise from its tree.
+    """f(x), its derivative, its roots in a window and its monotonicity: for a
+    rational f from its (num, den) arrays (converted once, or given as rat) by
+    Horner's rule, _rational_derivative and poly_real_roots; otherwise from its
+    tree, by one bisection walk on interval enclosures (_bisect, enclose).
 
     Each is worked out on first use and kept on the instance: the arrays, f'
     (d), the roots in each window asked for, and for a rational f the real
@@ -366,7 +372,7 @@ class _Fn:
         if (lo, hi, tol) not in self._roots:
             self._roots[lo, hi, tol] = (
                 _in_window(self.num_roots, lo, hi, self.den_roots, tol) if self.rat
-                else _scan_roots(self, lo, hi, tol))
+                else _tree_roots(self, lo, hi, tol))
         return self._roots[lo, hi, tol]
 
     def best_maximum(self, lo: float, hi: float) -> Optional[float]:
@@ -379,6 +385,40 @@ class _Fn:
             except EvalDomainError:
                 pass
         return max(maxima, key=self) if maxima else None
+
+    def monotone_flaw(self, lo: float, hi: float, increasing: bool) -> Optional[str]:
+        """None if f is strictly increasing (decreasing) on [lo, hi], else where
+        it is not.  Exact for a rational f: the sign pieces of f' must merge
+        into one covering the window (f' may vanish at points; a pole splits
+        it).  A tree passes a cell of _bisect where the enclosure of f' has the
+        wanted sign or is None, fails one where it has the other sign or 0
+        throughout, or holds 0 within the subnormal range (f' underflows), and
+        halves the rest; a floor cell (width 1e-10) fails only on the sign of
+        f' at its midpoint, so points where f' is undefined are skipped."""
+        want = "increasing" if increasing else "decreasing"
+        if self.rat:
+            _, pieces, _ = self.sign_pieces(self.d, lo, hi, "increasing", "decreasing")
+            if pieces == ((lo, hi, want),):
+                return None
+            for a, b, label in pieces:
+                if label != want:
+                    return f"it is {label} on ({a:.6g}, {b:.6g})"
+            x = pieces[0][1] if pieces and pieces[0][0] == lo else lo
+            return f"it is not {want} across x = {x:.6g}"
+        sign, flaws = (1.0 if increasing else -1.0), []
+
+        def split(a, b, floor):
+            D = None if flaws else enclose(self.d.e, a, b)
+            if D is None or min(sign * D[0], sign * D[1]) > 0.0:
+                return False
+            if max(sign * D[0], sign * D[1]) <= 0.0 or max(-D[0], D[1]) < sys.float_info.min:
+                flaws.append(f"it is not {want} on ({a:.6g}, {b:.6g})")  # f' <= 0, or subnormal
+            elif floor and (sign * (_at(self.d.e, 0.5 * a + 0.5 * b) or 0.0)) < 0.0:
+                flaws.append(f"it is not {want} at x = {0.5 * a + 0.5 * b:.6g}")
+            return not (flaws or floor)
+
+        _bisect(lo, hi, 1e-10, split, "monotonicity")
+        return flaws[0] if flaws else None
 
     def sign_pieces(self, g: _Fn, lo, hi, pos_label, neg_label):
         """For a rational f and g (f' or f''): the poles of f in [lo, hi]; the
@@ -413,66 +453,99 @@ class _Fn:
 
 
 def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
-    """All roots of e on [lo, hi].
+    """All roots of e on the finite window [lo, hi], sorted.
 
     A ratio of polynomials gives the real roots of its numerator
     (poly_real_roots, multiple roots included) within tol of the window, less
-    those shared with the denominator.  Anything else takes
-    a sign-change scan over GRID_CELLS cells, its GRID_CELLS + 1 points
-    evaluated in one array pass (evaluate_many; a cell with an end where e is
-    undefined or overflows is skipped): Brent's method to `tol` and one Newton
-    step in each cell with a sign change, dropping a result where |e| is not
-    small against the cell's ends (a pole).  The pass's values equal
-    evaluate's bit for bit, so Brent's scalar calls see the same signs at the
-    cell ends.  The scan misses roots where e keeps its sign.  Roots closer
-    than 10*tol are merged.
+    those shared with the denominator.  Any other e is bisected on interval
+    enclosures down to cells of width tol (_tree_roots): simple roots to full
+    precision, multiple roots, even-order ones included, and no poles.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     return _Fn(e).roots(lo, hi, tol)
 
 
-def _scan_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
-    """roots' sign-change scan of the tree f.e on [lo, hi], polished with f.d.e."""
-    import numpy as np
+def _bisect(lo: float, hi: float, tol: float, split, what: str) -> None:
+    """Visit the cells of [lo, hi] depth first, left to right, halving one while
+    split(a, b, floor) says so; split must settle a floor cell (width <= tol,
+    or too narrow to halve).  UndecidedError names the span left after MAX_CELLS."""
+    stack, cells = [(lo, hi)], 0
+    while stack:
+        a, b = stack.pop()
+        cells += 1
+        if cells > MAX_CELLS:
+            end = stack[0][1] if stack else b
+            raise UndecidedError(f"{what} undecided on [{a:.6g}, {end:.6g}] after "
+                                 f"MAX_CELLS = {MAX_CELLS} cells")
+        m = 0.5 * a + 0.5 * b
+        if split(a, b, not (b - a > tol and a < m < b)):
+            stack += (m, b), (a, m)
 
-    deriv = f.d.e
-    grid = np.linspace(lo, hi, GRID_CELLS + 1)
-    values, _ = evaluate_many(f.e, grid)  # NaN where e is undefined or overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = values[:-1] * values[1:]
-    # cells that start at a zero or change sign; a NaN end rules a cell out
-    cells = np.flatnonzero((values[:-1] == 0.0) & ~np.isnan(values[1:]) | (ends < 0.0))
-    xs, vals = grid.tolist(), values.tolist()
 
-    found: list[float] = []
-    for i in cells.tolist():
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            found.append(xs[i])
-            continue
-        try:
-            root = brent(f, xs[i], xs[i + 1], xtol=tol)
-            try:  # one Newton polish step
-                fp = evaluate(deriv, root)
-                if abs(fp) > 1e-14:
-                    cand = root - f(root) / fp
-                    if lo - tol <= cand <= hi + tol:
-                        root = cand
-            except EvalDomainError:
-                pass
-            if abs(f(root)) <= 1e-3 * max(abs(fa), abs(fb)):  # else a pole
-                found.append(root)
-        except (EvalDomainError, OverflowError):  # e is undefined inside the cell
-            pass
-    if vals[-1] == 0.0:
-        found.append(xs[-1])
+def _at(e: Expr, x: float) -> Optional[float]:
+    """evaluate(e, x), or None where e is undefined, overflows or is NaN (inf - inf).
+    A tree's f' goes through here, as its _Fn would convert a rational-shaped f'."""
+    try:
+        v = evaluate(e, x)
+    except (EvalDomainError, OverflowError):
+        return None
+    return v if v == v else None
 
-    merged: list[float] = []
+
+def _tree_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
+    """The roots of the tree f.e on [lo, hi] by _bisect, from the enclosures F
+    of f and F' of f' on each cell [a, b] (an exp or power that overflows on
+    all of it is undefined there); a cell end where f is exactly 0 is a root.
+    - 0 not in F: no root, the cell is dropped;
+    - F and F' bounded, 0 not in F': f is monotone, and a sign change of f
+      from a to b is its one root, found by Brent's method to full precision
+      (the cell is halved if f is undefined inside); else no root;
+    - otherwise the cell is halved down to width tol.  At that floor an
+      unbounded F is a pole or an overflow (dropped), a sign change a root
+      (Brent again), and else a point c where f' changes sign or is undefined
+      is a multiple root if 0 is in F over c +- 4 ulps.
+    Roots split only by rounding, with 0 in F at the point halfway between
+    neighbours, merge into the middle of their span, as at a flat multiple
+    root where the computed f is rounding noise."""
+    found: set[float] = set()
+    slope = lambda x: _at(f.d.e, x) or 0.0  # f', 0 where it is undefined
+
+    def split(a, b, floor):
+        F = enclose(f.e, a, b)
+        if F is None or not F[0] <= 0.0 <= F[1]:
+            return False
+        if math.inf in (-F[0], F[1]):
+            return not floor
+        D = enclose(f.d.e, a, b)
+        monotone = D is not None and math.inf not in (-D[0], D[1]) and not D[0] <= 0.0 <= D[1]
+        if not (monotone or floor):
+            return True
+        fa, fb = _at(f.e, a), _at(f.e, b)
+        found.update(x for x, v in ((a, fa), (b, fb)) if v == 0.0)
+        if None not in (fa, fb) and (fa < 0.0 < fb or fb < 0.0 < fa):
+            try:
+                found.add(brent(f, a, b, xtol=2.0 ** -1022))
+            except (EvalDomainError, OverflowError):  # f is undefined inside
+                return not floor
+        elif monotone:
+            return not floor and None in (fa, fb)
+        elif min(ends := (slope(a), slope(b))) <= 0.0 <= max(ends):
+            c = brent(slope, a, b, xtol=2.0 ** -1022)
+            near = enclose(f.e, c - 4.0 * math.ulp(c), c + 4.0 * math.ulp(c))
+            if near is not None and near[0] <= 0.0 <= near[1]:
+                found.add(c)
+        return False
+
+    _bisect(lo, hi, tol, split, "roots")
+    clusters: list[list[float]] = []
     for r in sorted(found):
-        if not merged or r - merged[-1] > 10.0 * tol:
-            merged.append(r + 0.0)  # + 0.0 normalizes -0.0
-    return merged
+        m = 0.5 * clusters[-1][-1] + 0.5 * r if clusters else r
+        if clusters and (near := enclose(f.e, m, m)) and near[0] <= 0.0 <= near[1]:
+            clusters[-1].append(r)  # split from the last root by rounding only
+        else:
+            clusters.append([r])
+    return [0.5 * c[0] + 0.5 * c[-1] + 0.0 for c in clusters]  # + 0.0 normalizes -0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Expression trees over one real variable: parsing, evaluation, symbolic
-differentiation, and a structural antiderivative table.
+"""Expression trees over one real variable: parsing, evaluation at a point
+and over an interval (enclose), and symbolic differentiation.
 
 The grammar accepts numbers, ``x``, ``+ - * / ^``, ``exp( )``, ``ln( )``,
 ``abs( )``, ``log(a; u)`` and parentheses; ``^`` binds tightest and is
@@ -314,80 +314,95 @@ def evaluate(e: Expr, x: float) -> float:
     raise TypeError(f"unknown node {e!r}")
 
 
-def evaluate_many(e: Expr, xs):
-    """evaluate(e, x) at every point of the 1-D float array xs, in one walk of
-    the tree.
+# -- interval enclosures ---------------------------------------------------
 
-    Returns (values, undefined): undefined is a boolean mask of the points
-    where evaluate raises EvalDomainError or OverflowError, and values is NaN
-    there.  Every other value is bit-identical to evaluate's: + - * /,
-    negation and abs are correctly rounded in NumPy as in Python, and exp, ln
-    and ^ call math.exp, math.log and Python's ** point by point (NumPy's own
-    exp and power can differ in the last bit).  Nodes are visited in
-    evaluate's order, so any other exception evaluate raises at a point (a
-    ValueError for a NaN exponent of a negative base) is raised here too.
-    """
-    import numpy as np  # here, so that parsing and differentiating load no NumPy
+_LINE = (-math.inf, math.inf)
 
-    xs = np.asarray(xs, dtype=float)
-    undefined = np.zeros(xs.shape, dtype=bool)  # evaluate has raised there by now
 
-    def pointwise(fn, *args):
-        # fn point by point on Python floats (1.0 where undefined); a point
-        # where fn overflows becomes undefined
-        cols = [np.where(undefined, 1.0, a).tolist() for a in args]
-        try:
-            return np.array(list(map(fn, *cols)), dtype=float)
-        except OverflowError:
-            pass
-        out = []
-        for i, point in enumerate(zip(*cols)):
+def _out(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] one ulp wider at each nonzero end (a zero result is exact, or an
+    underflow that evaluate's values share); the whole line for a NaN bound."""
+    return _LINE if lo != lo or hi != hi else (
+        lo and math.nextafter(lo, -math.inf), hi and math.nextafter(hi, math.inf))
+
+
+def _image(fn, a: float, b: float) -> Optional[tuple[float, float]]:
+    """fn(a) and fn(b) in order and rounded outward, for fn positive and
+    monotone on [a, b] (exp, **): inf at an end where fn overflows or is
+    0.0 ** -k, and None if both are, as every value between then is."""
+    try:
+        lo, hi = fn(a), fn(b)
+    except (OverflowError, ZeroDivisionError):
+        ends = []
+        for t in (a, b):
             try:
-                out.append(fn(*point))
-            except OverflowError:
-                undefined[i] = True
-                out.append(math.nan)
-        return np.array(out, dtype=float)
+                ends.append(fn(t))
+            except (OverflowError, ZeroDivisionError):
+                pass
+        if not ends:
+            return None
+        lo, hi = ends[0], math.inf
+    return _out(lo, hi) if lo <= hi else _out(hi, lo)
 
-    def walk(e: Expr):
-        if isinstance(e, Const):
-            return np.full(xs.shape, e.value)
-        if isinstance(e, Var):
-            return xs
-        if isinstance(e, Add):
-            return walk(e.a) + walk(e.b)
-        if isinstance(e, Sub):
-            return walk(e.a) - walk(e.b)
-        if isinstance(e, Mul):
-            return walk(e.a) * walk(e.b)
-        if isinstance(e, Div):
-            den = walk(e.b)
-            undefined[den == 0.0] = True
-            return walk(e.a) / den
-        if isinstance(e, Pow):
-            base, expo = walk(e.base), walk(e.exponent)
-            negative = ~undefined & (base < 0.0)
-            if np.isnan(expo[negative]).any():
-                raise ValueError("cannot convert float NaN to integer")  # evaluate's int(expo)
-            undefined[(base == 0.0) & (expo < 0.0)] = True
-            # a fractional exponent, or an infinite one (int(expo) overflows)
-            undefined[negative & ~(np.isfinite(expo) & (expo == np.trunc(expo)))] = True
-            return pointwise(pow, base, expo)
-        if isinstance(e, Neg):
-            return -walk(e.a)
-        if isinstance(e, Exp):
-            return pointwise(math.exp, walk(e.a))
-        if isinstance(e, Ln):
-            arg = walk(e.a)
-            undefined[arg <= 0.0] = True
-            return pointwise(math.log, arg)
-        if isinstance(e, Abs):
-            return np.abs(walk(e.a))
-        raise TypeError(f"unknown node {e!r}")
 
-    with np.errstate(all="ignore"):
-        values = walk(e)
-    return np.where(undefined, np.nan, values), undefined
+def _power(b: tuple[float, float], k: float) -> Optional[tuple[float, float]]:
+    """The image of the interval b under t ** k for a constant k, over the t
+    where evaluate allows it (t < 0 for an integer k only, t = 0 for k > 0)."""
+    size = lambda p0, p1: _image(lambda t: t ** k, p0, p1)  # t ** k for 0 <= p0 <= t <= p1
+    if b[0] >= 0.0 or k != int(k):
+        return size(max(b[0], 0.0), b[1]) if b[1] >= 0.0 else None
+    if int(k) % 2 and b[1] > 0.0:  # odd k, b holds 0
+        return _LINE if k < 0 else (-size(0.0, -b[0])[1], size(0.0, b[1])[1])
+    m = size(max(-b[1], 0.0), max(-b[0], b[1]))  # |t| ** k
+    return m if m is None or not int(k) % 2 else (-m[1], -m[0])
+
+
+def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
+    """An interval (a, b) holding every value evaluate(e, x) returns for x in
+    [lo, hi], or None where evaluate raises at every such x (interval
+    arithmetic, Moore, Kearfott & Cloud 2009, ch. 5-6): the exact image of
+    each node over the points where it is defined, rounded outward by an ulp,
+    so ln sees the positive part of its argument and an exp or power that
+    overflows everywhere is None; a divisor interval holding 0, or a NaN
+    bound (inf - inf), gives the whole line (-inf, inf)."""
+    kind = type(e)
+    if kind is Const:
+        return e.value, e.value
+    if kind is Var:
+        return lo, hi
+    if kind is Pow:
+        if type(e.exponent) is Const:
+            b = enclose(e.base, lo, hi)
+            return b and _power(b, e.exponent.value)
+        u, c = enclose(e.exponent, lo, hi), e.base.value
+        if u is None or c <= 0.0:  # c ** u for c <= 0 is defined at some integers only
+            return u and _LINE
+        return _image(lambda t: c ** t, *u)
+    a = enclose(e.a, lo, hi)
+    if a is None or kind is Neg:
+        return a and (-a[1], -a[0])
+    if kind is Exp:
+        return _image(math.exp, *a)
+    if kind is Ln:
+        if not a[1] > 0.0:
+            return None
+        return _out(math.log(a[0]) if a[0] > 0.0 else -math.inf, math.log(a[1]))
+    if kind is Abs:
+        return a if a[0] >= 0.0 else (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
+    b = enclose(e.b, lo, hi)
+    if b is None:
+        return None
+    if kind is Add:
+        return _out(a[0] + b[0], a[1] + b[1])
+    if kind is Sub:
+        return _out(a[0] - b[1], a[1] - b[0])
+    if kind is Mul:
+        ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    elif b[0] <= 0.0 <= b[1]:  # Div
+        return _LINE
+    else:
+        ends = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _LINE if any(map(math.isnan, ends)) else _out(min(ends), max(ends))
 
 
 # -- symbolic differentiation ----------------------------------------------

@@ -4,21 +4,18 @@ Cost-phase analysis for cubic total-cost functions, profit and Cournot
 analysis for a monopolist, ratio optima (average profit, efficiency),
 market equilibrium with surplus strategies, and the piecewise-logarithmic
 psychological value function; cost phases and values load no NumPy.  Profit,
-ratio, demand and supply functions are calculus.analysis' _Fn objects.
+ratio, price, demand and supply functions are calculus.analysis' _Fn objects.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
 
 from . import calculus as ca
 from .calculus import Expr
 from .calculus import analysis as an
 from .numeric import _FrozenRecord
-
-MONOTONE_GRID = 256  # grid density for monotonicity precondition checks
 
 
 class EconError(ValueError):
@@ -33,31 +30,6 @@ class _Record(_FrozenRecord):
     def to_dict(self) -> dict:
         return {f: v.to_dict() if isinstance(v, _Record) else v
                 for f, v in zip(self._fields, self._values())}
-
-
-def _suspects(de: Expr, xs, fails):
-    """The points of xs, in order, where evaluate(de, x) raises or gives a value
-    v with fails(v), from one array pass (evaluate_many): the only points a
-    point-by-point check has to visit to raise what it raised on all of xs."""
-    values, undefined = ca.evaluate_many(de, xs)
-    return xs[undefined | fails(values)]
-
-
-def _monotone_flaw(f: an._Fn, lo: float, hi: float, increasing: bool) -> Optional[str]:
-    """For a rational f, "" if it is strictly increasing (decreasing) on [lo, hi]
-    (the sign pieces of f' merge into one that covers it: f' may vanish at
-    points, a pole splits it), else where it is not; None for any other f."""
-    if not f.rat:
-        return None
-    want = "increasing" if increasing else "decreasing"
-    _, pieces, _ = f.sign_pieces(f.d, lo, hi, "increasing", "decreasing")
-    if pieces == ((lo, hi, want),):
-        return ""
-    for a, b, label in pieces:
-        if label != want:
-            return f"it is {label} on ({a:.6g}, {b:.6g})"
-    x = pieces[0][1] if pieces and pieces[0][0] == lo else lo
-    return f"it is not {want} across x = {x:.6g}"
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +140,21 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 # ---------------------------------------------------------------------------
 
 class MarketModel(_FrozenRecord):
-    """A monopolist's unit-price function p(x) and cost model on [0, x_max].
+    """A monopolist's strictly decreasing unit-price function p(x) and cost
+    model on the finite window [0, x_max].
 
-    profit is the profit function G = x p(x) - K(x) as an analysis._Fn, and
-    price_slope the tree of p'; each is built on first use and kept with the
-    model in its __dict__ (not a field: equality, hash and repr see only
-    price, cost and x_max), so G, G', G'' and the roots of G' are converted
-    and solved, and p' taken, once for all the analyses of one model.
-    """
+    price_fn (p) and profit (G = x p(x) - K(x)) are analysis._Fn objects and
+    price_slope the tree of p', each built on first use and kept in the
+    model's __dict__ (no field: equality, hash and repr see price, cost and
+    x_max only), so G, G', G'' and the roots of G' are solved, and p' taken,
+    once for all the analyses of one model."""
 
     __slots__ = ("price", "cost", "x_max", "__dict__")
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise EconError(f"window must have positive length, got x_max={self.x_max}")
-        if (flaw := _monotone_flaw(an._Fn(self.price), 0.0, self.x_max, increasing=False)) == "":
-            return
-        import numpy as np
-        dp = self.price_slope  # the grid names the first offending point
-        grid = np.linspace(self.x_max / MONOTONE_GRID, self.x_max, MONOTONE_GRID)
-        for x in _suspects(dp, grid, lambda v: v >= 0):
-            if ca.evaluate(dp, float(x)) >= 0:
-                raise EconError(f"price function must be strictly decreasing; p'({x:.6g}) >= 0")
-        if flaw:
+        if not 0 < self.x_max < math.inf:
+            raise EconError(f"window must be finite with positive length, got x_max={self.x_max}")
+        if flaw := self.price_fn.monotone_flaw(0.0, self.x_max, increasing=False):
             raise EconError(f"price function must be strictly decreasing; {flaw}")
 
     def revenue_expr(self) -> Expr:
@@ -204,8 +168,12 @@ class MarketModel(_FrozenRecord):
         return an._Fn(self.profit_expr())
 
     @functools.cached_property
-    def price_slope(self) -> Expr:  # p', taken once
-        return ca.differentiate(self.price)
+    def price_fn(self) -> an._Fn:
+        return an._Fn(self.price)
+
+    @functools.cached_property
+    def price_slope(self) -> Expr:  # p', taken once (a rational price_fn.d has no tree)
+        return self.price_fn.d.e or ca.differentiate(self.price)
 
 
 class ProfitAnalysis(_Record):
@@ -279,8 +247,8 @@ def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> R
     the elasticities of numerator and denominator agree (for denominator = x
     this is the unit-elasticity condition).
     """
-    if not 0 <= lo < hi:
-        raise EconError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+    if not 0 <= lo < hi < math.inf:
+        raise EconError(f"need finite 0 <= lo < hi, got [{lo}, {hi}]")
     eps = max(1e-9, (hi - lo) * 1e-9)
     ratio = an._Fn(ca.div(numerator, denominator))
     x_star = ratio.best_maximum(lo + eps, hi - eps)
@@ -304,33 +272,19 @@ class Equilibrium(_Record):
 
 def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> an._Fn:
     """e as an _Fn, or EconError unless e is strictly increasing (decreasing)
-    on [lo, hi]: exact for a rational e (_monotone_flaw), else e' > 0 (e' < 0)
-    on a grid, skipping the points where e' is undefined; OverflowError
-    propagates."""
+    on [lo, hi] (_Fn.monotone_flaw)."""
     f = an._Fn(e)
-    if (flaw := _monotone_flaw(f, lo, hi, increasing)) == "":
-        return f
-    import numpy as np
-    message = f"{name} must be monotonously {'increasing' if increasing else 'decreasing'}"
-    de = ca.differentiate(e) if f.rat else f.d.e  # a rational f.d has no tree
-    fails = (lambda v: v <= 0) if increasing else (lambda v: v >= 0)
-    for x in _suspects(de, np.linspace(lo, hi, MONOTONE_GRID), fails):
-        try:
-            v = ca.evaluate(de, float(x))
-        except ca.EvalDomainError:
-            continue
-        if fails(v):
-            raise EconError(f"{message} on the window")
-    if flaw:
-        raise EconError(f"{message} on the window; {flaw}")
+    if flaw := f.monotone_flaw(lo, hi, increasing):
+        kind = "increasing" if increasing else "decreasing"
+        raise EconError(f"{name} must be monotonously {kind} on the window; {flaw}")
     return f
 
 
 def equilibrium(demand: Expr, supply: Expr, p_lo: float, p_hi: float) -> Equilibrium:
     """Market price p_M with A(p_M) = N(p_M); also the prohibitive price
     (root of demand) and the saturation quantity N(0) when visible."""
-    if not p_lo < p_hi:
-        raise EconError(f"need p_lo < p_hi, got [{p_lo}, {p_hi}]")
+    if not -math.inf < p_lo < p_hi < math.inf:
+        raise EconError(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
     N = _check_monotone(demand, p_lo, p_hi, increasing=False, name="demand")
     A = _check_monotone(supply, p_lo, p_hi, increasing=True, name="supply")
 

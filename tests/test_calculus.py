@@ -2,7 +2,6 @@
 roots, curve reports, antiderivatives and definite integration."""
 
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -74,23 +73,24 @@ def sample_points(e, count=20, lo=0.2, hi=3.5):
     return pts[:: max(1, len(pts) // count)]
 
 
-def assert_matches_evaluate(e, xs):
-    """evaluate_many(e, xs) against evaluate at each point: the mask is set
-    exactly where evaluate raises EvalDomainError or OverflowError, and every
-    other value is bit-identical (any NaN matches a NaN).  Returns the mask."""
-    values, undefined = ca.evaluate_many(e, xs)
-    assert values.dtype == np.float64 and undefined.dtype == bool
-    assert values.shape == undefined.shape == xs.shape
-    for x, v, u in zip(xs.tolist(), values.tolist(), undefined.tolist()):
+def assert_encloses(e, lo, hi, xs):
+    """enclose(e, lo, hi) holds every value evaluate returns at the points xs
+    of [lo, hi] (a NaN only in the whole line); points where evaluate raises
+    are skipped.  Returns the enclosure and the number of values checked."""
+    box, checked = ca.enclose(e, lo, hi), 0
+    for x in map(float, xs):
+        assert lo <= x <= hi
         try:
-            want = ca.evaluate(e, x)
-        except (EvalDomainError, OverflowError):
-            assert u and math.isnan(v), (ca.to_string(e), x)
+            v = ca.evaluate(e, x)
+        except (EvalDomainError, OverflowError, ValueError):
             continue
-        assert not u, (ca.to_string(e), x)
-        same = struct.pack("<d", v) == struct.pack("<d", want)
-        assert same or math.isnan(v) and math.isnan(want), (ca.to_string(e), x, v, want)
-    return undefined
+        checked += 1
+        assert box is not None, (ca.to_string(e), lo, hi, x, v)
+        if math.isnan(v):
+            assert box == (-math.inf, math.inf), (ca.to_string(e), lo, hi, x)
+        else:
+            assert box[0] <= v <= box[1], (ca.to_string(e), lo, hi, x, v, box)
+    return box, checked
 
 
 class TestParse:
@@ -159,7 +159,7 @@ class TestDepthLimit:
                 ca.evaluate(t, 0.5)
             except (ArithmeticError, ValueError):
                 pass
-            assert_matches_evaluate(t, np.array([-1.5, 0.0, 0.5, 2.0]))
+            assert_encloses(t, -1.5, 2.0, [-1.5, 0.0, 0.5, 2.0])
         # == and hash walk the tree without recursion, so the second derivative
         # (593 levels deep for the quotient) compares and hashes
         d2, again = ca.differentiate(d), ca.differentiate(ca.differentiate(e))
@@ -419,6 +419,89 @@ class TestRoots:
         found = ca.roots(ca.parse("exp(x)-5"), 0, 1000)
         assert found == pytest.approx([math.log(5.0)])
         assert all(type(r) is float for r in found)
+
+
+def counting(monkeypatch):
+    """Count the evaluate and enclose calls that analysis makes."""
+    from ecomath.calculus import analysis
+
+    calls = []
+    for name in ("evaluate", "enclose"):
+        fn = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            (lambda fn: lambda *a: calls.append(a) or fn(*a))(fn))
+    return calls
+
+
+class TestTreeRoots:
+    """roots of a non-rational function: bisection on interval enclosures."""
+
+    @pytest.mark.parametrize("text, lo, hi, expected", [
+        ("(exp(x)-2)^2", -3, 3, [math.log(2.0)]),  # a double root: no sign change
+        ("(exp(x)-1)*(exp(x)-1.0000000001)", -3, 3, [0.0, 1e-10]),
+        ("abs(exp(x)-2)", 0, 1.3, [math.log(2.0)]),  # f' is undefined at the root
+        ("(exp(x)-1)^3", -2, 2, [0.0]),  # 0 is a cell end, where f is exactly 0
+        ("(exp(x)-1)^3", -2, 2.5, [0.0]),  # 0 is inside a floor cell with a sign change
+        ("1/(exp(x)-2)", 0, 1.3, []),  # a pole is no root
+        ("ln(1-x^2)+0.1", -2, 2, [-0.30848433017584, 0.30848433017584]),
+        ("2^(x^2)-3", -2000, 2000, [-1.2589529382471596, 1.2589529382471596]),
+        # a double root in a band of rounding noise ~3e-8 wide: one root, not a cluster
+        ("ln(x)-x+1", 0.5, 1.6, [1.0]),
+        ("ln(x)-x^2002/2002+1/2002", 0.5, 1.6, [1.0]),  # f' rational-shaped past MAX_DEGREE
+    ])
+    def test_roots(self, text, lo, hi, expected):
+        found = ca.roots(ca.parse(text), lo, hi)
+        assert found == pytest.approx(expected, rel=1e-5, abs=1e-15)
+
+    def test_a_double_root_to_full_precision(self):
+        assert ca.roots(ca.parse("(exp(x)-2)^2"), -3, 3) == [0.6931471805599453]
+
+    def test_a_near_double_root_is_no_root(self):
+        # f' changes sign at ln 2 in a floor cell, but f > 0 within 4 ulps of it
+        assert ca.roots(ca.parse("(exp(x)-2)^2+1e-20"), -3, 3) == []
+
+    def test_a_cell_past_the_overflow_drops_out(self, monkeypatch):
+        # exp(x) overflows past x ~ 709.78: those cells are defined nowhere
+        calls = counting(monkeypatch)
+        assert ca.roots(ca.parse("x*exp(x)-exp(x)"), 0, 1000) == [1.0]
+        assert len(calls) < 1000
+
+    def test_few_evaluations_for_simple_roots(self, monkeypatch):
+        calls = counting(monkeypatch)
+        e = ca.parse("exp(x)-2*x-1.5")
+        found = ca.roots(e, -3, 3)
+        assert len(found) == 2 and all(abs(ca.evaluate(e, r)) < 1e-15 for r in found)
+        assert len(calls) <= 150  # points and enclosures of f and f' together
+
+    def test_an_undecided_window_names_its_span(self):
+        # exp(x) - exp(x) is 0 everywhere, and its enclosures never show it
+        with pytest.raises(ca.UndecidedError, match=r"roots undecided on \[-?[0-9.e-]+, 1\] "
+                                                 r"after MAX_CELLS = 16384 cells"):
+            ca.roots(ca.parse("exp(x)-exp(x)"), -1, 1)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-math.inf, math.inf), (0, math.inf), (-math.inf, 0), (math.nan, 1), (0, math.nan),
+    ])
+    def test_window_not_finite_refused(self, lo, hi):
+        # exp(x) - 2 on (-inf, inf) gave [] with RuntimeWarnings
+        for text in ("exp(x)-2", "x-2"):
+            with pytest.raises(ValueError, match="need finite lo < hi"):
+                ca.roots(ca.parse(text), lo, hi)
+
+    @given(st.lists(st.tuples(st.floats(0.25, 1.0), st.booleans()), min_size=1, max_size=4),
+           st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_products_of_shifted_exp_and_ln_factors(self, steps, doubled):
+        # roots r at least 0.25 apart in [0.5, 4.5]: a factor exp(x) - e^r or
+        # ln(x) - ln(r) for each, one of them squared (a double root)
+        rs, factors = [], []
+        for i, (step, use_exp) in enumerate(steps):
+            rs.append((rs[-1] if rs else 0.25) + step)
+            c = math.exp(rs[-1]) if use_exp else math.log(rs[-1])
+            factor = f"({'exp' if use_exp else 'ln'}(x)-{c!r})"
+            factors.append(f"{factor}^2" if i == doubled % len(steps) else factor)
+        found = ca.roots(ca.parse("*".join(factors)), 0.1, 5.0)
+        assert found == pytest.approx(rs, rel=1e-9)
 
 
 def separated_roots():
@@ -813,6 +896,17 @@ class TestIntegrate:
         with pytest.raises(PoleError):
             ca.integrate(ca.parse("1/x"), -1, 1)
 
+    @pytest.mark.parametrize("text, a, b", [
+        ("1/(exp(x)-2)^2", 0, 1.3),
+        ("1/abs(exp(x)-2)", 0, 1.3),
+        ("1/(exp(x)-1)^2", -1, 1.3),
+    ])
+    def test_pole_at_a_multiple_root_of_a_tree_rejected(self, text, a, b):
+        # the divisor keeps its sign across the pole; each ran past 30 s in
+        # adaptive Simpson when its root was missed
+        with pytest.raises(PoleError):
+            ca.integrate(ca.parse(text), a, b)
+
     def test_divergent_endpoint_rejected(self):
         with pytest.raises(DivergenceError):
             ca.integrate(ca.parse("x^-2"), 0, 1)
@@ -830,13 +924,26 @@ class TestIntegrate:
             ca.integrate(X, a, b)
 
 
-class TestEvaluateMany:
+def negative_base_to_a_nan_power():
+    """(-2)^(u - u) with u = 1e308 x: the exponent is inf - inf = NaN from
+    x ~ 1.8 on, where evaluate's int(NaN) raises ValueError."""
+    big = ca.mul(ca.const(1e308), X)
+    return ca.pow_(ca.const(-2.0), ca.sub(big, big))
+
+
+class TestEnclose:
     def test_random_trees_and_their_derivatives(self):
-        xs = np.linspace(-4.0, 4.0, 401)  # holds 0: poles and the edge of ln's domain
+        draw = np.random.default_rng(77)
+        trees = [ca.parse("1e300*x*x - 1e300*x*x"), negative_base_to_a_nan_power()]
         for _ in range(60):
             e = random_expr()
-            for t in (e, ca.differentiate(e)):
-                assert_matches_evaluate(t, xs)
+            trees += e, ca.differentiate(e)
+        checked = 0
+        for t in trees:
+            for _ in range(8):  # windows in [-4, 4]: poles, ln's domain edge, both signs
+                lo, hi = sorted(draw.uniform(-4.0, 4.0, 2).tolist())
+                checked += assert_encloses(t, lo, hi, [lo, hi, *draw.uniform(lo, hi, 25)])[1]
+        assert checked > 10000
 
     @pytest.mark.parametrize("text, lo, hi, extra", [
         ("exp(x)-5", 0, 1000, []),  # math.exp overflows beyond x ~ 709.78
@@ -850,32 +957,66 @@ class TestEvaluateMany:
     def test_overflow_and_domain_edges(self, text, lo, hi, extra):
         e = ca.parse(text)
         xs = np.concatenate([np.linspace(lo, hi, 1025), extra])
-        undefined = assert_matches_evaluate(e, xs)
-        assert undefined.any() and not undefined.all()
-        assert_matches_evaluate(ca.differentiate(e), xs)
+        for t in (e, ca.differentiate(e)):
+            assert_encloses(t, lo, hi, xs)
+            for a, b in zip(xs[:-1].tolist(), xs[1:].tolist()):  # each grid cell
+                if a < b:
+                    assert_encloses(t, a, b, [a, 0.5 * a + 0.5 * b, b])
+
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("exp(x)-5", 710, 1000),  # every value overflows
+        ("2^(x^2)", 33, 40),
+        ("x*exp(x)-exp(x)", 709.8, 1000),
+        ("ln(x)", -1, 0),
+        ("ln(x)", 0, 0),
+        ("x^-2", 0, 0),
+        ("(x-0.5)^1.5 + ln(abs(x))", -1, 0.4),
+    ])
+    def test_defined_nowhere_gives_none(self, text, lo, hi):
+        e = ca.parse(text)
+        for x in np.linspace(lo, hi, 50).tolist():
+            with pytest.raises((EvalDomainError, OverflowError)):
+                ca.evaluate(e, x)
+        assert ca.enclose(e, lo, hi) is None
 
     def test_values_past_the_float_range_without_an_error(self):
-        # products overflow to inf and inf - inf is NaN: evaluate raises neither
+        # products overflow to inf and inf - inf is NaN: evaluate raises neither,
+        # and the enclosure is the whole line
         e = ca.parse("1e300*x*x - 1e300*x*x")
-        undefined = assert_matches_evaluate(e, np.linspace(-1e10, 1e10, 101))
-        assert not undefined.any()
+        assert assert_encloses(e, -1e10, 1e10, np.linspace(-1e10, 1e10, 101))[0] == (
+            -math.inf, math.inf)
+        box = ca.enclose(e, -1.0, 1.0)
+        assert -math.inf < box[0] <= 0.0 <= box[1] < math.inf
 
-    def test_other_errors_in_evaluation_order(self):
-        # (-2)^u with u = inf - inf = NaN at x = 2: evaluate's int(u) raises
-        # ValueError, and so does evaluate_many ...
-        big = ca.mul(ca.const(1e308), X)
-        p = ca.pow_(ca.const(-2.0), ca.sub(big, big))
-        for evaluate in (lambda: ca.evaluate(p, 2.0),
-                         lambda: ca.evaluate_many(p, np.array([0.5, 2.0]))):
-            with pytest.raises(ValueError, match="NaN"):
-                evaluate()
-        # ... unless a node evaluated before it has made the point undefined
-        guarded = ca.add(ca.div(ca.const(1.0), ca.sub(X, ca.const(2.0))), p)
-        assert_matches_evaluate(guarded, np.array([0.5, 2.0])).tolist() == [False, True]
+    def test_nan_exponent_of_a_negative_base(self):
+        p = negative_base_to_a_nan_power()
+        assert ca.evaluate(p, 0.5) == 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            ca.evaluate(p, 2.0)
+        # a NaN exponent counts as any exponent: the whole line, also on [2, 3],
+        # where evaluate raises everywhere
+        assert assert_encloses(p, 0.5, 2.0, [0.5, 2.0])[0] == (-math.inf, math.inf)
+        assert ca.enclose(p, 2.0, 3.0) == (-math.inf, math.inf)
 
     def test_constant_and_identity(self):
-        xs = np.array([-1.0, 0.0, 2.5])
-        values, undefined = ca.evaluate_many(X, xs)
-        assert values.tolist() == xs.tolist() and values is not xs
-        values, _ = ca.evaluate_many(ca.const(4.0), xs)
-        assert values.tolist() == [4.0, 4.0, 4.0]
+        assert ca.enclose(X, -1.0, 2.5) == (-1.0, 2.5)
+        assert ca.enclose(ca.const(4.0), -1.0, 2.5) == (4.0, 4.0)
+
+    @pytest.mark.parametrize("text, lo, hi, want", [
+        ("x^2", -1, 2, (0.0, 4.0)),  # not [-2, 4], as x*x gives
+        ("(x-1)^4", 0, 3, (0.0, 16.0)),
+        ("x^3", -2, 1, (-8.0, 1.0)),
+        ("abs(x)", -3, 2, (0.0, 3.0)),
+        ("-x", -3, 2, (-2.0, 3.0)),
+        ("exp(x)", 0, 1, (1.0, math.e)),
+        ("ln(x)", -1, 1, (-math.inf, 0.0)),  # the positive part only
+        ("x^-2", -1, 2, (0.25, math.inf)),
+        ("1/(x-1)", 0, 2, (-math.inf, math.inf)),  # the divisor holds 0
+        ("0.5^x", -1, 2, (0.25, 2.0)),
+        ("x^0.5", -4, 9, (0.0, 3.0)),
+    ])
+    def test_exact_images_up_to_rounding(self, text, lo, hi, want):
+        got = ca.enclose(ca.parse(text), lo, hi)
+        for g, w in zip(got, want):
+            assert g == w or abs(g - w) <= 1e-14 * abs(w)
+        assert got[0] <= want[0] and want[1] <= got[1]

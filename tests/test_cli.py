@@ -227,6 +227,31 @@ class TestExpressionLimits:
         assert json.loads(out)["roots"] == [0.9970883705111784]
 
 
+    def test_double_root_of_a_tree(self, capsys):
+        code, out, _ = run(
+            ["--format", "json", "calc", "roots", "(exp(x)-2)^2", "--window=-3:3"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["roots"] == [0.6931471805599453]
+
+    def test_integral_across_a_double_pole_exit_3_quickly(self):
+        # roots of the divisor (exp(x)-2)^2 once missed ln 2, and adaptive
+        # Simpson then never ended; a fresh process, so a hang ends at the timeout
+        src = str(Path(ecomath.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ecomath.cli import dispatch; sys.exit(dispatch())",
+             "calc", "integrate", "1/(exp(x)-2)^2", "--from", "0", "--to", "1.3"],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "pole at x = 0.693147" in proc.stderr
+
+    def test_undecided_roots_exit_3(self, capsys):
+        code, out, err = run(["calc", "roots", "exp(x)-exp(x)", "--window=-1:1"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == "" and "undecided on [" in err and "Traceback" not in err
+
 class TestSolveAndLinalg:
     def test_unique_system(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1,1\n1,-1\n")

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ecomath import calculus as ca
 from ecomath import econ
@@ -85,6 +86,11 @@ class TestMarketModel:
         with pytest.raises(EconError):
             MarketModel(ca.parse("20+x"), COST, 10.0)
 
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0])
+    def test_window_not_finite_and_positive_refused(self, x_max):
+        with pytest.raises(EconError, match="finite with positive length"):
+            MarketModel(ca.parse("20-x"), COST, x_max)
+
     def test_revenue_and_profit(self):
         G = MARKET.profit_expr()
         assert ca.poly_coeffs(G) == pytest.approx([-4, 5, 5, -1])
@@ -153,6 +159,11 @@ class TestRatioOptimum:
         with pytest.raises(EconError):
             econ.ratio_optimum(f, f, 0.1, 5.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.1, math.inf), (0.1, math.nan), (math.nan, 5.0)])
+    def test_window_not_finite_refused(self, lo, hi):
+        with pytest.raises(EconError, match="need finite 0 <= lo < hi"):
+            econ.ratio_optimum(MARKET.profit_expr(), ca.X, lo, hi)
+
 
 class TestEquilibrium:
     def test_linear_intersection(self):
@@ -168,6 +179,11 @@ class TestEquilibrium:
     def test_disjoint_curves(self):
         with pytest.raises(EconError):
             econ.equilibrium(ca.parse("10-x"), ca.parse("x+20"), 0, 10)
+
+    @pytest.mark.parametrize("lo, hi", [(0, math.inf), (-math.inf, 10), (math.nan, 10)])
+    def test_window_not_finite_refused(self, lo, hi):
+        with pytest.raises(EconError, match="need finite p_lo < p_hi"):
+            econ.equilibrium(ca.parse("10-x"), ca.parse("x"), lo, hi)
 
     def test_monotonicity_preconditions(self):
         with pytest.raises(EconError):
@@ -239,80 +255,121 @@ class TestEquilibrium:
 
 
 def outcome(fn, *args):
-    """(exception type, message) of fn(*args), or None if it returns."""
+    """The exception type fn(*args) raises, or None if it returns."""
     try:
         fn(*args)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc)
     return None
 
 
 class TestMonotoneChecks:
-    """The price check and _check_monotone visit only the grid points that one
-    array pass flags; they must raise what a loop over every grid point raises."""
+    """The price check and _check_monotone share _Fn.monotone_flaw: exact sign
+    pieces for a rational function, enclosures of the derivative cell by cell
+    for a tree.  Both skip the points where the derivative is undefined or
+    overflows, so a loop over 256 points that skips them too must agree on
+    whether they raise; what they name is checked on its own."""
 
     @staticmethod
-    def price_loop(price, x_max):
-        dp = ca.differentiate(price)
-        for x in np.linspace(x_max / econ.MONOTONE_GRID, x_max, econ.MONOTONE_GRID):
-            if ca.evaluate(dp, float(x)) >= 0:
-                raise EconError(f"price function must be strictly decreasing; p'({x:.6g}) >= 0")
-
-    @staticmethod
-    def monotone_loop(e, lo, hi, increasing, name):
+    def point_loop(e, lo, hi, increasing):
         de = ca.differentiate(e)
-        for x in np.linspace(lo, hi, econ.MONOTONE_GRID):
+        for x in np.linspace(lo, hi, 256).tolist():
             try:
-                v = ca.evaluate(de, float(x))
-            except ca.EvalDomainError:
+                v = ca.evaluate(de, x)
+            except (EvalDomainError, OverflowError):
                 continue
-            if (increasing and v <= 0) or (not increasing and v >= 0):
-                kind = "increasing" if increasing else "decreasing"
-                raise EconError(f"{name} must be monotonously {kind} on the window")
+            if (v <= 0) if increasing else (v >= 0):
+                raise EconError(f"not monotone at {x}")
 
     @pytest.mark.parametrize("price, x_max, raised", [
         ("20-x", 10.0, None),
         ("60*exp(-0.1*x)", 30.0, None),
         ("10-(x-3)^2", 10.0, EconError),  # p' >= 0 up to x = 3
         ("10+(x-3)^2", 10.0, EconError),  # p' >= 0 from x = 3 on
-        ("-(x-4)^0.5", 10.0, EvalDomainError),  # p' undefined below x = 4
-        ("-exp(x)", 1000.0, OverflowError),  # p' overflows beyond x ~ 709.78
-        ("10*x^2 - exp(x)", 1000.0, EconError),  # p'(3.9) > 0, before the overflow
+        ("-(x-4)^0.5", 10.0, None),  # p' undefined below x = 4
+        ("-exp(x)", 1000.0, None),  # p' overflows beyond x ~ 709.78, and is < 0
+        ("10*x^2 - exp(x)", 1000.0, EconError),  # p' > 0 on (0.0527, 4.50)
     ])
     def test_price_check_raises_what_the_point_loop_raises(self, price, x_max, raised):
         p = ca.parse(price)
-        want = outcome(self.price_loop, p, x_max)
-        assert (want and want[0]) is raised
-        assert outcome(MarketModel, p, COST, x_max) == want
+        # the loop starts at x_max / 256: p' of 10-(x-3)^2 is 6 > 0 at 0 as well
+        assert outcome(self.point_loop, p, x_max / 256, x_max, False) is raised
+        assert outcome(MarketModel, p, COST, x_max) is raised
 
     def test_price_check_names_the_first_offending_point(self):
-        with pytest.raises(EconError, match=r"p'\(0\.0390625\) >= 0"):  # 10/256
-            MarketModel(ca.parse("10-(x-3)^2"), COST, 10.0)
-        with pytest.raises(EconError, match=r"p'\(3\.90625\) >= 0"):  # 1000/256
+        # p' = 20x - exp(x) turns positive at x0 = 0.05270595...; the walk visits
+        # cells left to right and names the midpoint of the first cell of width
+        # at most 1e-10 where p' > 0, so within 1e-10 of x0
+        x0 = brentq(lambda x: 20 * x - math.exp(x), 0.0, 1.0, xtol=1e-15)
+        with pytest.raises(EconError, match=r"decreasing; it is not decreasing at x = 0\.052706$"):
             MarketModel(ca.parse("10*x^2 - exp(x)"), COST, 1000.0)
+        assert f"{x0:.6g}" == "0.052706"
+        # a rational price names the first piece where p' > 0
+        with pytest.raises(EconError, match=r"decreasing; it is increasing on \(0, 3\)$"):
+            MarketModel(ca.parse("10-(x-3)^2"), COST, 10.0)
+        with pytest.raises(EconError, match=r"decreasing; it is increasing on \(3, 10\)$"):
+            MarketModel(ca.parse("10+(x-3)^2"), COST, 10.0)
 
     @pytest.mark.parametrize("text, lo, hi, increasing, raised", [
         ("100-abs(x)", 0, 60, False, None),  # e' undefined at x = 0 only
         ("(x-2)^0.5", 0, 10, True, None),  # e' undefined up to x = 2
         ("abs(x-5)", 0, 10, True, EconError),
         ("x^2", -1, 1, True, EconError),
-        ("100-exp(x)", 0, 1000, False, OverflowError),
+        ("100-exp(x)", 0, 1000, False, None),  # e' overflows beyond x ~ 709.78, and is < 0
     ])
     def test_check_monotone_raises_what_the_point_loop_raises(
         self, text, lo, hi, increasing, raised
     ):
         e = ca.parse(text)
-        want = outcome(self.monotone_loop, e, lo, hi, increasing, "f")
-        assert (want and want[0]) is raised
-        assert outcome(econ._check_monotone, e, lo, hi, increasing, "f") == want
+        assert outcome(self.point_loop, e, lo, hi, increasing) is raised
+        assert outcome(econ._check_monotone, e, lo, hi, increasing, "f") is raised
+
+    @pytest.mark.parametrize("text, lo, hi, flaw", [
+        ("abs(x-5)", 0, 10, r"it is not increasing on \(0, 2\.5\)"),  # a cell
+        ("x^2", -1, 1, r"it is decreasing on \(-1, 0\)"),  # a rational piece
+    ])
+    def test_check_monotone_names_the_flaw(self, text, lo, hi, flaw):
+        with pytest.raises(EconError, match="^f must be monotonously increasing on the window; "
+                                            + flaw + "$"):
+            econ._check_monotone(ca.parse(text), lo, hi, True, "f")
+
+    @pytest.mark.parametrize("price, x_max, flaw", [
+        # p' = 0.188 at 0: a rise before the first point of the old grid, x_max/256
+        ("74.145 - 1.917*x^2 + -0.188*exp(-x)", 43.51, r"on \(0, 0\.0424902\)$"),
+        # p' > 0 on (5.2087, 5.237), just before the kink: cells straddle 0 there
+        ("54.131*2^(-0.518*x) + -2.995*abs(x-5.237)", 30.75, r"at x = 5\.20866$"),
+        # p' underflows to 0 past x ~ 30: the price is flat in floating point
+        ("30.422*exp(-0.882*x^2)", 44.76, r"on \([0-9.]+, [0-9.]+\)$"),
+    ])
+    def test_price_check_finds_what_no_grid_point_shows(self, price, x_max, flaw):
+        with pytest.raises(EconError, match="it is not decreasing " + flaw):
+            MarketModel(ca.parse(price), COST, x_max)
+
+    def test_an_isolated_zero_of_the_derivative_is_allowed(self):
+        e = ca.parse("(exp(x)-1)^3")  # e' = 0 at x = 0 only
+        assert econ._check_monotone(e, -1, 1, True, "f").e is e
+
+    def test_a_floor_cell_fails_on_the_sign_at_its_midpoint(self):
+        # e' = exp(x) - exp(x) - 1e-20 < 0, but its enclosures hold 0 on every
+        # cell: the first floor cell, [0, 2^-34], fails at its midpoint
+        with pytest.raises(EconError, match=r"it is not increasing at x = 2\.91038e-11$"):
+            econ._check_monotone(ca.parse("exp(x)-exp(x)-1e-20*x"), 0, 1, True, "f")
+
+    def test_an_undecided_window_raises_past_the_cell_budget(self):
+        # e' = exp(x) - exp(x) is 0 everywhere, and its enclosures never show it
+        with pytest.raises(ca.UndecidedError, match=r"monotonicity undecided on \[-?[0-9.e-]+, 1\]"):
+            econ._check_monotone(ca.parse("exp(x)-exp(x)"), 0, 1, True, "f")
+
+    def test_exponential_demand_past_the_overflow_is_decreasing(self):
+        # demand 100 - exp(x) on [0, 1000]: N' = -exp(x) < 0 wherever it is defined
+        out = econ.equilibrium(ca.parse("100-exp(x)"), ca.parse("x"), 0, 1000)
+        assert out.p_M + math.exp(out.p_M) == pytest.approx(100.0, rel=1e-14)
+        assert out.quantity == pytest.approx(out.p_M, rel=1e-12)
+        assert out.p_prohibitive == pytest.approx(math.log(100.0), rel=1e-14)
 
     def test_undefined_points_are_skipped(self):
         out = econ.equilibrium(ca.parse("100-abs(x)"), ca.parse("2*x+5"), 0, 60)
         assert out.p_M == pytest.approx(95.0 / 3.0)
-
-    def test_overflow_propagates(self):
-        with pytest.raises(OverflowError):
-            econ.equilibrium(ca.parse("100-exp(x)"), ca.parse("x"), 0, 1000)
 
     def test_rational_demand_flat_at_the_window_start_is_decreasing(self):
         # p'(0) = 0 at a grid point, yet the demand is strictly decreasing on [0, 60]
@@ -418,8 +475,8 @@ class TestProfitOnArrays:
         price, cost = ca.parse("60*exp(-0.1*x)"), CostModel(1, -6, 15, 4)
         m, fresh = MarketModel(price, cost, 10.0), MarketModel(price, cost, 10.0)
         calls = []
-        scan = analysis._scan_roots
-        monkeypatch.setattr(analysis, "_scan_roots",
+        scan = analysis._tree_roots
+        monkeypatch.setattr(analysis, "_tree_roots",
                             lambda e, *a, **k: calls.append(e) or scan(e, *a, **k))
         pa = econ.profit_analysis(m)
         cp = econ.cournot(m)

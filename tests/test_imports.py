@@ -63,6 +63,16 @@ def test_calc_diff_loads_no_numpy():
     assert not {"numpy", "scipy"} & top_level(modules)
 
 
+
+def test_roots_of_a_tree_load_no_numpy():
+    # the bisection on enclosures is pure Python; only the rational path has arrays
+    modules = loaded_after(
+        "from ecomath.cli import dispatch\n"
+        "assert dispatch(['calc', 'roots', 'exp(x)-2*x-1.5', '--window=-3:3']) == 0"
+    )
+    assert "ecomath.calculus.analysis" in modules
+    assert not {"numpy", "scipy"} & top_level(modules)
+
 @pytest.mark.parametrize("argv", [
     ["calc", "integrate", "x^3-2*x+1", "--from", "0", "--to", "2"],
     ["calc", "elasticity", "100-2*x", "--at", "10"],
