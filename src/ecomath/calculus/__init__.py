@@ -1,11 +1,10 @@
 """Symbolic-lite calculus: expression trees, differentiation, root finding,
 curve sketching and definite integration.
 
-The names from ``expr`` (trees, parser, evaluation, interval enclosures,
-differentiation; standard library only) load with the package; those from
-``analysis`` on first attribute access (PEP 562).  Only its array functions
-import NumPy, so elasticities, the roots of a non-rational function and the
-integral of an expression with no non-constant divisor load none.
+The names from ``expr`` (trees, parser, evaluation, enclosures, differentiation;
+standard library only) load with the package; those from ``analysis`` on first
+attribute access (PEP 562).  Only its array functions import NumPy, so
+elasticities, tree roots and integrals with no non-constant divisor load none.
 """
 
 import importlib
@@ -47,8 +46,8 @@ from .expr import (
 # defined in .analysis, which binds them here when it loads
 _LAZY = (
     "CurveReport", "DivergenceError", "PoleError", "UndecidedError",
-    "UnsupportedExpressionError", "antiderivative", "as_rational", "curve_report", "elasticity",
-    "elasticity_expr", "elasticity_label", "expr_from_poly", "integrate",
+    "UnsupportedExpressionError", "antiderivative", "as_rational", "curve_report",
+    "elasticity", "elasticity_expr", "elasticity_label", "expr_from_poly", "integrate",
     "poly_coeffs", "poly_divide", "poly_real_roots", "roots", "second_elasticity",
     "tangent_line",
 )

@@ -2,8 +2,7 @@
 root finding, polynomial machinery, curve reports, and definite integration.
 Only the functions that work on arrays import NumPy.  Whether f is a ratio of
 polynomials, solved on its (num, den) arrays, or a tree, bisected on interval
-enclosures, is decided in _Fn alone: roots, curve_report and the econ analyses
-use it, for roots and for monotonicity alike.
+enclosures, is decided in _Fn alone: roots, curve_report and econ use it.
 """
 
 from __future__ import annotations
@@ -327,10 +326,9 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
 
 
 class _Fn:
-    """f(x), its derivative, its roots in a window and its monotonicity: for a
-    rational f from its (num, den) arrays (converted once, or given as rat) by
-    Horner's rule, _rational_derivative and poly_real_roots; otherwise from its
-    tree, by one bisection walk on interval enclosures (_bisect, enclose).
+    """f(x), its derivative, roots and monotonicity: for a rational f from its
+    (num, den) arrays (converted once, or given as rat) by Horner's rule,
+    _rational_derivative and poly_real_roots; otherwise from its tree (_bisect).
 
     Each is worked out on first use and kept on the instance: the arrays, f'
     (d), the roots in each window asked for, and for a rational f the real
@@ -388,23 +386,17 @@ class _Fn:
 
     def monotone_flaw(self, lo: float, hi: float, increasing: bool) -> Optional[str]:
         """None if f is strictly increasing (decreasing) on [lo, hi], else where
-        it is not.  Exact for a rational f: the sign pieces of f' must merge
-        into one covering the window (f' may vanish at points; a pole splits
-        it).  A tree passes a cell of _bisect where the enclosure of f' has the
-        wanted sign or is None, fails one where it has the other sign or 0
-        throughout, or holds 0 within the subnormal range (f' underflows), and
-        halves the rest; a floor cell (width 1e-10) fails only on the sign of
-        f' at its midpoint, so points where f' is undefined are skipped."""
+        not: exact for a rational f (its sign pieces).  A tree's cell of _bisect
+        passes where the enclosure of f' is None or has the wanted sign, fails
+        where it has the other sign or 0 throughout or is subnormal, and else is
+        halved; a floor cell (1e-10) fails on f' midway, where it is defined."""
         want = "increasing" if increasing else "decreasing"
         if self.rat:
             _, pieces, _ = self.sign_pieces(self.d, lo, hi, "increasing", "decreasing")
-            if pieces == ((lo, hi, want),):
-                return None
-            for a, b, label in pieces:
-                if label != want:
-                    return f"it is {label} on ({a:.6g}, {b:.6g})"
-            x = pieces[0][1] if pieces and pieces[0][0] == lo else lo
-            return f"it is not {want} across x = {x:.6g}"
+            wrong = [f"it is {k} on ({a:.6g}, {b:.6g})" for a, b, k in pieces if k != want]
+            x = pieces[0][1] if pieces and pieces[0][0] == lo else lo  # a pole or gap splits it
+            return None if pieces == ((lo, hi, want),) else (
+                wrong or [f"it is not {want} across x = {x:.6g}"])[0]
         sign, flaws = (1.0 if increasing else -1.0), []
 
         def split(a, b, floor):
@@ -468,24 +460,21 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
 
 def _bisect(lo: float, hi: float, tol: float, split, what: str) -> None:
     """Visit the cells of [lo, hi] depth first, left to right, halving one while
-    split(a, b, floor) says so; split must settle a floor cell (width <= tol,
-    or too narrow to halve).  UndecidedError names the span left after MAX_CELLS."""
-    stack, cells = [(lo, hi)], 0
-    while stack:
+    split(a, b, floor) says so; UndecidedError names the span left after MAX_CELLS."""
+    stack = [(lo, hi)]
+    for _ in range(MAX_CELLS):
         a, b = stack.pop()
-        cells += 1
-        if cells > MAX_CELLS:
-            end = stack[0][1] if stack else b
-            raise UndecidedError(f"{what} undecided on [{a:.6g}, {end:.6g}] after "
-                                 f"MAX_CELLS = {MAX_CELLS} cells")
         m = 0.5 * a + 0.5 * b
-        if split(a, b, not (b - a > tol and a < m < b)):
+        if split(a, b, not (b - a > tol and a < m < b)):  # floor: width tol, or unsplittable
             stack += (m, b), (a, m)
+        if not stack:
+            return
+    raise UndecidedError(f"{what} undecided on [{stack[-1][0]:.6g}, {hi:.6g}] after "
+                         f"MAX_CELLS = {MAX_CELLS} cells")  # the pending cells end at hi
 
 
 def _at(e: Expr, x: float) -> Optional[float]:
-    """evaluate(e, x), or None where e is undefined, overflows or is NaN (inf - inf).
-    A tree's f' goes through here, as its _Fn would convert a rational-shaped f'."""
+    """evaluate(e, x), or None where it raises or is NaN (an _Fn would convert f')."""
     try:
         v = evaluate(e, x)
     except (EvalDomainError, OverflowError):
@@ -495,19 +484,12 @@ def _at(e: Expr, x: float) -> Optional[float]:
 
 def _tree_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
     """The roots of the tree f.e on [lo, hi] by _bisect, from the enclosures F
-    of f and F' of f' on each cell [a, b] (an exp or power that overflows on
-    all of it is undefined there); a cell end where f is exactly 0 is a root.
-    - 0 not in F: no root, the cell is dropped;
-    - F and F' bounded, 0 not in F': f is monotone, and a sign change of f
-      from a to b is its one root, found by Brent's method to full precision
-      (the cell is halved if f is undefined inside); else no root;
-    - otherwise the cell is halved down to width tol.  At that floor an
-      unbounded F is a pole or an overflow (dropped), a sign change a root
-      (Brent again), and else a point c where f' changes sign or is undefined
-      is a multiple root if 0 is in F over c +- 4 ulps.
-    Roots split only by rounding, with 0 in F at the point halfway between
-    neighbours, merge into the middle of their span, as at a flat multiple
-    root where the computed f is rounding noise."""
+    of f and F' of f' on a cell [a, b]: none if 0 is not in F; if F and F' are
+    bounded and 0 is not in F', the root where f changes sign (Brent's method,
+    full precision); else halve to width tol, where an unbounded F is a pole or
+    overflow, a sign change a root, and a point c where f' changes sign or is
+    undefined a multiple root if 0 is in F over c +- 4 ulps.  A cell end where
+    f is 0 is a root; roots with 0 in a bounded F midway merge into one."""
     found: set[float] = set()
     slope = lambda x: _at(f.d.e, x) or 0.0  # f', 0 where it is undefined
 
@@ -540,8 +522,8 @@ def _tree_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
     _bisect(lo, hi, tol, split, "roots")
     clusters: list[list[float]] = []
     for r in sorted(found):
-        m = 0.5 * clusters[-1][-1] + 0.5 * r if clusters else r
-        if clusters and (near := enclose(f.e, m, m)) and near[0] <= 0.0 <= near[1]:
+        near = clusters and enclose(f.e, m := 0.5 * clusters[-1][-1] + 0.5 * r, m)
+        if near and -math.inf < near[0] <= 0.0 <= near[1] < math.inf:
             clusters[-1].append(r)  # split from the last root by rounding only
         else:
             clusters.append([r])

@@ -316,68 +316,48 @@ def evaluate(e: Expr, x: float) -> float:
 
 # -- interval enclosures ---------------------------------------------------
 
-_LINE = (-math.inf, math.inf)
-
-
 def _out(lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi] one ulp wider at each nonzero end (a zero result is exact, or an
-    underflow that evaluate's values share); the whole line for a NaN bound."""
-    return _LINE if lo != lo or hi != hi else (
+    """[lo, hi] an ulp wider at each nonzero end; the whole line for a NaN bound."""
+    return (-math.inf, math.inf) if lo != lo or hi != hi else (
         lo and math.nextafter(lo, -math.inf), hi and math.nextafter(hi, math.inf))
 
 
 def _image(fn, a: float, b: float) -> Optional[tuple[float, float]]:
-    """fn(a) and fn(b) in order and rounded outward, for fn positive and
-    monotone on [a, b] (exp, **): inf at an end where fn overflows or is
-    0.0 ** -k, and None if both are, as every value between then is."""
+    """fn(a), fn(b) in order, rounded out, for fn > 0 monotone; None if both overflow."""
     try:
         lo, hi = fn(a), fn(b)
-    except (OverflowError, ZeroDivisionError):
-        ends = []
+    except (OverflowError, ZeroDivisionError):  # at the end where fn is largest
         for t in (a, b):
             try:
-                ends.append(fn(t))
+                return _out(fn(t), math.inf)
             except (OverflowError, ZeroDivisionError):
                 pass
-        if not ends:
-            return None
-        lo, hi = ends[0], math.inf
+        return None
     return _out(lo, hi) if lo <= hi else _out(hi, lo)
-
-
-def _power(b: tuple[float, float], k: float) -> Optional[tuple[float, float]]:
-    """The image of the interval b under t ** k for a constant k, over the t
-    where evaluate allows it (t < 0 for an integer k only, t = 0 for k > 0)."""
-    size = lambda p0, p1: _image(lambda t: t ** k, p0, p1)  # t ** k for 0 <= p0 <= t <= p1
-    if b[0] >= 0.0 or k != int(k):
-        return size(max(b[0], 0.0), b[1]) if b[1] >= 0.0 else None
-    if int(k) % 2 and b[1] > 0.0:  # odd k, b holds 0
-        return _LINE if k < 0 else (-size(0.0, -b[0])[1], size(0.0, b[1])[1])
-    m = size(max(-b[1], 0.0), max(-b[0], b[1]))  # |t| ** k
-    return m if m is None or not int(k) % 2 else (-m[1], -m[0])
 
 
 def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
     """An interval (a, b) holding every value evaluate(e, x) returns for x in
-    [lo, hi], or None where evaluate raises at every such x (interval
-    arithmetic, Moore, Kearfott & Cloud 2009, ch. 5-6): the exact image of
-    each node over the points where it is defined, rounded outward by an ulp,
-    so ln sees the positive part of its argument and an exp or power that
-    overflows everywhere is None; a divisor interval holding 0, or a NaN
-    bound (inf - inf), gives the whole line (-inf, inf)."""
+    [lo, hi], or None where it raises at every such x (Moore, Kearfott & Cloud
+    2009, ch. 5-6): each node's exact image where it is defined, rounded out;
+    a divisor holding 0, or a NaN bound (inf - inf), gives (-inf, inf)."""
     kind = type(e)
     if kind is Const:
         return e.value, e.value
     if kind is Var:
         return lo, hi
-    if kind is Pow:
-        if type(e.exponent) is Const:
-            b = enclose(e.base, lo, hi)
-            return b and _power(b, e.exponent.value)
-        u, c = enclose(e.exponent, lo, hi), e.base.value
-        if u is None or c <= 0.0:  # c ** u for c <= 0 is defined at some integers only
-            return u and _LINE
-        return _image(lambda t: c ** t, *u)
+    if kind is Pow:  # c.__pow__(t) is c ** t, k.__rpow__(t) is t ** k: no closures
+        if type(e.exponent) is not Const:  # c ** u, for c <= 0 defined at integers only
+            u, c = enclose(e.exponent, lo, hi), e.base.value
+            return u and ((-math.inf, math.inf) if c <= 0.0 else _image(c.__pow__, *u))
+        a, k = enclose(e.base, lo, hi), e.exponent.value  # t ** k where evaluate allows it
+        if a is None or a[0] >= 0.0 or k != int(k):  # t < 0 for an integer k only
+            return a and (_image(k.__rpow__, max(a[0], 0.0), a[1]) if a[1] >= 0.0 else None)
+        if int(k) % 2 and a[1] > 0.0:  # odd k, a holds 0
+            return (-math.inf, math.inf) if k < 0 else (
+                -_image(k.__rpow__, 0.0, -a[0])[1], _image(k.__rpow__, 0.0, a[1])[1])
+        m = _image(k.__rpow__, max(-a[1], 0.0), max(-a[0], a[1]))  # |t| ** k
+        return m if m is None or not int(k) % 2 else (-m[1], -m[0])
     a = enclose(e.a, lo, hi)
     if a is None or kind is Neg:
         return a and (-a[1], -a[0])
@@ -389,8 +369,7 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
         return _out(math.log(a[0]) if a[0] > 0.0 else -math.inf, math.log(a[1]))
     if kind is Abs:
         return a if a[0] >= 0.0 else (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
-    b = enclose(e.b, lo, hi)
-    if b is None:
+    if (b := enclose(e.b, lo, hi)) is None:
         return None
     if kind is Add:
         return _out(a[0] + b[0], a[1] + b[1])
@@ -399,10 +378,10 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
     if kind is Mul:
         ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     elif b[0] <= 0.0 <= b[1]:  # Div
-        return _LINE
+        return -math.inf, math.inf
     else:
         ends = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _LINE if any(map(math.isnan, ends)) else _out(min(ends), max(ends))
+    return (-math.inf, math.inf) if any(map(math.isnan, ends)) else _out(min(ends), max(ends))
 
 
 # -- symbolic differentiation ----------------------------------------------

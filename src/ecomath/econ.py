@@ -140,8 +140,7 @@ def cost_analysis(c: CostModel) -> CostAnalysis:
 # ---------------------------------------------------------------------------
 
 class MarketModel(_FrozenRecord):
-    """A monopolist's strictly decreasing unit-price function p(x) and cost
-    model on the finite window [0, x_max].
+    """A monopolist's unit-price function p(x) and cost model on [0, x_max].
 
     price_fn (p) and profit (G = x p(x) - K(x)) are analysis._Fn objects and
     price_slope the tree of p', each built on first use and kept in the
@@ -271,11 +270,9 @@ class Equilibrium(_Record):
 
 
 def _check_monotone(e: Expr, lo: float, hi: float, increasing: bool, name: str) -> an._Fn:
-    """e as an _Fn, or EconError unless e is strictly increasing (decreasing)
-    on [lo, hi] (_Fn.monotone_flaw)."""
-    f = an._Fn(e)
+    """e as an _Fn, or EconError unless _Fn.monotone_flaw finds no flaw on [lo, hi]."""
+    f, kind = an._Fn(e), "increasing" if increasing else "decreasing"
     if flaw := f.monotone_flaw(lo, hi, increasing):
-        kind = "increasing" if increasing else "decreasing"
         raise EconError(f"{name} must be monotonously {kind} on the window; {flaw}")
     return f
 

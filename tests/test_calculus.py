@@ -443,6 +443,9 @@ class TestTreeRoots:
         ("(exp(x)-1)^3", -2, 2, [0.0]),  # 0 is a cell end, where f is exactly 0
         ("(exp(x)-1)^3", -2, 2.5, [0.0]),  # 0 is inside a floor cell with a sign change
         ("1/(exp(x)-2)", 0, 1.3, []),  # a pole is no root
+        # exact zeros at -1 and 1, and the point enclosure at the pole 0 between
+        # them is the whole line: no merge
+        ("abs(x)-1/abs(x)", -2, 2, [-1.0, 1.0]),
         ("ln(1-x^2)+0.1", -2, 2, [-0.30848433017584, 0.30848433017584]),
         ("2^(x^2)-3", -2000, 2000, [-1.2589529382471596, 1.2589529382471596]),
         # a double root in a band of rounding noise ~3e-8 wide: one root, not a cluster

@@ -226,7 +226,6 @@ class TestExpressionLimits:
         assert code == EXIT_OK
         assert json.loads(out)["roots"] == [0.9970883705111784]
 
-
     def test_double_root_of_a_tree(self, capsys):
         code, out, _ = run(
             ["--format", "json", "calc", "roots", "(exp(x)-2)^2", "--window=-3:3"], capsys
@@ -251,6 +250,7 @@ class TestExpressionLimits:
         code, out, err = run(["calc", "roots", "exp(x)-exp(x)", "--window=-1:1"], capsys)
         assert code == EXIT_NUMERICAL
         assert out == "" and "undecided on [" in err and "Traceback" not in err
+
 
 class TestSolveAndLinalg:
     def test_unique_system(self, tmp_path, capsys):

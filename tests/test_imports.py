@@ -63,7 +63,6 @@ def test_calc_diff_loads_no_numpy():
     assert not {"numpy", "scipy"} & top_level(modules)
 
 
-
 def test_roots_of_a_tree_load_no_numpy():
     # the bisection on enclosures is pure Python; only the rational path has arrays
     modules = loaded_after(
@@ -72,6 +71,7 @@ def test_roots_of_a_tree_load_no_numpy():
     )
     assert "ecomath.calculus.analysis" in modules
     assert not {"numpy", "scipy"} & top_level(modules)
+
 
 @pytest.mark.parametrize("argv", [
     ["calc", "integrate", "x^3-2*x+1", "--from", "0", "--to", "2"],
