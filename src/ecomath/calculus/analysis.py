@@ -44,7 +44,7 @@ from .expr import (
     to_string,
 )
 
-MAX_CELLS = 16384  # cells one bisection walk (tree roots, monotonicity) may visit
+MAX_CELLS = 16384  # cells one bisection walk (tree roots, monotonicity, integrals) may visit
 MAX_DEGREE = 2000  # poly_real_roots refuses higher degrees: its work grows as degree^2
 
 
@@ -61,7 +61,8 @@ class DivergenceError(NumericalError, ArithmeticError):
 
 
 class UndecidedError(NumericalError):
-    """A bisection walk left part of its window undecided after MAX_CELLS cells."""
+    """A bisection walk left part of its window undecided after MAX_CELLS cells,
+    or an integral's cell of the floor width missed its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +758,30 @@ def _singular_points(e: Expr, lo: float, hi: float) -> list[tuple[float, float]]
     return out
 
 
+# QUADPACK qk15 (Piessens et al. 1983): the Kronrod nodes in (0, 1), and the
+# Kronrod and Gauss weights with the node 0's last; G7's nodes are x[1::2] and 0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
 def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     """Definite integral of e from a to b.
 
-    Uses the structural antiderivative when one exists, otherwise adaptive
-    Simpson quadrature to `tol` (absolute or relative).  NaN or infinite
-    bounds, poles inside the interval and divergent power-law endpoints are
-    rejected.
+    Uses the structural antiderivative when one exists, otherwise G7-K15
+    cells of _bisect, whose 15 interior points (never a or b) go through
+    evaluate.  A cell is kept when |K15 - G7| <= tol (hi-lo)/(b-a) (1 + |K15|),
+    else halved down to width (b-a) 2^-48, where it is kept within the whole
+    tol or raises UndecidedError, as a walk past MAX_CELLS does; the kept K15
+    are summed by math.fsum.  NaN or infinite bounds, poles inside the
+    interval and divergent power-law endpoints are rejected.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -783,33 +801,23 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     F = antiderivative(e)
     if F is not None:
         return evaluate(F, b) - evaluate(F, a)
-    return _adaptive_simpson(e, a, b, tol)
+    kept: list[float] = []
 
+    def split(lo, hi, floor):
+        c, h = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+        f = [evaluate(e, c - h * x) + evaluate(e, c + h * x) for x in _XGK] + [evaluate(e, c)]
+        k15 = h * sum(w * v for w, v in zip(_WGK, f))
+        err = abs(k15 - h * sum(w * v for w, v in zip(_WG, f[1::2])))
+        if err <= tol * (1.0 if floor else (hi - lo) / (b - a)) * (1.0 + abs(k15)):
+            kept.append(k15)
+            return False
+        if floor:
+            raise UndecidedError(f"integral undecided on [{lo:.6g}, {hi:.6g}]: its error "
+                                 f"estimate {err:.3g} is above tol = {tol:g} at width (b-a) 2^-48")
+        return True
 
-def _adaptive_simpson(e: Expr, a: float, b: float, tol: float) -> float:
-    def f(x):
-        return evaluate(e, x)
-
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15.0 * tol * (1.0 + abs(left + right)):
-            return left + right + err / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, depth=48)
+    _bisect(a, b, (b - a) * 2.0 ** -48, split, "integral")
+    return math.fsum(kept)
 
 
 # The package exports these names lazily; binding them there as this module

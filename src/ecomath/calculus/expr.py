@@ -409,6 +409,9 @@ def differentiate(e: Expr) -> Expr:
                 mul(Const(ce), pow_(e.base, Const(ce - 1.0))), differentiate(e.base)
             )
         cb = _const(e.base)  # c^u
+        if cb <= 0.0:  # (c^u)' = ln(c) c^u u' needs c > 0
+            raise EvalDomainError(
+                f"derivative of {to_string(e)} needs the ln of its non-positive base {cb}")
         return mul(mul(Const(math.log(cb)), e), differentiate(e.exponent))
     if isinstance(e, Neg):
         return neg(differentiate(e.a))

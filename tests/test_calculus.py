@@ -2,6 +2,7 @@
 roots, curve reports, antiderivatives and definite integration."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -227,6 +228,12 @@ class TestDifferentiate:
     def test_const_to_x_derivative(self):
         d = ca.differentiate(ca.parse("2^x"))
         assert ca.evaluate(d, 3.0) == pytest.approx(8 * math.log(2))
+
+    @pytest.mark.parametrize("text", ["(-2)^x", "0^x"])
+    def test_const_to_x_with_a_base_at_most_zero_refused(self, text):
+        # (c^u)' = ln(c) c^u u': math.log(c) raised a bare "math domain error"
+        with pytest.raises(EvalDomainError, match=re.escape(f"derivative of {text} needs")):
+            ca.differentiate(ca.parse(text))
 
     def test_quotient_by_a_constant(self):
         # (u/c)' = u'/c: c is not squared (the CLI tests take c to the float range's ends)
@@ -898,6 +905,49 @@ class TestIntegrate:
     def test_pole_inside_rejected(self):
         with pytest.raises(PoleError):
             ca.integrate(ca.parse("1/x"), -1, 1)
+
+    def test_qk15_tables(self):
+        # the Gauss-Legendre 7-point rule (QUADPACK's 0.9491079123427585 is
+        # leggauss' in all but the last digit) and Kronrod weights summing to 2
+        from ecomath.calculus.analysis import _WG, _WGK, _XGK
+
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(_XGK[1::2], x[:3:-1], rtol=1e-15, atol=0)
+        assert np.allclose(_WG, w[:2:-1], rtol=1e-15, atol=0)
+        assert abs(x[3]) < 1e-15
+        assert 2 * math.fsum(_WGK[:7]) + _WGK[7] == pytest.approx(2.0, abs=1e-15)
+
+    def test_smooth_rational_demand_in_few_evaluations(self, monkeypatch):
+        # G7-K15 cells: 105 evaluations; adaptive Simpson took 3477
+        from scipy.integrate import quad
+
+        from ecomath.calculus import analysis
+
+        calls = []
+        evaluate = analysis.evaluate
+        monkeypatch.setattr(analysis, "evaluate", lambda e, x: calls.append(x) or evaluate(e, x))
+        ours = ca.integrate(ca.parse("100/(1+0.01*x^2)"), 0, 60)
+        assert len(calls) <= 150
+        ref, _ = quad(lambda x: 100 / (1 + 0.01 * x * x), 0, 60, epsabs=0, epsrel=1e-13)
+        assert ours == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_log_singularity_at_an_end(self):
+        # the cells never evaluate the ends: adaptive Simpson raised on ln(0)
+        assert ca.integrate(ca.parse("ln(x)"), 0, 1) == pytest.approx(-1.0, rel=0, abs=1e-12)
+
+    def test_walk_past_max_cells_undecided(self, monkeypatch):
+        from ecomath.calculus import analysis
+
+        monkeypatch.setattr(analysis, "MAX_CELLS", 2)
+        with pytest.raises(ca.UndecidedError, match=r"integral undecided on \[1, 2\] after "
+                                                    r"MAX_CELLS = 2 cells"):
+            ca.integrate(ca.parse("exp(-x^2)"), 0, 2)
+
+    def test_floor_cell_above_tol_undecided(self):
+        # exp(x) x^-0.5 is integrable at 0, but no cell of width 2^-48 there
+        # meets tol; the x = t^2 substitution is not made
+        with pytest.raises(ca.UndecidedError, match=r"integral undecided on \[0, 3.55271e-15\]"):
+            ca.integrate(ca.parse("exp(x)*x^-0.5"), 0, 1)
 
     @pytest.mark.parametrize("text, a, b", [
         ("1/(exp(x)-2)^2", 0, 1.3),

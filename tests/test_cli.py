@@ -183,6 +183,11 @@ class TestExpressionLimits:
         assert "Traceback" not in out + err
         assert "negative constant -8.0 to the fractional power" in err
 
+    def test_diff_of_a_negative_base_to_a_variable_power_names_it(self, capsys):
+        code, out, err = run(["calc", "diff", "(-2)^x"], capsys)
+        assert code == EXIT_INPUT
+        assert out == "" and "(-2)^x" in err and "math domain error" not in err
+
     @pytest.mark.parametrize("text, derivative", [
         ("x/1e-200", 1e200),
         ("x/1e200", 1e-200),
@@ -245,6 +250,13 @@ class TestExpressionLimits:
         )
         assert proc.returncode == EXIT_NUMERICAL
         assert "pole at x = 0.693147" in proc.stderr
+
+    def test_integral_of_a_non_integrable_singularity_exit_3(self, capsys):
+        # exact value 18.5153; adaptive Simpson printed 18.1106 and exited 0
+        code, out, err = run(
+            ["calc", "integrate", "abs(x-0.3)^-0.9", "--from", "0", "--to", "1"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == "" and "integral undecided on [" in err and "Traceback" not in err
 
     def test_undecided_roots_exit_3(self, capsys):
         code, out, err = run(["calc", "roots", "exp(x)-exp(x)", "--window=-1:1"], capsys)
