@@ -3,8 +3,8 @@ curve sketching and definite integration.
 
 The names from ``expr`` (trees, parser, evaluation, enclosures, differentiation;
 standard library only) load with the package; those from ``analysis`` on first
-attribute access (PEP 562).  Only its array functions import NumPy, so
-elasticities, tree roots and integrals with no non-constant divisor load none.
+attribute access (PEP 562).  Neither imports NumPy: polynomials are lists of
+floats, lowest degree first.
 """
 
 import importlib

@@ -1,8 +1,9 @@
 """Numeric/structural analysis on expression trees: tangents, elasticities,
 root finding, polynomial machinery, curve reports, and definite integration.
-Only the functions that work on arrays import NumPy.  Whether f is a ratio of
-polynomials, solved on its (num, den) arrays, or a tree, bisected on interval
-enclosures, is decided in _Fn alone: roots, curve_report and econ use it.
+Polynomials are lists of floats, lowest degree first; nothing here imports
+NumPy.  Whether f is a ratio of polynomials, solved on its (num, den) lists, or
+a tree, bisected on interval enclosures, is decided in _Fn alone: roots,
+curve_report and econ use it.
 """
 
 from __future__ import annotations
@@ -10,10 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional
 
 from ..numeric import NumericalError, _FrozenRecord, brent
 from .expr import (
@@ -45,7 +43,7 @@ from .expr import (
 )
 
 MAX_CELLS = 16384  # cells one bisection walk (tree roots, monotonicity, integrals) may visit
-MAX_DEGREE = 2000  # poly_real_roots refuses higher degrees: its work grows as degree^2
+MAX_DEGREE = 2000  # products and poly_real_roots refuse higher degrees: their work grows as degree^2
 
 
 class UnsupportedExpressionError(ValueError):
@@ -111,42 +109,55 @@ def second_elasticity(e: Expr, x: float) -> float:
 # Polynomial machinery
 # ---------------------------------------------------------------------------
 
-# numpy.polynomial's polytrim, polymul, polyadd, polypow and polyder, bit for
-# bit on finite float arrays, without their per-call input checks.
+# Coefficient lists of floats, lowest degree first.  Every product checks its
+# degree against MAX_DEGREE before it is formed: nothing downstream could use a
+# polynomial past it, and forming one takes time proportional to len(a) len(b).
 
-def _trim(coeffs) -> np.ndarray:
-    import numpy as np
-    c = np.array(coeffs, dtype=float, ndmin=1, copy=None)
+def _check_degree(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise NumericalError(f"polynomial degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _trim(c: list[float]) -> list[float]:
     n = len(c)
     while n and not abs(c[n - 1]) > 0.0:  # zeros and NaNs, as polytrim drops them
         n -= 1
-    return c[:n].copy() if n else c[:1] * 0.0
+    return c[:max(n, 1)] or [0.0]
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return _trim(np.convolve(a, b))
+def _mul(a: list[float], b: list[float]) -> list[float]:
+    """The product a b, trimmed: one pass over the longer list per nonzero
+    coefficient of the shorter (a power of x has one)."""
+    if len(a) < len(b):
+        a, b = b, a
+    _check_degree(len(a) + len(b) - 2)
+    n, out = len(a), [0.0] * (len(a) + len(b) - 1)
+    for j, bj in enumerate(b):
+        if bj:
+            out[j:j + n] = [o + bj * ai for o, ai in zip(out[j:j + n], a)]
+    return _trim(out)
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b (a - b is _add(a, -b)) for trimmed a and b; not trimmed itself."""
+def _add(a: list[float], b: list[float]) -> list[float]:
+    """a + b for trimmed a and b; not trimmed itself."""
     a, b = (a, b) if len(a) <= len(b) else (b, a)
-    out = b.copy()
-    out[: len(a)] += a
-    return out
+    return [x + y for x, y in zip(a, b)] + b[len(a):]
 
 
-def _rational_sum(ra, rb, subtract: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _neg(c: list[float]) -> list[float]:
+    return [-v for v in c]
+
+
+def _rational_sum(ra, rb, subtract: bool = False) -> tuple[list[float], list[float]]:
     """ra + rb (ra - rb) for (num, den) pairs, as as_rational takes a sum."""
     b = _mul(rb[0], ra[1])
-    return _trim(_add(_mul(ra[0], rb[1]), -b if subtract else b)), _mul(ra[1], rb[1])
+    return _trim(_add(_mul(ra[0], rb[1]), _neg(b) if subtract else b)), _mul(ra[1], rb[1])
 
 
-def _rational_derivative(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(num' den - num den', den^2): the derivative of num/den as coefficient arrays."""
-    import numpy as np
-    dn, dd = (np.arange(1, len(c)) * c[1:] if len(c) > 1 else c[:1] * 0.0 for c in (num, den))
-    return _trim(_add(_mul(dn, den), -_mul(num, dd))), _mul(den, den)
+def _rational_derivative(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
+    """(num' den - num den', den^2): the derivative of num/den as coefficient lists."""
+    dn, dd = ([k * v for k, v in enumerate(c) if k] or [c[0] * 0.0] for c in (num, den))
+    return _trim(_add(_mul(dn, den), _neg(_mul(num, dd)))), _mul(den, den)
 
 
 def _rational_shape(e: Expr) -> bool:
@@ -169,41 +180,37 @@ def _rational_shape(e: Expr) -> bool:
     return True
 
 
-def as_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(numerator, denominator) coefficient arrays (low to high) when the
+def as_rational(e: Expr) -> Optional[tuple[list[float], list[float]]]:
+    """(numerator, denominator) coefficient lists (low to high) when the
     expression is a ratio of polynomials, else None.
 
     Whether every node is rational-shaped is decided on the whole tree before
     anything is converted, so a tree with exp, ln or |.| anywhere is None.  In
-    a rational-shaped tree every operand is converted, and a power whose
-    degree would pass MAX_DEGREE is a NumericalError before it is expanded,
-    wherever in the tree it stands; a divisor that cancels to zero makes the
-    tree None."""
+    a rational-shaped tree every operand is converted, and a product or power
+    whose degree would pass MAX_DEGREE is a NumericalError before it is
+    formed, wherever in the tree it stands; a divisor that cancels to zero
+    makes the tree None."""
     return _to_rational(e) if _rational_shape(e) else None
 
 
-def _to_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    import numpy as np
+def _to_rational(e: Expr) -> Optional[tuple[list[float], list[float]]]:
     if isinstance(e, Const):
-        return np.array([e.value]), np.array([1.0])
+        return [e.value], [1.0]
     if isinstance(e, Var):
-        return np.array([0.0, 1.0]), np.array([1.0])
+        return [0.0, 1.0], [1.0]
     if isinstance(e, Neg):
         r = _to_rational(e.a)
-        return (-r[0], r[1]) if r else None
+        return (_neg(r[0]), r[1]) if r else None
     if isinstance(e, Pow):
         k = int(e.exponent.value)
         r = _to_rational(e.base)
-        if not r or (k < 0 and not r[0].any()):
+        if not r or (k < 0 and not any(r[0])):
             return None
-        if (n := abs(k) * (max(len(r[0]), len(r[1])) - 1)) > MAX_DEGREE:
-            raise NumericalError(f"polynomial degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
-        num, den = r if k else (np.ones(1), np.ones(1))
-        for _ in range(abs(k) - 1):  # as polypow: repeated convolution, no trimming
-            num, den = np.convolve(num, r[0]), np.convolve(den, r[1])
-        if k < 0:
-            num, den = den, num
-        return _trim(num), _trim(den)
+        _check_degree(abs(k) * (max(len(r[0]), len(r[1])) - 1))
+        num, den = r if k else ([1.0], [1.0])
+        for _ in range(abs(k) - 1):
+            num, den = _mul(num, r[0]), _mul(den, r[1])
+        return (den, num) if k < 0 else (num, den)
     ra, rb = _to_rational(e.a), _to_rational(e.b)
     if not ra or not rb:
         return None
@@ -211,12 +218,12 @@ def _to_rational(e: Expr) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return _rational_sum(ra, rb, subtract=isinstance(e, Sub))
     if isinstance(e, Mul):
         return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
-    if not rb[0].any():  # a zero divisor is defined nowhere
+    if not any(rb[0]):  # a zero divisor is defined nowhere
         return None
     return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
 
 
-def poly_coeffs(e: Expr) -> Optional[np.ndarray]:
+def poly_coeffs(e: Expr) -> Optional[list[float]]:
     """Polynomial coefficients (low to high) when e is a polynomial."""
     r = as_rational(e)
     if not r:
@@ -224,7 +231,7 @@ def poly_coeffs(e: Expr) -> Optional[np.ndarray]:
     num, den = r
     if len(den) != 1:
         return None
-    return num / den[0]
+    return [v / den[0] for v in num]
 
 
 def expr_from_poly(coeffs) -> Expr:
@@ -238,16 +245,18 @@ def expr_from_poly(coeffs) -> Expr:
     return e
 
 
-def poly_divide(num, den) -> tuple[np.ndarray, np.ndarray]:
+def poly_divide(num, den) -> tuple[list[float], list[float]]:
     """Polynomial long division: num = quotient*den + remainder with
-    deg(remainder) < deg(den).  Coefficients are low to high."""
-    import numpy as np
-    from numpy.polynomial import polynomial as P
-    den = _trim(den)
-    if len(den) == 1 and den[0] == 0.0:
+    deg(remainder) < deg(den).  Coefficients are low to high; the steps are
+    numpy.polynomial.polydiv's."""
+    num, den = _trim([float(v) for v in num]), _trim([float(v) for v in den])
+    if den == [0.0]:
         raise ZeroDivisionError("division by the zero polynomial")
-    q, r = P.polydiv(np.asarray(num, dtype=float), den)
-    return _trim(q), _trim(r)
+    n, lead = len(den) - 1, den[-1]
+    d = [v / lead for v in den[:-1]]
+    for j in range(len(num) - 1, n - 1, -1):  # less num[j] / lead x^(j-n) den, below x^j
+        num[j - n:j] = [v - dv * num[j] for v, dv in zip(num[j - n:j], d)]
+    return _trim([v / lead for v in num[n:]]), _trim(num[:n])
 
 
 def _horner(c: list[float], x: float) -> float:
@@ -301,8 +310,7 @@ def poly_real_roots(coeffs) -> list[float]:
     c = [float(v) for v in coeffs]
     while c and c[-1] == 0.0:
         c.pop()
-    if len(c) - 1 > MAX_DEGREE:
-        raise NumericalError(f"polynomial degree {len(c) - 1} exceeds MAX_DEGREE = {MAX_DEGREE}")
+    _check_degree(len(c) - 1)
     if not all(map(math.isfinite, c)):
         raise NumericalError("polynomial coefficients outside the float range")
     n, crit = len(c) - 1, []
@@ -328,10 +336,11 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
 
 class _Fn:
     """f(x), its derivative, roots and monotonicity: for a rational f from its
-    (num, den) arrays (converted once, or given as rat) by Horner's rule,
-    _rational_derivative and poly_real_roots; otherwise from its tree (_bisect).
+    (num, den) coefficient lists (converted once, or given as rat) by Horner's
+    rule, _rational_derivative and poly_real_roots; otherwise from its tree
+    (_bisect).
 
-    Each is worked out on first use and kept on the instance: the arrays, f'
+    Each is worked out on first use and kept on the instance: the lists, f'
     (d), the roots in each window asked for, and for a rational f the real
     roots of num and den, which sign_pieces reads too.  The kept roots are
     shared; callers only read them."""
@@ -342,11 +351,11 @@ class _Fn:
             self.rat = rat
 
     @functools.cached_property
-    def rat(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    def rat(self) -> Optional[tuple[list[float], list[float]]]:
         return as_rational(self.e)  # on first use, so reading f.d.e converts nothing
 
-    num = functools.cached_property(lambda self: self.rat[0].tolist())
-    den = functools.cached_property(lambda self: self.rat[1].tolist())
+    num = functools.cached_property(lambda self: self.rat[0])
+    den = functools.cached_property(lambda self: self.rat[1])
 
     def __call__(self, x: float) -> float:
         if self.rat:
@@ -571,29 +580,28 @@ class CurveReport(_FrozenRecord):
         }
 
 
-def _poly_reflect(coeffs: np.ndarray) -> np.ndarray:
+def _poly_reflect(coeffs: list[float]) -> list[float]:
     """Coefficients of p(-x)."""
-    import numpy as np
-    return np.array([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    return [-c if k % 2 else c for k, c in enumerate(coeffs)]
 
 
-def _poly_close(a: np.ndarray, b: np.ndarray) -> bool:
-    scale = max(abs(a).max(), abs(b).max())
-    return bool(abs(_add(a, -b)).max() <= 1e-9 * scale)
+def _poly_close(a: list[float], b: list[float]) -> bool:
+    return max(map(abs, _add(a, _neg(b)))) <= 1e-9 * max(map(abs, a + b))
 
 
 def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
     """Curve sketch of a polynomial or rational function over a window:
     symmetry, roots, extrema, inflections, monotonicity, curvature, asymptotes
-    and a sampled range estimate, all from the (numerator, denominator) arrays
-    and poly_real_roots.  An extremum (inflection) is an interior point where f
-    is defined and f' (f'') changes sign; roots and poles leave out the points
-    where numerator and denominator vanish together.  The window must be
-    finite, with lo < hi."""
+    and the range, all from the (numerator, denominator) coefficient lists and
+    poly_real_roots.  An extremum (inflection) is an interior point where f is
+    defined and f' (f'') changes sign; roots and poles leave out the points
+    where numerator and denominator vanish together.  The range is the least
+    and greatest f at the window's ends and the ends of its monotone pieces,
+    None where f is undefined somewhere in the window (a pole or a hole) or
+    one of those values is not finite.  The window must be finite, with
+    lo < hi."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    import numpy as np
-    from numpy.polynomial import polynomial as P
     f = _Fn(e)
     if f.rat is None:
         raise UnsupportedExpressionError(
@@ -603,7 +611,7 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
 
     # symmetry, tested structurally on the coefficients: f(-x) against f(x)
     a, b = _mul(_poly_reflect(num), den), _mul(num, _poly_reflect(den))
-    symmetry = "even" if _poly_close(a, b) else "odd" if _poly_close(a, -b) else "none"
+    symmetry = "even" if _poly_close(a, b) else "odd" if _poly_close(a, _neg(b)) else "none"
 
     f_roots = f.roots(lo, hi)
     poles, monotone, turns = f.sign_pieces(f.d, lo, hi, "increasing", "decreasing")
@@ -616,17 +624,13 @@ def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
 
     # straight asymptote from the polynomial division quotient (q = 0 when proper)
     q, _ = poly_divide(num, den)
-    asymptote = None
-    if len(q) <= 2:
-        q = np.pad(q, (0, 2 - len(q)))
-        asymptote = (float(q[1]), float(q[0]))
+    asymptote = ((q + [0.0])[1], q[0]) if len(q) <= 2 else None
 
-    xs = np.linspace(lo, hi, 512)
-    with np.errstate(over="ignore", invalid="ignore"):  # a high power may overflow
-        nv, dv = P.polyval(xs, num), P.polyval(xs, den)
-        samples = nv[dv != 0.0] / dv[dv != 0.0]
-    sampled = samples.size and np.isfinite(samples).all()
-    range_estimate = (float(samples.min()), float(samples.max())) if sampled else None
+    range_estimate = None
+    if not _in_window(f.den_roots, lo, hi):
+        ys = [f(x) for x in {lo, hi, *(x for a, b, _ in monotone for x in (a, b))}]
+        if all(map(math.isfinite, ys)):
+            range_estimate = (min(ys), max(ys))
 
     return CurveReport(
         domain=domain,
@@ -692,6 +696,9 @@ def antiderivative(e: Expr) -> Optional[Expr]:
         if isinstance(e.base, Const):  # a^u, u' constant
             k = _linear_derivative(e.exponent)
             if k:
+                if e.base.value <= 0.0:  # a^u / (k ln a) needs a > 0
+                    raise EvalDomainError(f"antiderivative of {to_string(e)} needs the ln "
+                                          f"of its non-positive base {e.base.value}")
                 return div(e, const(k * math.log(e.base.value)))
         return None
     if isinstance(e, Exp):
@@ -776,8 +783,9 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     """Definite integral of e from a to b.
 
     Uses the structural antiderivative when one exists, otherwise G7-K15
-    cells of _bisect, whose 15 interior points (never a or b) go through
-    evaluate.  A cell is kept when |K15 - G7| <= tol (hi-lo)/(b-a) (1 + |K15|),
+    cells of _bisect, whose 15 points go through evaluate strictly inside the
+    cell (a node that rounds onto an end moves one float inward), never at a
+    cell end.  A cell is kept when |K15 - G7| <= tol (hi-lo)/(b-a) (1 + |K15|),
     else halved down to width (b-a) 2^-48, where it is kept within the whole
     tol or raises UndecidedError, as a walk past MAX_CELLS does; the kept K15
     are summed by math.fsum.  NaN or infinite bounds, poles inside the
@@ -805,7 +813,11 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
 
     def split(lo, hi, floor):
         c, h = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-        f = [evaluate(e, c - h * x) + evaluate(e, c + h * x) for x in _XGK] + [evaluate(e, c)]
+        nodes = [(c - h * x, c + h * x) for x in _XGK]
+        if not (lo < nodes[0][0] and nodes[0][1] < hi):  # a narrow cell: no node on an end
+            inner = math.nextafter(lo, hi), math.nextafter(hi, lo)
+            nodes = [(max(u, inner[0]), min(v, inner[1])) for u, v in nodes]
+        f = [evaluate(e, u) + evaluate(e, v) for u, v in nodes] + [evaluate(e, c)]
         k15 = h * sum(w * v for w, v in zip(_WGK, f))
         err = abs(k15 - h * sum(w * v for w, v in zip(_WG, f[1::2])))
         if err <= tol * (1.0 if floor else (hi - lo) / (b - a)) * (1.0 + abs(k15)):

@@ -3,8 +3,8 @@
 Cost-phase analysis for cubic total-cost functions, profit and Cournot
 analysis for a monopolist, ratio optima (average profit, efficiency),
 market equilibrium with surplus strategies, and the piecewise-logarithmic
-psychological value function; cost phases and values load no NumPy.  Profit,
-ratio, price, demand and supply functions are calculus.analysis' _Fn objects.
+psychological value function; none of it loads NumPy.  Profit, ratio, price,
+demand and supply functions are calculus.analysis' _Fn objects.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def profit_analysis(m: MarketModel) -> ProfitAnalysis:
     """Break-even point, end of the profitable zone, and profit maximum.
 
     G is m.profit, so what is solved here is kept for cournot on the same
-    model; a rational G is solved on its coefficient arrays (an._Fn).  The
+    model; a rational G is solved on its coefficient lists (an._Fn).  The
     gap |E'(x_M) - K'(x_M)| is |G'(x_M)|.  Absent features (a market that never
     turns a profit, say) are reported as None rather than raised.
     """
@@ -242,7 +242,7 @@ def ratio_optimum(numerator: Expr, denominator: Expr, lo: float, hi: float) -> R
     """Maximize numerator/denominator on (lo, hi).
 
     Solves (num/den)' = 0 with a second-derivative sign check, on the
-    ratio's coefficient arrays when both are rational (an._Fn).  At the optimum
+    ratio's coefficient lists when both are rational (an._Fn).  At the optimum
     the elasticities of numerator and denominator agree (for denominator = x
     this is the unit-elasticity condition).
     """

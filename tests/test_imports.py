@@ -87,6 +87,21 @@ def test_calls_on_no_array_load_no_numpy(argv):
     assert not {"numpy", "scipy"} & top_level(modules)
 
 
+@pytest.mark.parametrize("argv", [
+    ["calc", "report", "x^3-3*x", "--window=-3:3"],
+    ["econ", "profit", "--price", "20-x", "--cost", "1,-6,15,4", "--window", "0:10"],
+    ["econ", "surplus", "--demand", "100-2*x", "--supply", "10+x", "--pu", "0", "--po", "50"],
+    ["calc", "roots", "x^3-6*x^2+11*x-6", "--window=-1:5"],
+    ["calc", "integrate", "1/(1+x^2)", "--from", "0", "--to", "1"],
+])
+def test_calls_on_rational_functions_load_no_numpy(argv):
+    # curve reports, profit, surplus, polynomial roots and the poles of a
+    # rational integrand work on coefficient lists of floats
+    modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
+    assert "ecomath.calculus.analysis" in modules
+    assert not {"numpy", "scipy"} & top_level(modules)
+
+
 def test_lazy_calculus_names_are_package_attributes():
     # however analysis is first imported, its names then sit in the package's
     # namespace, where monkeypatching (and the benchmark's span recorder) finds them
