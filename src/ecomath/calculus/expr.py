@@ -274,23 +274,24 @@ def log_base(a: Number, u: Expr) -> Expr:
 # -- evaluation -------------------------------------------------------------
 
 def evaluate(e: Expr, x: float) -> float:
-    """Evaluate at x; raises EvalDomainError naming the offending node."""
-    if isinstance(e, Const):
+    """Evaluate at x; raises EvalDomainError naming the offending node.
+
+    Dispatches on type(e) with `is` tests (node classes have no subclasses),
+    the kinds most frequent in derivative trees first."""
+    kind = type(e)
+    if kind is Const:
         return e.value
-    if isinstance(e, Var):
-        return float(x)
-    if isinstance(e, Add):
-        return evaluate(e.a, x) + evaluate(e.b, x)
-    if isinstance(e, Sub):
-        return evaluate(e.a, x) - evaluate(e.b, x)
-    if isinstance(e, Mul):
+    if kind is Mul:
         return evaluate(e.a, x) * evaluate(e.b, x)
-    if isinstance(e, Div):
-        den = evaluate(e.b, x)
-        if den == 0.0:
-            raise EvalDomainError(f"division by zero in {to_string(e)} at x={x}")
-        return evaluate(e.a, x) / den
-    if isinstance(e, Pow):
+    if kind is Var:
+        return float(x)
+    if kind is Add:
+        return evaluate(e.a, x) + evaluate(e.b, x)
+    if kind is Sub:
+        return evaluate(e.a, x) - evaluate(e.b, x)
+    if kind is Exp:
+        return math.exp(evaluate(e.a, x))
+    if kind is Pow:
         base = evaluate(e.base, x)
         expo = evaluate(e.exponent, x)
         if base == 0.0 and expo < 0:
@@ -300,16 +301,19 @@ def evaluate(e: Expr, x: float) -> float:
                 f"negative base with fractional exponent in {to_string(e)} at x={x}"
             )
         return base ** expo
-    if isinstance(e, Neg):
+    if kind is Div:
+        den = evaluate(e.b, x)
+        if den == 0.0:
+            raise EvalDomainError(f"division by zero in {to_string(e)} at x={x}")
+        return evaluate(e.a, x) / den
+    if kind is Neg:
         return -evaluate(e.a, x)
-    if isinstance(e, Exp):
-        return math.exp(evaluate(e.a, x))
-    if isinstance(e, Ln):
+    if kind is Ln:
         arg = evaluate(e.a, x)
         if arg <= 0.0:
             raise EvalDomainError(f"ln of non-positive argument in {to_string(e)} at x={x}")
         return math.log(arg)
-    if isinstance(e, Abs):
+    if kind is Abs:
         return abs(evaluate(e.a, x))
     raise TypeError(f"unknown node {e!r}")
 
@@ -340,7 +344,12 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
     """An interval (a, b) holding every value evaluate(e, x) returns for x in
     [lo, hi], or None where it raises at every such x (Moore, Kearfott & Cloud
     2009, ch. 5-6): each node's exact image where it is defined, rounded out;
-    a divisor holding 0, or a NaN bound (inf - inf), gives (-inf, inf)."""
+    a divisor holding 0, or a NaN bound (inf - inf), gives (-inf, inf).
+
+    Dispatches on type(e) as evaluate does.  A product c*u with a constant c
+    (mul keeps constants on the left) takes two products, not the four of
+    a general [a0, a1]*[b0, b1]; min and max then pick the same bounds,
+    signed zeros included."""
     kind = type(e)
     if kind is Const:
         return e.value, e.value
@@ -358,6 +367,11 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
                 -_image(k.__rpow__, 0.0, -a[0])[1], _image(k.__rpow__, 0.0, a[1])[1])
         m = _image(k.__rpow__, max(-a[1], 0.0), max(-a[0], a[1]))  # |t| ** k
         return m if m is None or not int(k) % 2 else (-m[1], -m[0])
+    if kind is Mul and type(e.a) is Const:
+        if (b := enclose(e.b, lo, hi)) is None:
+            return None
+        p, q = e.a.value * b[0], e.a.value * b[1]
+        return (-math.inf, math.inf) if p != p or q != q else _out(min(p, q), max(p, q))
     a = enclose(e.a, lo, hi)
     if a is None or kind is Neg:
         return a and (-a[1], -a[0])

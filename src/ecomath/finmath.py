@@ -41,6 +41,14 @@ def _check_rows(n_exact: float, horizon: Optional[int]) -> None:
         raise FinanceError(f"the plan runs {n_exact:.6g} years, past MAX_ROWS = {MAX_ROWS}")
 
 
+def _positive(**given) -> None:
+    """Refuse a given argument (not None) that is not a finite number > 0,
+    naming it: the test is written so that NaN fails it too."""
+    for name, v in given.items():
+        if v is not None and not 0.0 < v < math.inf:
+            raise FinanceError(f"{name} must be a finite number > 0, got {v!r}")
+
+
 def _require_exactly_one_missing(**known):
     missing = [k for k, v in known.items() if v is None]
     if len(missing) != 1:
@@ -167,21 +175,23 @@ class Schedule(_FrozenRecord):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "meta": self.meta,
-                "rows": [
-                    {
-                        "year": r.year,
-                        "interest": r.interest,
-                        "payment": r.payment,
-                        "balance": r.balance,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
+        """json.dumps({"meta": meta, "rows": [{"year": ..., "interest": ...,
+        "payment": ..., "balance": ...}, ...]}, indent=2), to the byte.  The
+        row values (numbers, bools or None) take one call of the C encoder,
+        one value a line, and fill indent=2's row template; only the meta
+        block goes through the pure-Python indent=2 encoder."""
+        meta = json.dumps(self.meta, indent=2).replace("\n", "\n  ")
+        if not self.rows:
+            return f'{{\n  "meta": {meta},\n  "rows": []\n}}'
+        values = _one_value_a_line(
+            [v for r in self.rows for v in (r.year, r.interest, r.payment, r.balance)])
+        rows = ",\n".join([_ROW_JSON] * len(self.rows)).format(*values[1:-1].split("\n"))
+        return f'{{\n  "meta": {meta},\n  "rows": [\n{rows}\n  ]\n}}'
+
+
+_one_value_a_line = json.JSONEncoder(separators=("\n", ": ")).encode
+_ROW_JSON = ('    {{\n      "year": {},\n      "interest": {},\n      "payment": {},\n'
+             '      "balance": {}\n    }}')
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +229,11 @@ def redemption_plan(
     final year's annuity is reduced so the balance lands exactly at 0.  The
     fractional analytic duration is reported in the metadata.
     """
-    if R0 <= 0 or p <= 0:
-        raise FinanceError("need R0 > 0 and p > 0")
     if (t is None) == (A is None):
         raise FinanceError("give exactly one of t (percent) or A (CU)")
+    _positive(R0=R0, p=p, t=t, A=A)
     q = interest_factor(p)
     if t is not None:
-        if t <= 0:
-            raise FinanceError("redemption rate t must be positive")
         A = annuity_from_rates(R0, p, t)
     if A <= R0 * (q - 1.0):
         raise FinanceError("annuity does not exceed the interest; debt never shrinks")
@@ -331,8 +338,9 @@ def pension_plan(
     metadata reports the analytic duration, or flags the scheme as
     everlasting-capable when withdrawals never exhaust the account.
     """
-    if K0 <= 0 or p <= 0 or a <= 0 or m < 1:
-        raise FinanceError("need K0 > 0, p > 0, a > 0, m >= 1")
+    _positive(K0=K0, p=p, a=a)
+    if not 1 <= m < math.inf:
+        raise FinanceError(f"m must be a finite number >= 1, got {m!r}")
     q = interest_factor(p)
     meta = {"kind": "pension", "K0": K0, "p": p, "q": q, "m": m, "a": a}
     try:
@@ -370,8 +378,9 @@ def depreciation_linear(K0: float, N: int, n: Optional[int] = None):
     Returns (R_n, schedule); the yearly differences form an arithmetical
     sequence with constant d = -K0/N.
     """
-    if K0 <= 0 or N < 1:
-        raise FinanceError("need K0 > 0 and N >= 1")
+    _positive(K0=K0)
+    if not 1 <= N < math.inf:
+        raise FinanceError(f"N must be a finite number >= 1, got {N!r}")
     if n is None:
         n = N
     if not 1 <= n <= N:
@@ -391,8 +400,7 @@ def depreciation_declining(
     (p, Rn) solves for the period n.  The yearly values form a geometrical
     sequence with quotient q in (0, 1).
     """
-    if K0 <= 0:
-        raise FinanceError("need K0 > 0")
+    _positive(K0=K0, n=n, Rn=Rn)
     known = sum(v is not None for v in (p, n, Rn))
     if known < 2:
         raise FinanceError("give two of p, n, Rn")

@@ -13,20 +13,25 @@ from numpy.polynomial import polynomial as npoly
 
 from ecomath import calculus as ca
 from ecomath.calculus import (
+    Abs,
     Add,
     Const,
     Div,
     DivergenceError,
     EvalDomainError,
+    Exp,
     ExprSyntaxError,
+    Ln,
     Mul,
     Neg,
     PoleError,
     Pow,
     Sub,
     UnsupportedExpressionError,
+    Var,
     X,
 )
+from ecomath.calculus import expr as expr_module
 from ecomath.calculus.expr import MAX_DEPTH
 from ecomath.numeric import NumericalError
 
@@ -582,9 +587,11 @@ class TestAsRational:
         assert calls
 
     def test_refuses_a_power_past_max_degree_before_expanding_it(self, monkeypatch):
+        from ecomath.calculus import analysis
+
         calls = []
-        convolve = np.convolve
-        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(a) or convolve(*a))
+        product = analysis._mul
+        monkeypatch.setattr(analysis, "_mul", lambda *a: calls.append(a) or product(*a))
         with pytest.raises(NumericalError, match="degree 20000 exceeds MAX_DEGREE = 2000"):
             ca.as_rational(ca.parse("x^20000-1"))
         assert calls == []
@@ -1163,3 +1170,157 @@ class TestEnclose:
         for g, w in zip(got, want):
             assert g == w or abs(g - w) <= 1e-14 * abs(w)
         assert got[0] <= want[0] and want[1] <= got[1]
+
+
+# ---------------------------------------------------------------------------
+# evaluate and enclose against the code they replaced, kept here verbatim as
+# the reference: an isinstance chain, and four products for every Mul
+# ---------------------------------------------------------------------------
+
+def reference_evaluate(e, x):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(x)
+    if isinstance(e, Add):
+        return reference_evaluate(e.a, x) + reference_evaluate(e.b, x)
+    if isinstance(e, Sub):
+        return reference_evaluate(e.a, x) - reference_evaluate(e.b, x)
+    if isinstance(e, Mul):
+        return reference_evaluate(e.a, x) * reference_evaluate(e.b, x)
+    if isinstance(e, Div):
+        den = reference_evaluate(e.b, x)
+        if den == 0.0:
+            raise EvalDomainError(f"division by zero in {ca.to_string(e)} at x={x}")
+        return reference_evaluate(e.a, x) / den
+    if isinstance(e, Pow):
+        base = reference_evaluate(e.base, x)
+        expo = reference_evaluate(e.exponent, x)
+        if base == 0.0 and expo < 0:
+            raise EvalDomainError(f"zero base with negative exponent at x={x}")
+        if base < 0.0 and expo != int(expo):
+            raise EvalDomainError(
+                f"negative base with fractional exponent in {ca.to_string(e)} at x={x}"
+            )
+        return base ** expo
+    if isinstance(e, Neg):
+        return -reference_evaluate(e.a, x)
+    if isinstance(e, Exp):
+        return math.exp(reference_evaluate(e.a, x))
+    if isinstance(e, Ln):
+        arg = reference_evaluate(e.a, x)
+        if arg <= 0.0:
+            raise EvalDomainError(f"ln of non-positive argument in {ca.to_string(e)} at x={x}")
+        return math.log(arg)
+    if isinstance(e, Abs):
+        return abs(reference_evaluate(e.a, x))
+    raise TypeError(f"unknown node {e!r}")
+
+
+def reference_enclose(e, lo, hi):
+    _image, _out = expr_module._image, expr_module._out
+    kind = type(e)
+    if kind is Const:
+        return e.value, e.value
+    if kind is Var:
+        return lo, hi
+    if kind is Pow:
+        if type(e.exponent) is not Const:
+            u, c = reference_enclose(e.exponent, lo, hi), e.base.value
+            return u and ((-math.inf, math.inf) if c <= 0.0 else _image(c.__pow__, *u))
+        a, k = reference_enclose(e.base, lo, hi), e.exponent.value
+        if a is None or a[0] >= 0.0 or k != int(k):
+            return a and (_image(k.__rpow__, max(a[0], 0.0), a[1]) if a[1] >= 0.0 else None)
+        if int(k) % 2 and a[1] > 0.0:
+            return (-math.inf, math.inf) if k < 0 else (
+                -_image(k.__rpow__, 0.0, -a[0])[1], _image(k.__rpow__, 0.0, a[1])[1])
+        m = _image(k.__rpow__, max(-a[1], 0.0), max(-a[0], a[1]))
+        return m if m is None or not int(k) % 2 else (-m[1], -m[0])
+    a = reference_enclose(e.a, lo, hi)
+    if a is None or kind is Neg:
+        return a and (-a[1], -a[0])
+    if kind is Exp:
+        return _image(math.exp, *a)
+    if kind is Ln:
+        if not a[1] > 0.0:
+            return None
+        return _out(math.log(a[0]) if a[0] > 0.0 else -math.inf, math.log(a[1]))
+    if kind is Abs:
+        return a if a[0] >= 0.0 else (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
+    if (b := reference_enclose(e.b, lo, hi)) is None:
+        return None
+    if kind is Add:
+        return _out(a[0] + b[0], a[1] + b[1])
+    if kind is Sub:
+        return _out(a[0] - b[1], a[1] - b[0])
+    if kind is Mul:
+        ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    elif b[0] <= 0.0 <= b[1]:
+        return -math.inf, math.inf
+    else:
+        ends = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return (-math.inf, math.inf) if any(map(math.isnan, ends)) else _out(min(ends), max(ends))
+
+
+def outcome(fn, *args):
+    """What fn(*args) did, comparable bit for bit: each float by its value and
+    sign (so -0.0 differs from 0.0, and NaN equals NaN), or the exception's
+    type and message."""
+    def bits(v):
+        return "nan" if v != v else (v, math.copysign(1.0, v))
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    if out is None or isinstance(out, float):
+        return out if out is None else bits(out)
+    return tuple(map(bits, out))
+
+
+# negative, signed-zero, positive and huge constants; integer and fractional exponents
+constants = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e300, -1e300])
+exponents = st.sampled_from([-3.0, -2.0, -1.0, -0.9, 0.5, 1.5, 2.0, 3.0])
+trees = st.recursive(
+    st.one_of(constants.map(Const), st.just(X)),
+    lambda sub: st.one_of(
+        *(st.builds(kind, sub, sub) for kind in (Add, Sub, Mul, Div)),
+        st.builds(Mul, constants.map(Const), sub),  # c*u, as mul builds it
+        *(st.builds(kind, sub) for kind in (Neg, Exp, Ln, Abs)),
+        st.builds(Pow, sub, exponents.map(Const)),
+        st.builds(Pow, constants.map(Const), sub),
+    ),
+    max_leaves=10,
+)
+ends = st.one_of(
+    st.sampled_from([-math.inf, -1e300, -2.0, -0.0, 0.0, 0.5, 2.0, 1e300, math.inf]),
+    st.floats(-10.0, 10.0),
+)
+
+
+class TestDispatchMatchesTheReference:
+    @settings(max_examples=400, deadline=None)
+    @given(trees, ends, ends)
+    def test_evaluate_matches_the_isinstance_chain(self, e, lo, hi):
+        for x in (lo, hi, 0.5 * lo + 0.5 * hi):
+            assert outcome(ca.evaluate, e, x) == outcome(reference_evaluate, e, x), (
+                ca.to_string(e), x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trees, ends, ends)
+    def test_enclose_matches_the_four_product_rule(self, e, lo, hi):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert outcome(ca.enclose, e, lo, hi) == outcome(reference_enclose, e, lo, hi), (
+            ca.to_string(e), lo, hi)
+
+    @pytest.mark.parametrize("c, u, want", [
+        (-1.0, (0.0, 2.0), (-2.0000000000000004, -0.0)),
+        (-1.0, (-0.0, 0.0), (0.0, 0.0)),
+        (0.0, (-1.0, 2.0), (-0.0, -0.0)),  # not (-0.0, 0.0), as ordering by c's sign gives
+        (0.0, (-math.inf, 1.0), (-math.inf, math.inf)),  # 0 * inf is NaN
+        (-0.0, (-1.0, math.inf), (-math.inf, math.inf)),  # at either end
+        (1e300, (1e10, 1e300), (1.7976931348623157e308, math.inf)),
+    ])
+    def test_signed_zeros_nan_and_overflow_of_c_times_x(self, c, u, want):
+        e = Mul(Const(c), X)
+        assert outcome(ca.enclose, e, *u) == outcome(reference_enclose, e, *u) == outcome(
+            lambda: want)

@@ -312,6 +312,36 @@ class TestDepreciation:
             finmath.depreciation_declining(1000, p=120, n=3)
 
 
+class TestScheduleBuilderArguments:
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: finmath.pension_plan(v, 5, 12, 1500), "K0"),
+        (lambda v: finmath.pension_plan(100000, v, 12, 500), "p"),
+        (lambda v: finmath.pension_plan(100000, 5, v, 500), "m"),
+        (lambda v: finmath.pension_plan(100000, 5, 12, v), "a"),
+        (lambda v: finmath.redemption_plan(v, 5, t=5), "R0"),
+        (lambda v: finmath.redemption_plan(100000, v, t=5), "p"),
+        (lambda v: finmath.redemption_plan(100000, 5, t=v), "t"),
+        (lambda v: finmath.redemption_plan(100000, 5, A=v), "A"),
+        (lambda v: finmath.depreciation_linear(v, 5), "K0"),
+        (lambda v: finmath.depreciation_linear(1000, v), "N"),
+        (lambda v: finmath.depreciation_declining(v, p=20, n=3), "K0"),
+        (lambda v: finmath.depreciation_declining(1000, p=20, n=v), "n"),
+        (lambda v: finmath.depreciation_declining(1000, n=3, Rn=v), "Rn"),
+        (lambda v: finmath.depreciation_declining(1000, p=20, Rn=v), "Rn"),
+    ], ids=["pension-K0", "pension-p", "pension-m", "pension-a", "redemption-R0",
+            "redemption-p", "redemption-t", "redemption-A", "linear-K0", "linear-N",
+            "declining-K0", "declining-n", "declining-Rn-to-p", "declining-Rn-to-n"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_schedule_builders_name_the_argument(self, build, name, value):
+        with pytest.raises(FinanceError, match=rf"^{name} must be a finite number"):
+            build(value)
+
+    def test_declining_rate_refuses_nan(self):
+        with pytest.raises(FinanceError, match=r"p must lie in \(0, 100\)"):
+            finmath.depreciation_declining(1000, p=math.nan, n=3)
+
+
 class TestSchedulesSerialization:
     def test_csv_header_and_rounding(self):
         plan = finmath.pension_plan(100000, 5, 12, 500, horizon=1)
@@ -325,6 +355,29 @@ class TestSchedulesSerialization:
         plan = finmath.redemption_plan(100000, 5, t=5)
         doc = json.loads(plan.to_json())
         assert doc["rows"][0]["balance"] == plan.rows[0].balance  # bit-exact
+
+    @pytest.mark.parametrize("schedule", [
+        finmath.pension_plan(100000, 5, 12, 500),  # int a: the payments are ints
+        finmath.pension_plan(100000, 5, 12, 400),  # everlasting-capable
+        finmath.redemption_plan(100000, 5, t=5),
+        finmath.redemption_plan(100000, 5, A=12950.46),
+        finmath.depreciation_linear(1000, 5)[1],
+        finmath.depreciation_declining(1000, p=20, n=3)[1],
+        finmath.redemption_plan(1000, 0.001, A=0.02, horizon=3),
+        finmath.Schedule((), {"kind": "none", "K0": 1.5}),
+        finmath.Schedule(
+            (finmath.ScheduleRow(1, math.nan, math.inf, -math.inf),
+             finmath.ScheduleRow(True, None, False, -0.0)),
+            {"kind": "hand-built\n", "q": math.nan}),
+    ], ids=["pension", "everlasting", "redemption-t", "redemption-A", "linear",
+            "declining", "horizon", "no-rows", "non-finite"])
+    def test_json_is_indent_2_text(self, schedule):
+        import json
+
+        doc = {"meta": schedule.meta, "rows": [
+            {"year": r.year, "interest": r.interest, "payment": r.payment, "balance": r.balance}
+            for r in schedule.rows]}
+        assert schedule.to_json() == json.dumps(doc, indent=2)
 
 
 class TestMasterFormula:

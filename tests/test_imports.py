@@ -64,7 +64,7 @@ def test_calc_diff_loads_no_numpy():
 
 
 def test_roots_of_a_tree_load_no_numpy():
-    # the bisection on enclosures is pure Python; only the rational path has arrays
+    # the bisection on enclosures is pure Python
     modules = loaded_after(
         "from ecomath.cli import dispatch\n"
         "assert dispatch(['calc', 'roots', 'exp(x)-2*x-1.5', '--window=-3:3']) == 0"
