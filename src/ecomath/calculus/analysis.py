@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Optional
 
-from ..numeric import NumericalError, _FrozenRecord, brent
+from ..numeric import NumericalError, _FrozenRecord, brent, check_args
 from .expr import (
     Add,
     Const,
@@ -69,22 +69,30 @@ class UndecidedError(NumericalError):
 
 def tangent_line(e: Expr, x0: float) -> tuple[float, float]:
     """Linearization at x0 as (slope, intercept): y = f(x0) + f'(x0)(x - x0)."""
+    check_args(ValueError, -math.inf, x0=x0)
     slope = evaluate(differentiate(e), x0)
     intercept = evaluate(e, x0) - slope * x0
     return slope, intercept
 
 
+def _positive_point(e: Expr, x: float, what: str) -> float:
+    """f(x); a non-finite x is a ValueError, x <= 0 or f(x) <= 0 an EvalDomainError."""
+    check_args(ValueError, -math.inf, x=x)
+    check_args(EvalDomainError, x=x)
+    fx = evaluate(e, x)
+    if not fx > 0:
+        raise EvalDomainError(f"{what} requires f(x) > 0, got f({x}) = {fx}")
+    return fx
+
+
 def elasticity(e: Expr, x: float) -> float:
     """x f'(x) / f(x); requires x > 0 and f(x) > 0."""
-    if x <= 0:
-        raise EvalDomainError(f"elasticity requires x > 0, got {x}")
-    fx = evaluate(e, x)
-    if fx <= 0:
-        raise EvalDomainError(f"elasticity requires f(x) > 0, got f({x}) = {fx}")
+    fx = _positive_point(e, x, "elasticity")
     return x * evaluate(differentiate(e), x) / fx
 
 
 def elasticity_label(eps: float, tol: float = 1e-9) -> str:
+    check_args(ValueError, -math.inf, eps=eps, tol=tol)
     if abs(abs(eps) - 1.0) <= tol:
         return "unit elastic"
     return "inelastic" if abs(eps) < 1.0 else "elastic"
@@ -97,11 +105,7 @@ def elasticity_expr(e: Expr) -> Expr:
 
 def second_elasticity(e: Expr, x: float) -> float:
     """x d/dx [x f'(x)/f(x)], evaluated symbolically then numerically."""
-    if x <= 0:
-        raise EvalDomainError(f"second elasticity requires x > 0, got {x}")
-    fx = evaluate(e, x)
-    if fx <= 0:
-        raise EvalDomainError(f"second elasticity requires f(x) > 0, got f({x}) = {fx}")
+    _positive_point(e, x, "second elasticity")
     return x * evaluate(differentiate(elasticity_expr(e)), x)
 
 
@@ -465,6 +469,7 @@ def roots(e: Expr, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    check_args(ValueError, tol=tol)
     return _Fn(e).roots(lo, hi, tol)
 
 
@@ -793,6 +798,7 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
+    check_args(ValueError, tol=tol)
     if a == b:
         return 0.0
     if a > b:

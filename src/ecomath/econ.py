@@ -15,7 +15,7 @@ import math
 from . import calculus as ca
 from .calculus import Expr
 from .calculus import analysis as an
-from .numeric import _FrozenRecord
+from .numeric import _FrozenRecord, check_args
 
 
 class EconError(ValueError):
@@ -47,14 +47,9 @@ class CostModel(_FrozenRecord):
     _defaults = {"a0": 0.0}
 
     def __post_init__(self):
-        if not self.a3 > 0:
-            raise EconError(f"a3 must be positive, got {self.a3}")
-        if not self.a1 > 0:
-            raise EconError(f"a1 must be positive, got {self.a1}")
-        if not self.a2 < 0:
-            raise EconError(f"a2 must be negative, got {self.a2}")
-        if self.a0 < 0:
-            raise EconError(f"a0 must be non-negative, got {self.a0}")
+        check_args(EconError, a3=self.a3, a1=self.a1)
+        check_args(EconError, -math.inf, 0.0, a2=self.a2)
+        check_args(EconError, 0.0, closed=True, a0=self.a0)
         if not self.a2 ** 2 - 3.0 * self.a3 * self.a1 < 0:
             raise EconError(
                 "a2^2 - 3 a3 a1 must be negative (marginal costs would hit zero)"
@@ -344,8 +339,8 @@ def market_strategies(
 def psych_value(x: float, a: float) -> float:
     """Kahneman-Tversky style value of a gain/loss x:
     a*log10(1+x) for gains, -2a*log10(1-x) for losses (loss aversion)."""
-    if a <= 0:
-        raise EconError(f"scale a must be positive, got {a}")
+    check_args(EconError, a=a)
+    check_args(EconError, -math.inf, x=x)
     if x >= 0:
         return a * math.log10(1.0 + x)
     return -2.0 * a * math.log10(1.0 - x)

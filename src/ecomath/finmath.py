@@ -14,7 +14,7 @@ import json
 import math
 from typing import Optional
 
-from .numeric import NoSignChangeError, _FrozenRecord, brent
+from .numeric import NoSignChangeError, _FrozenRecord, brent, check_args
 
 
 class FinanceError(ValueError):
@@ -36,17 +36,11 @@ def _solve_q(residual, target: str) -> float:
 
 
 def _check_rows(n_exact: float, horizon: Optional[int]) -> None:
-    """Refuse a plan of more than MAX_ROWS years unless a horizon cuts it."""
+    """Refuse a plan of more than MAX_ROWS years unless a horizon cuts it,
+    and a duration that overflowed (finite arguments can give inf or NaN)."""
+    check_args(FinanceError, -math.inf, duration=n_exact)
     if horizon is None and n_exact > MAX_ROWS:
         raise FinanceError(f"the plan runs {n_exact:.6g} years, past MAX_ROWS = {MAX_ROWS}")
-
-
-def _positive(**given) -> None:
-    """Refuse a given argument (not None) that is not a finite number > 0,
-    naming it: the test is written so that NaN fails it too."""
-    for name, v in given.items():
-        if v is not None and not 0.0 < v < math.inf:
-            raise FinanceError(f"{name} must be a finite number > 0, got {v!r}")
 
 
 def _require_exactly_one_missing(**known):
@@ -75,12 +69,12 @@ class SequenceSpec(_FrozenRecord):
             raise FinanceError("arithmetical sequence needs d != 0")
         if self.kind == "geom" and self.step in (0.0, 1.0):
             raise FinanceError("geometrical sequence needs q not in {0, 1}")
+        check_args(FinanceError, -math.inf, a1=self.a1, step=self.step)
 
 
 def seq_term(s: SequenceSpec, n: int) -> float:
     """Explicit n-th element: a1 + (n-1) d, or a1 * q^(n-1)."""
-    if n < 1:
-        raise FinanceError("element index n must be >= 1")
+    check_args(FinanceError, 1, closed=True, n=n)
     if s.kind == "arith":
         return s.a1 + (n - 1) * s.step
     return s.a1 * s.step ** (n - 1)
@@ -88,8 +82,7 @@ def seq_term(s: SequenceSpec, n: int) -> float:
 
 def series_sum(s: SequenceSpec, n: int) -> float:
     """Closed-form partial sum of the first n elements."""
-    if n < 1:
-        raise FinanceError("series length n must be >= 1")
+    check_args(FinanceError, 1, closed=True, n=n)
     if s.kind == "arith":
         return n * s.a1 + s.step / 2.0 * (n - 1) * n
     q = s.step
@@ -101,15 +94,14 @@ def series_sum(s: SequenceSpec, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def interest_factor(p: float) -> float:
+    check_args(FinanceError, -math.inf, p=p)
     return 1.0 + p / 100.0
 
 
 def compound_solve(K0=None, Kn=None, q=None, n=None) -> float:
     """Solve K_n = K_0 q^n for whichever of the four quantities is None."""
     missing = _require_exactly_one_missing(K0=K0, Kn=Kn, q=q, n=n)
-    for name, v in (("K0", K0), ("Kn", Kn), ("q", q), ("n", n)):
-        if v is not None and v <= 0:
-            raise FinanceError(f"{name} must be positive")
+    check_args(FinanceError, K0=K0, Kn=Kn, q=q, n=n)
     if missing == "Kn":
         return K0 * q ** n
     if missing == "K0":
@@ -123,8 +115,8 @@ def compound_solve(K0=None, Kn=None, q=None, n=None) -> float:
 
 def effective_rate(p_nom: float, m: int) -> tuple[float, float]:
     """Effective annual factor and rate for m compounding periods per year."""
-    if p_nom <= 0 or m < 1:
-        raise FinanceError("need p_nom > 0 and m >= 1")
+    check_args(FinanceError, p_nom=p_nom)
+    check_args(FinanceError, 1, closed=True, m=m)
     q_eff = (1.0 + p_nom / (100.0 * m)) ** m
     return q_eff, 100.0 * (q_eff - 1.0)
 
@@ -132,11 +124,8 @@ def effective_rate(p_nom: float, m: int) -> tuple[float, float]:
 def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
     """Solve K_n = E q (q^n - 1)/(q - 1) for the missing quantity."""
     missing = _require_exactly_one_missing(Kn=Kn, E=E, q=q, n=n)
-    if q is not None and q <= 1.0:
-        raise FinanceError("installment savings need q > 1")
-    for name, v in (("Kn", Kn), ("E", E), ("n", n)):
-        if v is not None and v <= 0:
-            raise FinanceError(f"{name} must be positive")
+    check_args(FinanceError, 1, q=q)
+    check_args(FinanceError, Kn=Kn, E=E, n=n)
     if missing == "Kn":
         return E * q * (q ** n - 1.0) / (q - 1.0)
     if missing == "E":
@@ -151,8 +140,8 @@ def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
 
 def installment_present_value(E: float, q: float, n: float) -> float:
     """B0 = E (q^n - 1) / (q^(n-1) (q - 1))."""
-    if q <= 1.0 or E <= 0 or n <= 0:
-        raise FinanceError("need E > 0, q > 1, n > 0")
+    check_args(FinanceError, 1, q=q)
+    check_args(FinanceError, E=E, n=n)
     return E * (q ** n - 1.0) / (q ** (n - 1) * (q - 1.0))
 
 
@@ -200,18 +189,19 @@ _ROW_JSON = ('    {{\n      "year": {},\n      "interest": {},\n      "payment":
 
 def annuity_from_rates(R0: float, p: float, t: float) -> float:
     """First-year annuity A = R0 (p + t)/100."""
+    check_args(FinanceError, -math.inf, R0=R0, p=p, t=t)
     return R0 * (p + t) / 100.0
 
 
 def remaining_debt(R0: float, q: float, A: float, n: float) -> float:
     """Explicit remaining debt R_n = R0 q^n - A (q^n - 1)/(q - 1)."""
+    check_args(FinanceError, -math.inf, R0=R0, q=q, A=A, n=n)
     return R0 * q ** n - A * (q ** n - 1.0) / (q - 1.0)
 
 
 def redemption_duration(p: float, t: float) -> float:
     """Contract period n = ln(1 + p/t) / ln(q); independent of R0."""
-    if p <= 0 or t <= 0:
-        raise FinanceError("need p > 0 and t > 0")
+    check_args(FinanceError, p=p, t=t)
     return math.log(1.0 + p / t) / math.log(interest_factor(p))
 
 
@@ -231,10 +221,11 @@ def redemption_plan(
     """
     if (t is None) == (A is None):
         raise FinanceError("give exactly one of t (percent) or A (CU)")
-    _positive(R0=R0, p=p, t=t, A=A)
-    q = interest_factor(p)
     if t is not None:
-        A = annuity_from_rates(R0, p, t)
+        A = annuity_from_rates(R0, p, t)  # finite R0, p and t can still give A = inf
+    check_args(FinanceError, R0=R0, p=p, t=t, A=A)
+    check_args(FinanceError, -math.inf, horizon=horizon)
+    q = interest_factor(p)
     if A <= R0 * (q - 1.0):
         raise FinanceError("annuity does not exceed the interest; debt never shrinks")
 
@@ -270,8 +261,8 @@ def redemption_solve(Rn=None, R0=None, q=None, n=None, A=None) -> float:
     """Solve the explicit remaining-debt relation for whichever of the five
     quantities (Rn, R0, q, n, A) is None."""
     missing = _require_exactly_one_missing(Rn=Rn, R0=R0, q=q, n=n, A=A)
-    if q is not None and q <= 1.0:
-        raise FinanceError("need interest factor q > 1")
+    check_args(FinanceError, -math.inf, Rn=Rn, R0=R0, n=n, A=A)
+    check_args(FinanceError, 1, q=q)
     if missing == "Rn":
         return remaining_debt(R0, q, A, n)
     if missing == "A":
@@ -285,8 +276,7 @@ def redemption_solve(Rn=None, R0=None, q=None, n=None, A=None) -> float:
         if num == 0 or den == 0 or num / den <= 0:
             raise FinanceError("inconsistent redemption quantities; no real n")
         return math.log(num / den) / math.log(q)
-    if n <= 0:
-        raise FinanceError("solving for q needs n > 0")
+    check_args(FinanceError, n=n)
     return _solve_q(
         lambda qq: R0 - A * (1.0 - qq ** -n) / (qq - 1.0) - Rn * qq ** -n,
         f"Rn = {Rn:g} with R0 = {R0:g}, A = {A:g}, n = {n:g}",
@@ -303,11 +293,13 @@ def _pension_bracket(m: int, q: float) -> float:
 
 def pension_balance(K0: float, q: float, m: int, a: float, n: float) -> float:
     """Explicit balance K_n = K0 q^n - [m + (m+1)(q-1)/2] a (q^n - 1)/(q - 1)."""
+    check_args(FinanceError, -math.inf, K0=K0, q=q, m=m, a=a, n=n)
     return K0 * q ** n - _pension_bracket(m, q) * a * (q ** n - 1.0) / (q - 1.0)
 
 
 def pension_duration(K0: float, q: float, m: int, a: float) -> float:
     """Full years until the account is exhausted (requires a finite scheme)."""
+    check_args(FinanceError, -math.inf, K0=K0, q=q, m=m, a=a)
     br = _pension_bracket(m, q)
     denom = br * a - K0 * (q - 1.0)
     if denom <= 0:
@@ -317,14 +309,16 @@ def pension_duration(K0: float, q: float, m: int, a: float) -> float:
 
 def pension_present_value(q: float, m: int, a: float, n: float) -> float:
     """B0 needed to fund m withdrawals of a per year for n full years."""
+    check_args(FinanceError, -math.inf, q=q, m=m, a=a, n=n)
     return _pension_bracket(m, q) * a * (q ** n - 1.0) / (q ** n * (q - 1.0))
 
 
 def everlasting_pension(K0: float, q: float, m: int) -> float:
     """Withdrawal amount keeping the balance constant: imposing K_n = K0 on
     the explicit balance gives a = K0 (q-1) / [m + (m+1)(q-1)/2]."""
-    if K0 <= 0 or q <= 1.0 or m < 1:
-        raise FinanceError("need K0 > 0, q > 1, m >= 1")
+    check_args(FinanceError, K0=K0)
+    check_args(FinanceError, 1, q=q)
+    check_args(FinanceError, 1, closed=True, m=m)
     return K0 * (q - 1.0) / _pension_bracket(m, q)
 
 
@@ -338,9 +332,9 @@ def pension_plan(
     metadata reports the analytic duration, or flags the scheme as
     everlasting-capable when withdrawals never exhaust the account.
     """
-    _positive(K0=K0, p=p, a=a)
-    if not 1 <= m < math.inf:
-        raise FinanceError(f"m must be a finite number >= 1, got {m!r}")
+    check_args(FinanceError, K0=K0, p=p, a=a)
+    check_args(FinanceError, 1, closed=True, m=m)
+    check_args(FinanceError, -math.inf, horizon=horizon)
     q = interest_factor(p)
     meta = {"kind": "pension", "K0": K0, "p": p, "q": q, "m": m, "a": a}
     try:
@@ -378,13 +372,11 @@ def depreciation_linear(K0: float, N: int, n: Optional[int] = None):
     Returns (R_n, schedule); the yearly differences form an arithmetical
     sequence with constant d = -K0/N.
     """
-    _positive(K0=K0)
-    if not 1 <= N < math.inf:
-        raise FinanceError(f"N must be a finite number >= 1, got {N!r}")
+    check_args(FinanceError, K0=K0)
+    check_args(FinanceError, 1, closed=True, N=N)
     if n is None:
         n = N
-    if not 1 <= n <= N:
-        raise FinanceError(f"year n must lie in 1..{N}")
+    check_args(FinanceError, 1, math.floor(N) + 1, closed=True, n=n)  # a year in 1..N
     d = K0 / N
     rows = [ScheduleRow(k, 0.0, d, K0 - k * d) for k in range(1, n + 1)]
     meta = {"kind": "depreciation-linear", "K0": K0, "N": N, "annual": d}
@@ -400,12 +392,12 @@ def depreciation_declining(
     (p, Rn) solves for the period n.  The yearly values form a geometrical
     sequence with quotient q in (0, 1).
     """
-    _positive(K0=K0, n=n, Rn=Rn)
+    check_args(FinanceError, K0=K0, n=n, Rn=Rn)
     known = sum(v is not None for v in (p, n, Rn))
     if known < 2:
         raise FinanceError("give two of p, n, Rn")
-    if p is not None and not 0.0 < p < 100.0:
-        raise FinanceError("declining rate p must lie in (0, 100)")
+    check_args(FinanceError, 0, 100, p=p)
+    check_args(FinanceError, 0, K0, Rn=Rn)  # no declining rate reaches Rn >= K0
     if p is None:
         q = (Rn / K0) ** (1.0 / n)
         return 100.0 * (1.0 - q)
@@ -434,8 +426,9 @@ def master_formula(K0: float, q: float, R: float, n: float) -> float:
     R = -[m + (m+1)(q-1)/2] a the pension balance; R=0, 0<q<1 the
     declining-balance remaining value.
     """
-    if q <= 0 or q == 1.0:
-        raise FinanceError("master formula needs q > 0 and q != 1")
-    if n < 0:
-        raise FinanceError("n must be >= 0")
+    check_args(FinanceError, -math.inf, K0=K0, R=R)
+    check_args(FinanceError, q=q)
+    check_args(FinanceError, 0, closed=True, n=n)
+    if q == 1.0:
+        raise FinanceError("master formula needs q != 1")
     return K0 * q ** n + R * (q ** n - 1.0) / (q - 1.0)

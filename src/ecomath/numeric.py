@@ -1,8 +1,10 @@
 """Primitives shared by the modules, on the standard library only:
 ``NumericalError``, the base of every numerical failure (CLI exit code 3),
 ``brent``, the one bracketed root finder (``finmath`` rates and the
-sign-change cells of ``calculus.roots``), and ``_FrozenRecord``, the base of
-the expression nodes and of every result record.
+sign-change cells of ``calculus.roots``), ``check_args``, the one rule by
+which ``finmath``, ``econ`` and ``calculus.analysis`` refuse a scalar argument
+(NaN and +-inf included), and ``_FrozenRecord``, the base of the expression
+nodes and of every result record.
 """
 
 from __future__ import annotations
@@ -68,6 +70,20 @@ class _FrozenRecord:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+
+def check_args(error: type, lo: float = 0.0, hi: float = math.inf, /, *,
+               closed: bool = False, **given) -> None:
+    """The argument rule: raise error naming the first given value (None
+    skipped) outside (lo, hi), or [lo, hi) when closed.  The test is one
+    chained comparison, so NaN fails it, and so do +-inf: hi is at most inf,
+    and no caller closes lo = -inf."""
+    for name, v in given.items():
+        if v is not None and not (lo <= v < hi if closed else lo < v < hi):
+            if hi < math.inf:
+                raise error(f"{name} must lie in {'[' if closed else '('}{lo:g}, {hi:g}), got {v!r}")
+            least = f" with {name} {'>=' if closed else '>'} {lo:g}" if lo > -math.inf else ""
+            raise error(f"{name} must be a finite number{least}, got {v!r}")
 
 
 class NumericalError(Exception):

@@ -1073,6 +1073,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite"):
             ca.integrate(X, a, b)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tol_not_finite_and_positive_refused(self, tol):
+        # tol = nan: roots ran, and integrate said "error estimate 0 is above tol = nan"
+        with pytest.raises(ValueError, match="^tol must be a finite number with tol > 0"):
+            ca.roots(ca.parse("exp(x)-2"), 0, 1, tol=tol)
+        with pytest.raises(ValueError, match="^tol must be a finite number with tol > 0"):
+            ca.integrate(ca.parse("exp(x^2)"), 0, 1, tol=tol)
+
 
 def negative_base_to_a_nan_power():
     """(-2)^(u - u) with u = 1e308 x: the exponent is inf - inf = NaN from

@@ -341,6 +341,21 @@ class TestScheduleBuilderArguments:
         with pytest.raises(FinanceError, match=r"p must lie in \(0, 100\)"):
             finmath.depreciation_declining(1000, p=math.nan, n=3)
 
+    @pytest.mark.parametrize("given", [dict(n=3, Rn=2000), dict(p=20, Rn=2000), dict(n=3, Rn=1000)])
+    def test_declining_remaining_value_at_or_above_K0_refused(self, given):
+        # p = -25.99 and n = -3.11 came back for Rn = 2000
+        with pytest.raises(FinanceError, match=r"^Rn must lie in \(0, 1000\)"):
+            finmath.depreciation_declining(1000, **given)
+
+    def test_overflowing_annuity_refused(self):
+        # A = R0 (p + t)/100 is inf: math.ceil(NaN) raised a bare ValueError
+        with pytest.raises(FinanceError, match="^A must be a finite number"):
+            finmath.redemption_plan(1e300, 1e10, t=1e10)
+
+    def test_overflowing_pension_duration_refused(self):
+        with pytest.raises(FinanceError, match="^duration must be a finite number, got nan"):
+            finmath.pension_plan(1e300, 1e300, 12, 1e300)
+
 
 class TestSchedulesSerialization:
     def test_csv_header_and_rounding(self):
