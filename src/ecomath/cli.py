@@ -130,16 +130,20 @@ def _parse_coeffs(spec: str) -> tuple[float, ...]:
 # Subcommand handlers; each returns a payload for render()
 # ---------------------------------------------------------------------------
 
+def _rows(M) -> list:
+    return [list(M.row(i)) for i in range(M.rows)]
+
+
 def _cmd_linalg(args):
     from . import linalg, linsolve
     if args.linalg_op == "det":
         return {"determinant": linsolve.determinant(linalg.read_matrix(args.matrix))}
     if args.linalg_op == "inverse":
         inv = linsolve.inverse(linalg.read_matrix(args.matrix))
-        return {"inverse": [list(row) for row in inv.to_array()]}
+        return {"inverse": _rows(inv)}
     if args.linalg_op == "mul":
         prod = linalg.mat_mul(linalg.read_matrix(args.matrix), linalg.read_matrix(args.other))
-        return {"product": [list(row) for row in prod.to_array()]}
+        return {"product": _rows(prod)}
     if args.linalg_op == "matvec":
         v = linalg.mat_vec(linalg.read_matrix(args.matrix), linalg.read_vector(args.vector))
         return {"result": list(v.entries)}
@@ -174,11 +178,9 @@ def _cmd_leontief(args):
     payload = {
         "total_output": list(q.entries),
         "final_demand": list(y.entries),
-        "P": [list(row) for row in model.P.to_array()],
-        "technology_matrix": [list(row) for row in model.technology_matrix().to_array()],
-        "total_demand_matrix": [
-            list(row) for row in model.total_demand_matrix().to_array()
-        ],
+        "P": _rows(model.P),
+        "technology_matrix": _rows(model.technology_matrix()),
+        "total_demand_matrix": _rows(model.total_demand_matrix()),
     }
     if R is not None:
         v = leontief.resource_requirements(model, q, given="q")

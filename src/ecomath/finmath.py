@@ -43,6 +43,27 @@ def _check_rows(n_exact: float, horizon: Optional[int]) -> None:
         raise FinanceError(f"the plan runs {n_exact:.6g} years, past MAX_ROWS = {MAX_ROWS}")
 
 
+def _power(q: float, n: float) -> float:
+    """q^n, or FinanceError where ** overflows."""
+    try:
+        return q ** n
+    except OverflowError:
+        raise FinanceError(f"q^n = {q!r}^{n!r} exceeds the float range") from None
+
+
+def _finite(**value) -> float:
+    """The one named result, or FinanceError if overflow made it inf or NaN."""
+    check_args(FinanceError, -math.inf, **value)
+    return next(iter(value.values()))
+
+
+def _whole(n: float) -> int:
+    """A finite year count as an int, or FinanceError if it is not whole."""
+    if n != math.floor(n):
+        raise FinanceError(f"n must be a whole number of years, got {n!r}")
+    return int(n)
+
+
 def _require_exactly_one_missing(**known):
     missing = [k for k, v in known.items() if v is None]
     if len(missing) != 1:
@@ -194,9 +215,14 @@ def annuity_from_rates(R0: float, p: float, t: float) -> float:
 
 
 def remaining_debt(R0: float, q: float, A: float, n: float) -> float:
-    """Explicit remaining debt R_n = R0 q^n - A (q^n - 1)/(q - 1)."""
-    check_args(FinanceError, -math.inf, R0=R0, q=q, A=A, n=n)
-    return R0 * q ** n - A * (q ** n - 1.0) / (q - 1.0)
+    """Explicit remaining debt R_n = R0 q^n - A (q^n - 1)/(q - 1), where
+    (q^n - 1)/(q - 1) is n at q = 1."""
+    check_args(FinanceError, q=q)
+    check_args(FinanceError, -math.inf, R0=R0, A=A, n=n)
+    if q == 1.0:
+        return _finite(Rn=R0 - A * n)
+    qn = _power(q, n)
+    return _finite(Rn=R0 * qn - A * (qn - 1.0) / (q - 1.0))
 
 
 def redemption_duration(p: float, t: float) -> float:
@@ -266,9 +292,11 @@ def redemption_solve(Rn=None, R0=None, q=None, n=None, A=None) -> float:
     if missing == "Rn":
         return remaining_debt(R0, q, A, n)
     if missing == "A":
-        return (R0 * q ** n - Rn) * (q - 1.0) / (q ** n - 1.0)
+        qn = _power(q, n)
+        return _finite(A=(R0 * qn - Rn) * (q - 1.0) / (qn - 1.0))
     if missing == "R0":
-        return (Rn + A * (q ** n - 1.0) / (q - 1.0)) / q ** n
+        qn = _power(q, n)
+        return _finite(R0=(Rn + A * (qn - 1.0) / (q - 1.0)) / qn)
     if missing == "n":
         share = A / (q - 1.0)
         num = Rn - share
@@ -291,26 +319,43 @@ def _pension_bracket(m: int, q: float) -> float:
     return m + 0.5 * (m + 1) * (q - 1.0)
 
 
+def _pension_denom(K0: float, q: float, m: int, a: float) -> float:
+    """[m + (m+1)(q-1)/2] a - K0 (q - 1): positive exactly when the
+    withdrawals exhaust the account, NaN where its products overflow."""
+    return _pension_bracket(m, q) * a - K0 * (q - 1.0)
+
+
 def pension_balance(K0: float, q: float, m: int, a: float, n: float) -> float:
-    """Explicit balance K_n = K0 q^n - [m + (m+1)(q-1)/2] a (q^n - 1)/(q - 1)."""
-    check_args(FinanceError, -math.inf, K0=K0, q=q, m=m, a=a, n=n)
-    return K0 * q ** n - _pension_bracket(m, q) * a * (q ** n - 1.0) / (q - 1.0)
+    """Explicit balance K_n = K0 q^n - [m + (m+1)(q-1)/2] a (q^n - 1)/(q - 1),
+    where (q^n - 1)/(q - 1) is n at q = 1."""
+    check_args(FinanceError, q=q)
+    check_args(FinanceError, -math.inf, K0=K0, m=m, a=a, n=n)
+    if q == 1.0:
+        return _finite(Kn=K0 - m * a * n)
+    qn = _power(q, n)
+    return _finite(Kn=K0 * qn - _pension_bracket(m, q) * a * (qn - 1.0) / (q - 1.0))
 
 
 def pension_duration(K0: float, q: float, m: int, a: float) -> float:
     """Full years until the account is exhausted (requires a finite scheme)."""
-    check_args(FinanceError, -math.inf, K0=K0, q=q, m=m, a=a)
-    br = _pension_bracket(m, q)
-    denom = br * a - K0 * (q - 1.0)
+    check_args(FinanceError, q=q)
+    check_args(FinanceError, -math.inf, K0=K0, m=m, a=a)
+    denom = _pension_denom(K0, q, m, a)
     if denom <= 0:
         raise FinanceError("withdrawals never exhaust the account (everlasting-capable)")
-    return math.log(br * a / denom) / math.log(q)
+    if q == 1.0:  # K0 - m a n = 0
+        return _finite(duration=K0 / (m * a))
+    return _finite(duration=math.log(_pension_bracket(m, q) * a / denom) / math.log(q))
 
 
 def pension_present_value(q: float, m: int, a: float, n: float) -> float:
     """B0 needed to fund m withdrawals of a per year for n full years."""
-    check_args(FinanceError, -math.inf, q=q, m=m, a=a, n=n)
-    return _pension_bracket(m, q) * a * (q ** n - 1.0) / (q ** n * (q - 1.0))
+    check_args(FinanceError, q=q)
+    check_args(FinanceError, -math.inf, m=m, a=a, n=n)
+    if q == 1.0:  # (q^n - 1)/(q^n (q - 1)) is n at q = 1
+        return _finite(B0=m * a * n)
+    qn = _power(q, n)
+    return _finite(B0=_pension_bracket(m, q) * a * (qn - 1.0) / (qn * (q - 1.0)))
 
 
 def everlasting_pension(K0: float, q: float, m: int) -> float:
@@ -337,13 +382,12 @@ def pension_plan(
     check_args(FinanceError, -math.inf, horizon=horizon)
     q = interest_factor(p)
     meta = {"kind": "pension", "K0": K0, "p": p, "q": q, "m": m, "a": a}
-    try:
-        n_exact = pension_duration(K0, q, m, a)
-    except FinanceError:
+    if _pension_denom(K0, q, m, a) <= 0:
         meta["everlasting_capable"] = True
         meta["everlasting_amount"] = everlasting_pension(K0, q, m)
         n_rows = 50
     else:
+        n_exact = pension_duration(K0, q, m, a)
         _check_rows(n_exact, horizon)
         meta["duration_exact"] = n_exact
         meta["duration_full_years"] = math.floor(n_exact + 1e-12)
@@ -377,6 +421,7 @@ def depreciation_linear(K0: float, N: int, n: Optional[int] = None):
     if n is None:
         n = N
     check_args(FinanceError, 1, math.floor(N) + 1, closed=True, n=n)  # a year in 1..N
+    n = _whole(n)
     d = K0 / N
     rows = [ScheduleRow(k, 0.0, d, K0 - k * d) for k in range(1, n + 1)]
     meta = {"kind": "depreciation-linear", "K0": K0, "N": N, "annual": d}
@@ -404,6 +449,7 @@ def depreciation_declining(
     q = 1.0 - p / 100.0
     if n is None:
         return math.log(Rn / K0) / math.log(q)
+    n = _whole(n)
     rows = []
     balance = K0
     for year in range(1, n + 1):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
+from .linalg import EPS_ZERO, DimensionError, Matrix, Vector, _min, mat_combine, mat_vec
 from . import linsolve
 from .numeric import _FrozenRecord
 
@@ -32,7 +30,7 @@ class DeliveriesTable(_FrozenRecord):
             raise DimensionError(f"deliveries table must be square, got {d.rows}x{d.cols}")
         if d.rows != self.final_demand.n:
             raise DimensionError("final demand dimension must match table size")
-        if d.to_array().min() < 0 or self.final_demand.to_array().min() < 0:
+        if _min(d) < 0 or _min(self.final_demand) < 0:
             raise ModelError("deliveries and final demand must be non-negative")
 
     @property
@@ -52,12 +50,12 @@ class LeontiefModel(_FrozenRecord):
     def __post_init__(self):
         if not self.P.is_square:
             raise DimensionError("P must be square")
-        if self.P.to_array().min() < 0:
+        if _min(self.P) < 0:
             raise ModelError("P must be non-negative")
         if self.R is not None:
             if self.R.cols != self.P.rows:
                 raise DimensionError("R must have one column per agent")
-            if self.R.to_array().min() < 0:
+            if _min(self.R) < 0:
                 raise ModelError("R must be non-negative")
         steps: list = []
         _, rk, _, _ = linsolve.rref(self.technology_matrix(), steps)
@@ -70,11 +68,11 @@ class LeontiefModel(_FrozenRecord):
         return self.P.rows
 
     def technology_matrix(self) -> Matrix:
-        return Matrix.from_array(np.eye(self.n) - self.P.to_array())
+        return mat_combine(1.0, Matrix.identity(self.n), -1.0, self.P)
 
     def total_demand_matrix(self) -> Matrix:
         """(I - P)^-1, materialized on request from the stored elimination."""
-        return Matrix.from_array(linsolve.replay(self.elimination, np.eye(self.n)))
+        return linsolve._replay_identity(self.elimination, self.P)
 
 
 def model_from_table(
@@ -83,17 +81,36 @@ def model_from_table(
     """Build (model, total output q, final demand y) from a deliveries table.
 
     q_i = sum_j n_ij + y_i and P_ij = n_ij / q_j; q_j is the total output of
-    the receiving agent, so P's columns are scaled by the column agent.
+    the receiving agent, so P's columns are scaled by the column agent.  Each
+    row is summed in NumPy's order on either representation (_row_sum).
     """
-    nd = t.deliveries.to_array()
-    y = t.final_demand.to_array()
-    q = nd.sum(axis=1) + y
-    if np.any(q <= 0):
-        bad = int(np.argmin(q))
-        raise ModelError(f"agent {bad} has zero total output; P column undefined")
-    P = nd / q[np.newaxis, :]
-    model = LeontiefModel(Matrix.from_array(P), R=R, labels=labels)
+    nd, y = t.deliveries, t.final_demand.entries
+    if type(nd._a) is tuple:
+        rows = [nd.row(i) for i in range(t.n)]
+        q = [_row_sum(row) + yi for row, yi in zip(rows, y)]
+    else:
+        q = (nd.to_array().sum(axis=1) + y).tolist()
+    if min(q) <= 0:
+        raise ModelError(f"agent {q.index(min(q))} has zero total output; P column undefined")
+    if type(nd._a) is tuple:
+        P = Matrix(t.n, t.n, [v / qj for row in rows for v, qj in zip(row, q)])
+    else:
+        P = Matrix.from_array(nd.to_array() / q)
+    model = LeontiefModel(P, R=R, labels=labels)
     return model, Vector(q), Vector(y)
+
+
+def _row_sum(row: tuple) -> float:
+    """sum(row) rounded as NumPy sums a row of fewer than 16 floats (SMALL
+    is 8): left to right below 8 terms, else the first 8 added pairwise and
+    the rest added to them one by one."""
+    s, rest = 0.0, row
+    if len(row) >= 8:
+        r, rest = row, row[8:]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in rest:
+        s += v
+    return s
 
 
 def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
@@ -101,8 +118,8 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
     inconsistency) alongside the value rather than rejecting it."""
     if q.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {q.n}")
-    y = m.technology_matrix().to_array() @ q.to_array()
-    return Vector(y), bool(np.any(y < -EPS_ZERO))
+    y = mat_vec(m.technology_matrix(), q)
+    return y, _min(y) < -EPS_ZERO
 
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
@@ -112,8 +129,9 @@ def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
     matrix product per panel of NB columns, equal to it up to rounding."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
-    q = linsolve.replay(m.elimination, y.to_array())
-    return Vector(q), bool(np.any(q < -EPS_ZERO))
+    y = list(y._a) if type(y._a) is tuple else y.to_array()
+    q = Vector(linsolve.replay(m.elimination, y))
+    return q, _min(q) < -EPS_ZERO
 
 
 def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Vector:
@@ -128,7 +146,7 @@ def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Ve
         raise ValueError(f"given must be 'q' or 'y', not {given!r}")
     if q.n != m.R.cols:
         raise DimensionError("dimension mismatch against R")
-    return Vector(m.R.to_array() @ q.to_array())
+    return mat_vec(m.R, q)
 
 
 def forecast(m: LeontiefModel, next_demand: Vector) -> tuple[Vector, Optional[Vector]]:

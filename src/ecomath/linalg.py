@@ -1,18 +1,22 @@
 """Dense real vectors and matrices with the elementary algebraic operations.
 
-Each value holds one read-only float64 array of finite entries, so values are
-immutable after construction and every operation is a pure function, safe to
-share between threads.  ``EPS_ZERO`` is the single comparison tolerance used
-across the package unless an operation documents otherwise.
+A value of at most SMALL rows and columns holds its entries as one flat tuple
+of Python floats in row-major order, a larger one as one read-only float64
+array.  The representation follows from the shape alone, so equal values hold
+the same one, and NumPy is imported only for the arrays and by ``to_array``
+and ``from_array``.  Values are immutable after construction and every
+operation is a pure function, safe to share between threads.  ``EPS_ZERO`` is
+the single comparison tolerance used across the package unless an operation
+documents otherwise.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import mul
 
 EPS_ZERO = 1e-9
+SMALL = 8  # widest value held as a float tuple: the list/array crossover of inverse
 
 
 class DimensionError(ValueError):
@@ -24,34 +28,58 @@ class FormatError(ValueError):
 
 
 class _ArrayValue:
-    """One read-only float64 array of finite entries; equality is exact."""
+    """Finite float entries of a fixed shape; equality is exact."""
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_shape")
 
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if not (math.isfinite(a.sum()) or np.isfinite(a).all()):  # the sum may overflow
+    def _hold(self, entries, shape):
+        """Store entries (a flat list of floats, or an array) with this shape."""
+        if max(shape) <= SMALL:
+            if hasattr(entries, "ravel"):
+                entries = entries.astype(float).ravel().tolist()
+            ok = all(map(math.isfinite, entries))
+            a = tuple(entries)
+        else:
+            import numpy as np
+            a = np.array(entries, dtype=float).reshape(shape)
+            ok = math.isfinite(a.sum()) or np.isfinite(a).all()  # the sum may overflow
+            a.flags.writeable = False
+        if not ok:
             raise ValueError(f"{type(self).__name__} entries must be finite (no NaN or inf)")
-        a.flags.writeable = False
         object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_shape", shape)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
     @property
     def entries(self) -> tuple[float, ...]:
-        return tuple(self._a.ravel().tolist())
+        a = self._a
+        return a if type(a) is tuple else tuple(a.ravel().tolist())
 
-    def _tag(self):  # what besides the array decides equality
+    def to_array(self):
+        """The entries as a read-only float64 array (the backing one, if any)."""
+        a = self._a
+        if type(a) is tuple:
+            import numpy as np
+            a = np.array(a).reshape(self._shape)
+            a.flags.writeable = False
+        return a
+
+    def _tag(self):  # what besides the shape and entries decides equality
         return None
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._tag() == other._tag() and np.array_equal(self._a, other._a)
+        if (self._tag(), self._shape) != (other._tag(), other._shape):
+            return False
+        a, b = self._a, other._a
+        return a == b if type(a) is tuple else bool((a == b).all())
 
-    def __hash__(self):  # +0.0 maps -0.0 to 0.0, as == does
-        return hash((self._tag(), (self._a + 0.0).tobytes()))
+    def __hash__(self):  # -0.0 hashes as 0.0, as == has it
+        a = self._a
+        return hash((self._tag(), self._shape, a if type(a) is tuple else (a + 0.0).tobytes()))
 
 
 class Vector(_ArrayValue):
@@ -60,12 +88,22 @@ class Vector(_ArrayValue):
     __slots__ = ("orientation",)
 
     def __init__(self, entries, orientation: str = "col"):
-        super().__init__(entries)
-        if self._a.ndim != 1 or self._a.size < 1:
+        if hasattr(entries, "ndim"):
+            n = entries.size if entries.ndim == 1 else 0
+        else:
+            try:
+                entries = [float(v) for v in entries] if not isinstance(entries, str) else ()
+            except TypeError:  # a nested sequence
+                entries = ()
+            n = len(entries)
+        if n < 1:
             raise DimensionError("vector needs a flat sequence of at least one entry")
         if orientation not in ("col", "row"):
             raise ValueError(f"unknown orientation {orientation!r}")
+        self._hold(entries, (n,))
         object.__setattr__(self, "orientation", orientation)
+
+    to_array = _ArrayValue.to_array  # each class's own attribute, for span wrappers
 
     def _tag(self):
         return self.orientation
@@ -76,27 +114,22 @@ class Vector(_ArrayValue):
     def __repr__(self):
         return f"Vector(entries={self.entries!r}, orientation={self.orientation!r})"
 
-    def to_array(self) -> np.ndarray:
-        """The backing array itself (read-only; copy it to modify)."""
-        return self._a
-
     @property
     def n(self) -> int:
-        return self._a.size
+        return self._shape[0]
 
     @property
     def T(self) -> "Vector":
         return Vector(self._a, "row" if self.orientation == "col" else "col")
 
     def __getitem__(self, i):
-        v = self._a[i]
-        return float(v) if v.ndim == 0 else tuple(v.tolist())
+        return self.entries[i]
 
     def __iter__(self):
-        return iter(self._a.tolist())
+        return iter(self.entries)
 
     def __len__(self):
-        return self._a.size
+        return self.n
 
 
 class Matrix(_ArrayValue):
@@ -105,15 +138,30 @@ class Matrix(_ArrayValue):
     __slots__ = ()
 
     def __init__(self, rows: int, cols: int, entries):
-        if rows < 1 or cols < 1:
-            raise DimensionError("matrix format must be at least 1x1")
-        super().__init__(entries)
-        if self._a.size != rows * cols:
-            raise DimensionError(f"expected {rows * cols} entries, got {self._a.size}")
-        object.__setattr__(self, "_a", self._a.reshape(rows, cols))
+        if rows < 1 or cols < 1 or isinstance(entries, str):
+            raise DimensionError("matrix format must be at least 1x1, of numbers")
+        if hasattr(entries, "ravel"):
+            size = entries.size
+        else:
+            flat, widths = [], []
+            for v in entries:  # numbers, or rows of numbers of one length
+                try:
+                    flat.append(float(v))
+                except TypeError:
+                    v = [float(x) for x in v]
+                    flat += v
+                    widths.append(len(v))
+            if widths and (min(widths) != max(widths) or sum(widths) != len(flat)):
+                raise DimensionError("matrix entries must be numbers, or rows of one length")
+            entries, size = flat, len(flat)
+        if size != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {size}")
+        self._hold(entries, (rows, cols))
+
+    to_array = _ArrayValue.to_array
 
     def __reduce__(self):
-        return Matrix.from_array, (self._a,)
+        return Matrix, (self.rows, self.cols, self._a)
 
     def __repr__(self):
         return f"Matrix(rows={self.rows}, cols={self.cols})"
@@ -127,6 +175,7 @@ class Matrix(_ArrayValue):
 
     @classmethod
     def from_array(cls, a) -> "Matrix":
+        import numpy as np
         a = np.asarray(a, dtype=float)
         if a.ndim < 2:
             a = a.reshape(1, -1)
@@ -134,37 +183,51 @@ class Matrix(_ArrayValue):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_array(np.eye(n))
+        if n > SMALL:
+            import numpy as np
+            return cls.from_array(np.eye(n))
+        return cls(n, n, [float(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls.from_array(np.zeros((m, n)))
+        return cls(m, n, [0.0] * (m * n))
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return self._shape[0]
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
-
-    def to_array(self) -> np.ndarray:
-        """The backing array itself (read-only; copy it to modify)."""
-        return self._a
+        return self._shape[1]
 
     @property
     def T(self) -> "Matrix":
-        return Matrix.from_array(self._a.T)
+        a, c = self._a, self.cols
+        if type(a) is tuple:
+            return Matrix(c, self.rows, [x for j in range(c) for x in a[j::c]])
+        return Matrix.from_array(a.T)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def row(self, i: int) -> tuple[float, ...]:
-        return tuple(self._a[i].tolist())
+        a, c = self._a, self.cols
+        if type(a) is tuple:
+            i = range(self.rows)[i]
+            return a[i * c:(i + 1) * c]
+        return tuple(a[i].tolist())
 
     def __getitem__(self, ij):
+        if type(self._a) is tuple:
+            i, j = ij
+            return self._a[range(self.rows)[i] * self.cols + range(self.cols)[j]]
         return float(self._a[ij])
+
+
+def _min(v: _ArrayValue) -> float:
+    """The smallest entry of a vector or matrix."""
+    return min(v._a) if type(v._a) is tuple else float(v._a.min())
 
 
 def linear_combination(coeffs, vectors) -> Vector:
@@ -177,24 +240,38 @@ def linear_combination(coeffs, vectors) -> Vector:
     orientation = vectors[0].orientation
     if any(v.n != n or v.orientation != orientation for v in vectors):
         raise DimensionError("all vectors must share dimension and orientation")
-    return Vector(sum(float(lam) * v.to_array() for lam, v in zip(coeffs, vectors)), orientation)
+    if type(vectors[0]._a) is not tuple:
+        return Vector(sum(float(lam) * v._a for lam, v in zip(coeffs, vectors)), orientation)
+    acc = [0.0] * n  # 0.0 + x turns -0.0 into 0.0, as sum's 0 + array does
+    for lam, v in zip(coeffs, vectors):
+        lam = float(lam)
+        acc = [s + lam * x for s, x in zip(acc, v._a)]
+    return Vector(acc, orientation)
+
+
+def _dot(x, y) -> float:
+    """x . y of two float tuples or two arrays; math.fsum rounds the tuples'
+    sum once, NumPy's dot rounds as its BLAS does."""
+    if type(x) is tuple:
+        return math.fsum(map(mul, x, y))
+    import numpy as np
+    return float(np.dot(x, y))
 
 
 def dot(a: Vector, b: Vector) -> float:
     """Euclidian scalar product; orientation is auto-transposed as a convenience."""
     if a.n != b.n:
         raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
-    return float(np.dot(a.to_array(), b.to_array()))
+    return _dot(a._a, b._a)
 
 
 def _cosine(a: Vector, b: Vector):
     """cos angle(a, b) from the unit vectors, so nothing overflows; None for zero."""
     if a.n != b.n:
         raise DimensionError(f"dimension mismatch: {a.n} vs {b.n}")
-    la, lb = norm(a), norm(b)
-    if la == 0.0 or lb == 0.0:
+    if norm(a) == 0.0 or norm(b) == 0.0:
         return None
-    return float(np.dot(a.to_array() / la, b.to_array() / lb))
+    return _dot(normalize(a)._a, normalize(b)._a)
 
 
 def are_orthogonal(a: Vector, b: Vector, tol: float = EPS_ZERO) -> bool:
@@ -212,7 +289,8 @@ def normalize(a: Vector) -> Vector:
     la = norm(a)
     if la == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return Vector(a.to_array() / la, a.orientation)
+    x = a._a
+    return Vector([v / la for v in x] if type(x) is tuple else x / la, a.orientation)
 
 
 def angle(a: Vector, b: Vector) -> float:
@@ -228,7 +306,9 @@ def mat_combine(alpha: float, A: Matrix, beta: float, B: Matrix) -> Matrix:
     """Entrywise alpha*A + beta*B for matrices of the same format."""
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise DimensionError(f"format mismatch: {A.rows}x{A.cols} vs {B.rows}x{B.cols}")
-    return Matrix.from_array(alpha * A.to_array() + beta * B.to_array())
+    if type(A._a) is tuple:
+        return Matrix(A.rows, A.cols, [alpha * x + beta * y for x, y in zip(A._a, B._a)])
+    return Matrix.from_array(alpha * A._a + beta * B._a)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -236,6 +316,10 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         raise DimensionError(
             f"inner dimensions disagree: {A.rows}x{A.cols} times {B.rows}x{B.cols}"
         )
+    if type(A._a) is type(B._a) is tuple:
+        rows = [A.row(i) for i in range(A.rows)]
+        cols = [B._a[j::B.cols] for j in range(B.cols)]
+        return Matrix(A.rows, B.cols, [_dot(r, c) for r in rows for c in cols])
     return Matrix.from_array(A.to_array() @ B.to_array())
 
 
@@ -243,6 +327,8 @@ def mat_vec(A: Matrix, x: Vector) -> Vector:
     """A applied to a column vector."""
     if A.cols != x.n:
         raise DimensionError(f"inner dimensions disagree: {A.cols} vs {x.n}")
+    if type(A._a) is type(x._a) is tuple:
+        return Vector([_dot(A.row(i), x._a) for i in range(A.rows)], "col")
     return Vector(A.to_array() @ x.to_array(), "col")
 
 
@@ -274,10 +360,8 @@ def parse_matrix_text(text: str) -> Matrix:
 def parse_vector_text(text: str) -> Vector:
     """A vector file is a matrix file with a single row or a single column."""
     m = parse_matrix_text(text)
-    if m.cols == 1:
-        return Vector(m.to_array()[:, 0], "col")
-    if m.rows == 1:
-        return Vector(m.to_array()[0], "row")
+    if m.cols == 1 or m.rows == 1:
+        return Vector(m.entries, "col" if m.cols == 1 else "row")
     raise FormatError(f"expected a single row or column, got {m.rows}x{m.cols}")
 
 

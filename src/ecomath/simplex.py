@@ -3,24 +3,28 @@ independent vertex-enumeration oracle for two-variable problems.
 
 A LinearProgram always stores its restrictions as A x <= b together with
 x >= 0; a minimum problem is handled by negating the objective.  c, A and b
-are accepted as sequences or arrays and held as read-only float64 arrays,
-which the tableau and the oracle use as they are.  Only standard forms with
-b >= 0 are solvable here: anything that would need artificial variables is
-reported as "unsupported" rather than solved by an invented phase-1 method.
+are accepted as sequences or arrays.  A program whose tableau is at most
+SMALL columns wide (n + m + 2, see ``linalg``) holds them as float tuples and
+its tableau as column lists; a wider one holds read-only float64 arrays and
+its tableau as one array.  The attributes c, A and b are read-only float64
+arrays either way, built on first access from the tuples; the solver and
+the oracle read the held values.  Only standard forms with b >= 0 are
+solvable here: anything that would need artificial variables is reported as
+"unsupported" rather than solved by an invented phase-1 method.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
-import numpy as np
-
+from .linalg import SMALL
 from .linsolve import _pivot_step
 from .numeric import NumericalError, _FrozenRecord
 
-FEAS_TOL = 1e-9
-PIVOT_MIN = 1e-9
+FEAS_TOL = 1e-9  # a smaller minimum ratio is a degenerate pivot, relative (solve_simplex)
+PIVOT_MIN = 1e-9  # entering and pivot-candidate tolerance, relative (solve_simplex)
 
 
 class SimplexError(ValueError):
@@ -34,42 +38,55 @@ class IterationLimitError(NumericalError, RuntimeError):
 class LinearProgram(_FrozenRecord):
     """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,)."""
 
-    __slots__ = ("sense", "c", "A", "b", "d", "names")  # sense is "max" or "min"
-    _defaults = {"d": 0.0, "names": None}
+    __slots__ = ("sense", "_c", "_A", "_b", "d", "names", "_arrays")
+    _fields = ("sense", "c", "A", "b", "d", "names")
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise SimplexError(f"sense must be 'max' or 'min', not {self.sense!r}")
-        c, b = np.array(self.c, dtype=float), np.array(self.b, dtype=float)
+    def __init__(self, sense, c, A, b, d=0.0, names=None):
+        if sense not in ("max", "min"):
+            raise SimplexError(f"sense must be 'max' or 'min', not {sense!r}")
         try:
-            A = np.array(self.A, dtype=float)
-        except ValueError:  # ragged rows
-            A = None
-        if A is not None and A.shape == (0,):  # A=(): no restrictions
-            A = A.reshape(0, c.size)
-        if A is None or c.ndim != 1 or A.ndim != 2 or A.shape[1] != c.size:
-            raise SimplexError("each restriction row must have one entry per variable")
-        if b.shape != A.shape[:1]:
-            raise SimplexError("rows(A) must equal dim(b)")
-        if not np.isfinite(np.concatenate((c, A.ravel(), b, [self.d]))).all():
+            small = len(c) + len(A) + 2 <= SMALL
+        except TypeError:  # no sequences: _as_tuples refuses them
+            small = True
+        c, A, b = (_as_tuples if small else _as_arrays)(c, A, b)
+        try:
+            finite = math.isfinite(d)
+        except TypeError:
+            finite = False
+        if not finite:
             raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
-        for key, a in (("c", c), ("A", A), ("b", b)):
-            a.flags.writeable = False
-            object.__setattr__(self, key, a)
+        arrays = None if small else {"c": c, "A": A, "b": b}
+        for key, v in zip(self.__slots__, (sense, c, A, b, d, names, arrays)):
+            object.__setattr__(self, key, v)
+
+    def _array(self, key: str):
+        if self._arrays is None:
+            import numpy as np
+            arrays = {k: np.array(getattr(self, "_" + k), dtype=float) for k in "cAb"}
+            arrays["A"] = arrays["A"].reshape(self.m, self.n)
+            for a in arrays.values():
+                a.flags.writeable = False
+            object.__setattr__(self, "_arrays", arrays)
+        return self._arrays[key]
+
+    c = property(lambda self: self._array("c"))
+    A = property(lambda self: self._array("A"))
+    b = property(lambda self: self._array("b"))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        import numpy as np
         same = (self.sense, self.d, self.names) == (other.sense, other.d, other.names)
         return same and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in "cAb")
 
     @property
     def n(self) -> int:
-        return self.c.size
+        return len(self._c)
 
     @property
     def m(self) -> int:
-        return self.b.size
+        return len(self._b)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearProgram":
@@ -92,11 +109,62 @@ class LinearProgram(_FrozenRecord):
         return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
-        out = {"sense": self.sense, "c": self.c.tolist(), "d": self.d,
-               "A": self.A.tolist(), "b": self.b.tolist()}
+        out = {"sense": self.sense, "c": [float(v) for v in self._c], "d": self.d,
+               "A": [[float(v) for v in row] for row in self._A],
+               "b": [float(v) for v in self._b]}
         if self.names:
             out["names"] = list(self.names)
         return out
+
+
+def _floats(v, depth: int = 1) -> tuple:
+    """A sequence of numbers (depth 1), or of such sequences (depth 2), as
+    float tuples; TypeError for text, which np.array gives too few dimensions."""
+    if isinstance(v, str):
+        raise TypeError("text is no sequence of numbers")
+    return tuple([float(x) if depth == 1 else _floats(x) for x in v])
+
+
+def _as_tuples(c, A, b):
+    """c, A (rows) and b as float tuples, checked as _as_arrays checks them."""
+    try:
+        c = _floats(c)
+        A = _floats(A, 2)
+        rows_ok = all(len(row) == len(c) for row in A)
+    except (TypeError, ValueError):  # not numbers, or rows that are no sequences
+        rows_ok = False
+    if not rows_ok:
+        raise SimplexError("each restriction row must have one entry per variable")
+    try:
+        b = _floats(b)
+    except (TypeError, ValueError):
+        b = None
+    if b is None or len(b) != len(A):
+        raise SimplexError("rows(A) must equal dim(b)")
+    if not all(map(math.isfinite, c + b + sum(A, ()))):
+        raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
+    return c, A, b
+
+
+def _as_arrays(c, A, b):
+    """c, A and b as read-only float64 arrays of shapes (n,), (m, n), (m,)."""
+    import numpy as np
+    c, b = np.array(c, dtype=float), np.array(b, dtype=float)
+    try:
+        A = np.array(A, dtype=float)
+    except ValueError:  # ragged rows
+        A = None
+    if A is not None and A.shape == (0,):  # A=(): no restrictions
+        A = A.reshape(0, c.size)
+    if A is None or c.ndim != 1 or A.ndim != 2 or A.shape[1] != c.size:
+        raise SimplexError("each restriction row must have one entry per variable")
+    if b.shape != A.shape[:1]:
+        raise SimplexError("rows(A) must equal dim(b)")
+    if not np.isfinite(np.concatenate((c, A.ravel(), b))).all():
+        raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
+    for a in (c, A, b):
+        a.flags.writeable = False
+    return c, A, b
 
 
 def _numbers(value, key: str, depth: int):
@@ -130,23 +198,38 @@ class SimplexTableau:
     Row 0 holds (1, -c_1..-c_n, 0..0, d); rows 1..m hold the restrictions
     with their slack unit columns.  Basis variables are identified by
     index: 0 is z, 1..n the structural variables, n+1..n+m the slacks.
+    ``cells`` holds the tableau as column lists or as one array (see the
+    module docstring), ``grid`` gives it as a float64 array.  ``scale`` holds
+    one scale per variable (z, x, s) and ``tols`` the entering and degeneracy
+    tolerances, which canonicalize reads from the LP (see solve_simplex); a
+    tableau built by hand has unit scales and the bare PIVOT_MIN and FEAS_TOL.
     """
 
-    def __init__(self, grid: np.ndarray, basis: list[int], n: int, m: int):
-        self.grid = grid
+    def __init__(self, grid, basis: list[int], n: int, m: int):
+        self.cells = grid
         self.basis = basis
         self.n = n
         self.m = m
         self.iteration = 0
+        self.scale = [1.0] * (1 + n + m)
+        self.tols = (PIVOT_MIN, FEAS_TOL)
 
     def copy(self) -> "SimplexTableau":
-        t = SimplexTableau(self.grid.copy(), list(self.basis), self.n, self.m)
-        t.iteration = self.iteration
+        cells = self.cells
+        t = SimplexTableau([u[:] for u in cells] if type(cells) is list else cells.copy(),
+                           list(self.basis), self.n, self.m)
+        t.iteration, t.scale, t.tols = self.iteration, self.scale, self.tols
         return t
 
     @property
-    def rhs(self) -> np.ndarray:
-        return self.grid[:, -1]
+    def grid(self):
+        """The tableau as a float64 array: a copy of column lists, else the array."""
+        import numpy as np
+        return np.array(self.cells).T if type(self.cells) is list else self.cells
+
+    @property
+    def rhs(self):
+        return _line(self.cells, -1, top=0)
 
     def variable_name(self, idx: int) -> str:
         if idx == 0:
@@ -155,10 +238,11 @@ class SimplexTableau:
             return f"x{idx}"
         return f"s{idx - self.n}"
 
-    def basis_solution(self) -> np.ndarray:
+    def basis_solution(self) -> list[float]:
         """Values of (z, x_1..x_n, s_1..s_m) with non-basis variables at 0."""
-        values = np.zeros(1 + self.n + self.m)
-        values[self.basis] = self.grid[:, -1]
+        values = [0.0] * (1 + self.n + self.m)
+        for k, v in zip(self.basis, self.rhs):
+            values[k] = float(v)
         return values
 
     def format_text(self) -> str:
@@ -166,47 +250,115 @@ class SimplexTableau:
             f"s{i}" for i in range(1, self.m + 1)
         ] + ["RHS"]
         lines = ["# " + ",".join(header)]
-        for row in self.grid:
+        for row in zip(*self.cells) if type(self.cells) is list else self.cells:
             lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
+
+
+def _line(cells, j: Optional[int] = None, top: int = 1):
+    """Row 0 without its RHS (j None), else column j from row top on: a list
+    of column lists, a view of an array."""
+    if type(cells) is list:
+        return [u[0] for u in cells[:-1]] if j is None else cells[j][top:]
+    return cells[0, :-1] if j is None else cells[top:, j]
+
+
+def _least(v) -> tuple[int, float]:
+    """The index and value of the first least entry of a list or an array;
+    (0, inf) if there is none."""
+    if not len(v):
+        return 0, math.inf
+    i = v.index(min(v)) if type(v) is list else int(v.argmin())
+    return i, v[i]
+
+
+def _ratios(cells, j: int, rs, sj: float):
+    """RHS / a over column j below row 0 where a is a pivot candidate, above
+    rs / sj for rs PIVOT_MIN times the scale of its row's basic variable and
+    sj that of column j, else inf; NumPy rounds an array tableau's entries
+    as Python rounds the lists'."""
+    if type(cells) is list:
+        return [r / v if v > s / sj else math.inf
+                for r, v, s in zip(cells[-1][1:], cells[j][1:], rs)]
+    import numpy as np
+    col = cells[1:, j]
+    eligible = col > rs / sj
+    return np.divide(cells[1:, -1], col, out=np.full(col.size, np.inf), where=eligible)
 
 
 def negate_to_max(lp: LinearProgram) -> LinearProgram:
     """min z = c.x + d  <=>  max -z = (-c).x - d over the same feasible set."""
     if lp.sense == "max":
         return lp
-    return LinearProgram("max", -lp.c, lp.A, lp.b, -lp.d, lp.names)
+    return LinearProgram("max", [-v for v in lp._c], lp._A, lp._b, -lp.d, lp.names)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
     """Initial tableau with slack variables; first basis is {z, s_1..s_m}."""
     if lp.sense != "max":
         raise SimplexError("canonicalize expects a max problem; use negate_to_max")
-    if (lp.b < 0).any():
-        raise SimplexError("unsupported: negative capacity would need a phase-1 method")
+    c, A, b = lp._c, lp._A, lp._b
     n, m = lp.n, lp.m
-    grid = np.zeros((1 + m, 1 + n + m + 1))
-    grid[0, 0] = 1.0
-    grid[0, 1 : 1 + n] = -lp.c
-    grid[0, -1] = lp.d
-    grid[1:, 1 : 1 + n] = lp.A
-    grid[1:, 1 + n : -1] = np.eye(m)
-    grid[1:, -1] = lp.b
-    basis = [0] + [n + 1 + i for i in range(m)]
-    return SimplexTableau(grid, basis, n, m)
+    if type(c) is tuple:  # columns: z, x_1..x_n, s_1..s_m, RHS
+        grid = [[1.0] + [0.0] * m]
+        grid += [[-v, *[row[j] for row in A]] for j, v in enumerate(c)]
+        grid += [[0.0] + [float(k == i) for k in range(m)] for i in range(m)]
+        grid.append([float(lp.d), *b])
+        rows = [max(map(abs, row), default=0.0) or 1.0 for row in A]
+        cols = [max([abs(row[j]) / r for row, r in zip(A, rows)], default=0.0) or 1.0
+                for j in range(n)]
+    else:
+        import numpy as np
+        grid = np.zeros((1 + m, 1 + n + m + 1))
+        grid[0, 0] = 1.0
+        grid[0, 1 : 1 + n] = -c
+        grid[0, -1] = lp.d
+        grid[1:, 1 : 1 + n] = A
+        grid[1:, 1 + n : -1] = np.eye(m)
+        grid[1:, -1] = b
+        a = np.abs(A)
+        rows = a.max(axis=1, initial=0.0)
+        rows[rows == 0.0] = 1.0
+        cols = (a / rows[:, None]).max(axis=0, initial=0.0)
+        cols[cols == 0.0] = 1.0
+        c, b, rows, cols = c.tolist(), b.tolist(), rows.tolist(), cols.tolist()
+    if min(b, default=0.0) < 0:
+        raise SimplexError("unsupported: negative capacity would need a phase-1 method")
+    t = SimplexTableau(grid, [0] + [n + 1 + i for i in range(m)], n, m)
+    t.scale = [1.0] + [1.0 / g for g in cols] + rows
+    t.tols = (PIVOT_MIN * max([abs(v) / g for v, g in zip(c, cols)], default=0.0),
+              FEAS_TOL * max([abs(v) / r for v, r in zip(b, rows)], default=0.0))
+    return t
 
 
 def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
     """Pivot operation on element (i_star, j_star), in place; rows are
     1-based over the restriction block, columns 1-based over the variable
     block.  Returns t; copy it first to keep the previous tableau."""
-    p = t.grid[i_star, j_star]
-    if p <= PIVOT_MIN:
+    cells = t.cells
+    p = cells[j_star][i_star] if type(cells) is list else float(cells[i_star, j_star])
+    if p <= PIVOT_MIN * t.scale[t.basis[i_star]] / t.scale[j_star]:
         raise SimplexError(f"pivot element {p!r} at ({i_star},{j_star}) is not positive")
-    _pivot_step(t.grid, i_star, j_star)
+    _pivot_step(cells, i_star, j_star)
     t.basis[i_star] = j_star
     t.iteration += 1
     return t
+
+
+def _improving(lp: LinearProgram, row0: list) -> list[int]:
+    """The structural columns j whose row-0 entry is below -PIVOT_MIN times
+    the size of the terms it is formed from, |c_j| + sum_i |y_i a_ij| with y
+    the slacks' row-0 entries: one column's scale cannot hide another's gain
+    from this test, as it can from the one against max_j |c_j| / g_j."""
+    n, c, A = lp.n, lp._c, lp._A
+    y = [abs(v) for v in row0[1 + n:]]
+    if type(c) is tuple:
+        size = [abs(cj) + sum([abs(a) * yi for a, yi in zip(col, y)])
+                for cj, col in zip(c, zip(*A) if A else [()] * n)]
+    else:
+        import numpy as np
+        size = (np.abs(c) + np.abs(A).T @ np.array(y)).tolist()
+    return [1 + j for j, s in enumerate(size) if row0[1 + j] < -PIVOT_MIN * s]
 
 
 def iteration_cap(n: int, m: int) -> int:
@@ -225,6 +377,18 @@ def solve_simplex(
     the method cannot cycle: the first negative column enters and ratio ties
     go to the smallest basis variable.  A min problem is negated first and
     its optimal value negated back.
+
+    Each test is relative to the LP's scale, read once by canonicalize: row
+    i of A has the scale r_i = max_j |a_ij|, slack s_i the scale r_i and x_j
+    the scale 1 / g_j with g_j = max_i |a_ij| / r_i (zeros count as 1).  A
+    column enters if its row-0 entry times its scale is below -PIVOT_MIN
+    max_j |c_j| / g_j; an entry is a pivot candidate above PIVOT_MIN times
+    the scale of its row's basic variable over that of its column; a minimum
+    ratio below FEAS_TOL max_i |b_i| / r_i times the entering scale is
+    degenerate.  So scaling c, or b, or A and b together, by a power of two
+    scales the answer exactly and takes the same pivots.  Where no column
+    passes the entering test, one still enters if _improving finds it, so a
+    column in tiny units cannot hide another's gain by inflating max_j.
     """
     if lp.sense == "min":
         inner = solve_simplex(negate_to_max(lp), trace=trace)
@@ -240,28 +404,39 @@ def solve_simplex(
     if trace is not None:
         trace.append(t.copy())
     cap = iteration_cap(lp.n, lp.m)
+    scale, (enter_tol, degenerate_tol) = t.scale, t.tols
+    rs = [PIVOT_MIN * scale[k] for k in t.basis[1:]]  # by the scale of each row's basic variable
+    if type(t.cells) is not list:
+        import numpy as np
+        rs = np.array(rs)
     bland = False  # Bland's rule, in force after a degenerate pivot
 
     while True:
         # basis columns hold exact zeros in row 0 (every pivot leaves its
         # column a unit vector), so only non-basis columns can enter
-        row0 = t.grid[0, :-1]
-        entering = (row0 < -PIVOT_MIN).nonzero()[0]
-        if entering.size == 0:
-            break  # S1: optimal
-        # most negative, then smallest column index; Bland: smallest index
-        j_star = int(entering[0]) if bland else int(row0.argmin())
-        col = t.grid[1:, j_star]
-        eligible = col > PIVOT_MIN
-        if not eligible.any():
+        row0 = _line(t.cells)
+        j_star, low = _least(row0)  # most negative, then smallest column index
+        if bland or not low * scale[j_star] < -enter_tol:
+            row0 = row0 if type(row0) is list else row0.tolist()
+            entering = [j for j, v in enumerate(row0) if v * scale[j] < -enter_tol]
+            if not entering:
+                entering = _improving(lp, row0)
+            if not entering:
+                break  # S1: optimal
+            # Bland: the smallest index
+            j_star = entering[0] if bland else min(entering, key=row0.__getitem__)
+        sj = scale[j_star]
+        ratios = _ratios(t.cells, j_star, rs, sj)
+        i_star, best = _least(ratios)
+        if best == math.inf and not any(v > s / sj for v, s in zip(_line(t.cells, j_star), rs)):
             return LpSolution("unbounded", iterations=t.iteration)  # S3
-        ratios = np.divide(t.grid[1:, -1], col, out=np.full(lp.m, np.inf), where=eligible)
-        i_star = 1 + int(ratios.argmin())  # S4: smallest ratio, then smallest row
+        i_star += 1  # S4: smallest ratio, then smallest row
         if bland:  # ratio ties go to the smallest basis variable
-            tied = 1 + (ratios == ratios[i_star - 1]).nonzero()[0]
-            i_star = int(min(tied, key=t.basis.__getitem__))
-        bland = ratios[i_star - 1] <= FEAS_TOL
+            tied = [1 + i for i, r in enumerate(ratios) if r == best]
+            i_star = min(tied, key=t.basis.__getitem__)
+        bland = best <= degenerate_tol * sj
         t = pivot(t, i_star, j_star)
+        rs[i_star - 1] = PIVOT_MIN * sj
         if trace is not None:
             trace.append(t.copy())
         if t.iteration > cap:
@@ -269,7 +444,9 @@ def solve_simplex(
                 f"no optimum after {cap} pivots; presumed cycling"
             )
 
-    values = t.basis_solution().tolist()  # Python floats, as LpSolution declares
+    values = t.basis_solution()
+    if not all(map(math.isfinite, values)):  # as 1 / a for a subnormal pivot a
+        raise NumericalError("the optimum lies beyond the float range")
     x, slacks = tuple(values[1 : 1 + t.n]), tuple(values[1 + t.n :])
     return LpSolution("optimal", x, values[0], slacks, t.iteration)
 
@@ -284,19 +461,25 @@ class OracleResult(_FrozenRecord):
     _defaults = {"vertices": (), "optimal_vertices": (), "isoquant_slope": None}
 
 
-def _feasible(lp: LinearProgram, pt: np.ndarray, tol: float = 1e-7) -> bool:
-    if pt[0] < -tol or pt[1] < -tol:
+def _feasible(rows, x: float, y: float, tol: float = 1e-7) -> bool:
+    """(x, y) >= 0 and a1 x + a2 y <= r on each row (a1, a2, r), each test
+    within tol of the size of its own terms, so at any scale."""
+    if min(x, y) < -tol * max(abs(x), abs(y)):
         return False
-    return not np.any(lp.A @ pt > lp.b + tol * (1.0 + np.abs(lp.b)))
+    return all(a1 * x + a2 * y - r <= tol * (abs(a1 * x) + abs(a2 * y) + abs(r))
+               for a1, a2, r in rows)
 
 
 def vertex_oracle(lp: LinearProgram) -> OracleResult:
     """Enumerate all candidate vertices of the feasible region of a
     two-variable standard maximum problem and evaluate z at each.
 
-    Lines considered: the m restriction boundaries plus the two axes.
-    Unboundedness is detected by probing candidate recession directions
-    (axis directions and directions along each restriction boundary).
+    Lines considered: the m restriction boundaries plus the two axes; two
+    lines meet where Cramer's rule gives a point, unless their determinant is
+    within 1e-12 of its products' size.  Unboundedness is detected by probing
+    candidate recession directions (axis directions and directions along each
+    restriction boundary).  Every test is relative to the size of the values
+    it compares, so scaling c, or A and b, scales the answer alike.
     """
     if lp.sense == "min":
         inner = vertex_oracle(negate_to_max(lp))
@@ -307,55 +490,44 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     if lp.n != 2:
         raise SimplexError("vertex oracle is defined for n = 2 only")
 
-    c, A, b = lp.c, lp.A, lp.b
-    slope = -c[0] / c[1] if abs(c[1]) > PIVOT_MIN else None
+    c1, c2 = map(float, lp._c)
+    slope = -c1 / c2 if abs(c2) > PIVOT_MIN * abs(c1) else None
+    rows = [(float(a1), float(a2), float(r)) for (a1, a2), r in zip(lp._A, lp._b)]
 
-    # all boundary lines as rows (a1, a2, rhs): the two axes, then A x = b
-    lines = np.vstack([np.eye(2, 3), np.column_stack([A, b])])
-
-    points = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            M, rhs = lines[[i, j], :2], lines[[i, j], 2]
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) <= 1e-12:
-                continue
-            pt = np.linalg.solve(M, rhs)
-            if _feasible(lp, pt):
-                points.append(pt)
-
-    # deduplicate
-    vertices: list[np.ndarray] = []
-    for pt in points:
-        if not any(np.max(np.abs(pt - v)) <= 1e-8 for v in vertices):
-            vertices.append(pt)
+    # all boundary lines (a1, a2, r): the two axes, then A x = b
+    lines = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] + rows
+    vertices: list[tuple[float, float]] = []
+    for i, (a1, a2, r1) in enumerate(lines):
+        for b1, b2, r2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if abs(det) <= 1e-12 * (abs(a1 * b2) + abs(a2 * b1)):
+                continue  # parallel (or a zero row)
+            x, y = (r1 * b2 - a2 * r2) / det, (a1 * r2 - r1 * b1) / det
+            if _feasible(rows, x, y) and not any(  # a new vertex, not a repeat
+                    max(abs(x - u), abs(y - v)) <= 1e-8 * max(abs(x), abs(y), abs(u), abs(v))
+                    for u, v in vertices):
+                vertices.append((x, y))
 
     if not vertices:
         return OracleResult(LpSolution("infeasible"), (), (), slope)
 
     # unboundedness: an extreme ray of {v >= 0, A v <= 0} with c.v > 0
-    ray_candidates = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    for i in range(lp.m):
-        dvec = np.array([A[i, 1], -A[i, 0]])
-        ray_candidates.extend([dvec, -dvec])
-    for v in ray_candidates:
-        nv = np.linalg.norm(v)
-        if nv <= 1e-12:
+    rays = [(1.0, 0.0), (0.0, 1.0)]
+    for a1, a2, _ in rows:
+        rays += [(a2, -a1), (-a2, a1)]
+    for u, v in rays:
+        nv = math.hypot(u, v)
+        if nv == 0.0:
             continue
-        v = v / nv
-        if v[0] >= -1e-9 and v[1] >= -1e-9 and np.all(A @ v <= 1e-9):
-            if float(c @ v) > 1e-9:
-                return OracleResult(LpSolution("unbounded"), tuple(map(tuple, vertices)), (), slope)
+        u, v = u / nv, v / nv
+        if (min(u, v) >= -1e-9 and c1 * u + c2 * v > 1e-9 * math.hypot(c1, c2)
+                and all(a1 * u + a2 * v <= 1e-9 * math.hypot(a1, a2) for a1, a2, _ in rows)):
+            return OracleResult(LpSolution("unbounded"), tuple(vertices), (), slope)
 
-    zs = [float(c @ v) + lp.d for v in vertices]
-    z_best = max(zs)
-    best = [v for v, z in zip(vertices, zs) if z >= z_best - 1e-9]
-    x = tuple(best[0].tolist())
-    slacks = tuple((b - A @ best[0]).tolist())
-    sol = LpSolution("optimal", x, z_best, slacks, 0)
-    return OracleResult(
-        sol,
-        tuple(map(tuple, vertices)),
-        tuple(map(tuple, best)),
-        slope,
-    )
+    w = [c1 * x + c2 * y for x, y in vertices]  # z - d
+    w_best = max(w)
+    best = [p for p, wp in zip(vertices, w) if wp >= w_best - 1e-9 * max(map(abs, w))]
+    x, y = best[0]
+    slacks = tuple(r - (a1 * x + a2 * y) for a1, a2, r in rows)
+    sol = LpSolution("optimal", best[0], w_best + lp.d, slacks, 0)
+    return OracleResult(sol, tuple(vertices), tuple(best), slope)

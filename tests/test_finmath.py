@@ -449,3 +449,48 @@ class TestMasterFormula:
     def test_q_one_rejected(self):
         with pytest.raises(FinanceError):
             finmath.master_formula(1.0, 1.0, 1.0, 1)
+
+
+class TestClosedFormsEndInFinanceError:
+    def test_remaining_debt_without_interest(self):
+        assert finmath.remaining_debt(100, 1.0, 5, 3) == 85.0
+        assert finmath.remaining_debt(100, 1.0 + 1e-12, 5, 3) == pytest.approx(85.0)
+
+    def test_pension_present_value_without_interest(self):
+        assert finmath.pension_present_value(1.0, 12, 5, 3) == 180.0
+        assert finmath.pension_present_value(1.0 + 1e-12, 12, 5, 3) == pytest.approx(180.0)
+
+    def test_pension_balance_and_duration_without_interest(self):
+        assert finmath.pension_balance(1000, 1.0, 12, 5, 3) == 820.0
+        assert finmath.pension_duration(1200, 1.0, 12, 5) == 20.0
+
+    def test_redemption_solve_past_the_float_range(self):
+        with pytest.raises(FinanceError, match="exceeds the float range"):
+            finmath.redemption_solve(R0=1e300, q=1e300, n=10, A=1e300)
+
+    def test_pension_duration_of_overflowing_products(self):
+        with pytest.raises(FinanceError, match="duration must be a finite number"):
+            finmath.pension_duration(1e300, 1e298, 12, 1e300)
+        with pytest.raises(FinanceError, match="duration must be a finite number"):
+            finmath.pension_plan(1e300, 1e300, 12, 1e300)
+
+    def test_a_fractional_year_of_linear_depreciation(self):
+        with pytest.raises(FinanceError, match="whole number of years"):
+            finmath.depreciation_linear(1000, 5, n=2.5)
+        assert finmath.depreciation_linear(1000, 5, n=2.0)[0] == 600.0
+
+    def test_a_fractional_year_of_declining_depreciation(self):
+        with pytest.raises(FinanceError, match="whole number of years"):
+            finmath.depreciation_declining(1000, p=20, n=2.5)
+        assert finmath.depreciation_declining(1000, p=20, n=3.0)[0] == pytest.approx(512.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda q: finmath.remaining_debt(100, q, 5, 2.5),
+        lambda q: finmath.pension_balance(100, q, 12, 5, 2.5),
+        lambda q: finmath.pension_duration(100, q, 12, 5),
+        lambda q: finmath.pension_present_value(q, 12, 5, -1),
+    ], ids=["remaining_debt", "pension_balance", "pension_duration", "pension_present_value"])
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_a_non_positive_interest_factor(self, call, q):
+        with pytest.raises(FinanceError, match="q must be a finite number with q > 0"):
+            call(q)

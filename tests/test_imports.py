@@ -142,3 +142,25 @@ def test_array_calls_and_record_modules_load_no_dataclasses(tmp_path):
         "import ecomath.econ, ecomath.finmath, ecomath.simplex, ecomath.leontief",
     ):
         assert "dataclasses" not in loaded_after(code), code
+
+
+def test_textbook_size_linear_algebra_loads_no_numpy(tmp_path):
+    # 3x3 values are float tuples, eliminated in plain Python
+    files = {"A.txt": "2,1,1\n1,3,2\n1,0,0\n", "b.txt": "4\n5\n6\n",
+             "T.txt": "0,20,10\n30,0,15\n10,25,0\n", "y.txt": "40\n50\n60\n",
+             "y2.txt": "45\n55\n65\n",
+             "lp.json": json.dumps({"c": [3, 2, 1], "A": [[1, 1, 0], [1, 0, 1], [0, 2, 1]],
+                                    "b": [4, 2, 5]})}
+    path = {name: str(tmp_path / name) for name in files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for argv in (
+        ["solve", path["A.txt"], path["b.txt"]],
+        ["leontief", path["T.txt"], path["y.txt"], "--next-demand", path["y2.txt"]],
+        ["lp", "solve", path["lp.json"]],
+        ["--trace", "lp", "solve", path["lp.json"]],
+        ["linalg", "det", path["A.txt"]],
+        ["linalg", "inverse", path["A.txt"]],
+    ):
+        modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
+        assert not {"numpy", "scipy"} & top_level(modules), argv

@@ -263,3 +263,110 @@ class TestDegeneracyAndInputs:
             LinearProgram("max", c=(1, 1), A=((1, 1),), b=(bad,))
         with pytest.raises(SimplexError):
             LinearProgram("max", c=(1, 1), A=((1, 1),), b=(1,), d=bad)
+
+
+SCALED = LinearProgram("max", c=(3, 2), A=((1, 2), (2, 1)), b=(4, 5))  # x = (2, 1), z = 8
+
+
+def scaled(lp, c=1.0, Ab=1.0, b=1.0):
+    return LinearProgram(lp.sense, c=c * lp.c, A=Ab * lp.A, b=Ab * b * lp.b)
+
+
+class TestScaleRelativeTolerances:
+    @pytest.mark.parametrize("lp", [scaled(SCALED, c=1e-10), scaled(SCALED, Ab=1e-10),
+                                    scaled(SCALED, c=1e10, Ab=1e10)])
+    def test_tiny_or_huge_programs_are_solved(self, lp):
+        out = simplex.solve_simplex(lp)
+        assert out.status == "optimal"
+        assert out.x == pytest.approx((2.0, 1.0), rel=1e-12)
+        assert out.z == pytest.approx(8.0 * lp.c[0] / 3.0, rel=1e-12)
+
+    def test_a_pivot_is_judged_against_its_row_and_column(self):
+        simplex.pivot(simplex.canonicalize(scaled(SCALED, Ab=1e-10)), 1, 1)  # 1e-10
+        t = simplex.canonicalize(LinearProgram("max", c=(1, 1), A=((1, 1), (1e-12, 1)), b=(1, 1)))
+        with pytest.raises(SimplexError):
+            simplex.pivot(t, 2, 1)  # 1e-12 in a row and a column of scale 1
+
+    def test_a_variable_in_tiny_units_is_bounded(self):
+        out = simplex.solve_simplex(LinearProgram("max", c=(1, 1), A=((1, 1e-12),), b=(1,)))
+        assert out.status == "optimal"
+        assert out.x == pytest.approx((0.0, 1e12)) and out.z == pytest.approx(1e12)
+
+    @pytest.mark.parametrize("s", [2.0 ** -17, 1.0, 2.0 ** 17])
+    def test_a_rounding_residue_is_no_pivot(self, s):
+        # at 2**-17 a residue of 7e-12 in a slack column of entries ~1e5 was
+        # taken for a pivot against 1e-9 max|A|, and x reported at ~1e17
+        lp = LinearProgram("max", c=(5, 4, 3), b=(0, 8, 0, 3),
+                           A=((0, 4, 0), (3, 3, 0), (1, 3, -2), (4, 3, -1)))
+        assert simplex.solve_simplex(scaled(lp, Ab=s)).status == "unbounded"
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_power_of_two_scaling_is_exact(self, k):  # of c, of b, of A and b
+        s = 2.0 ** k
+        rng = np.random.default_rng(k + 100)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            lp = LinearProgram("max", c=rng.integers(-2, 6, n).astype(float) / 7,
+                               A=rng.integers(0, 5, (m, n)).astype(float) / 3,
+                               b=rng.integers(0, 9, m).astype(float) / 5)
+            base = simplex.solve_simplex(lp)
+            by_c = simplex.solve_simplex(scaled(lp, c=s))
+            by_b = simplex.solve_simplex(scaled(lp, b=s))
+            by_Ab = simplex.solve_simplex(scaled(lp, Ab=s))
+            assert by_c.status == by_b.status == by_Ab.status == base.status
+            assert by_c.iterations == by_b.iterations == by_Ab.iterations == base.iterations
+            if base.status == "optimal":
+                assert (by_c.x, by_c.z) == (base.x, base.z * s)
+                assert (by_b.x, by_b.z) == (tuple(v * s for v in base.x), base.z * s)
+                assert (by_Ab.x, by_Ab.z) == (base.x, base.z)
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    def test_one_tiny_column_hides_no_other_gain(self, small, monkeypatch):
+        # x2's column is ~1e-5 of its rows' scale, so max_j |c_j| / g_j is
+        # 1.5e5, and x3's reduced cost of -1e-5 is 7e-11 of that
+        monkeypatch.setattr(simplex, "SMALL", small)
+        lp = LinearProgram("max", c=(1, -3, 0), b=(1, 8, 2, 6, 0),
+                           A=((-2e5, -1, -2), (0, 0, -2), (1e5, -2, 3), (1e5, 2, -1),
+                              (2e5, 2, -2)))
+        out = simplex.solve_simplex(lp)
+        assert out.status == "optimal"
+        assert out.x == pytest.approx((5e-6, 0.0, 0.5), rel=1e-9)
+        assert out.z == pytest.approx(5e-6, rel=1e-9)
+
+    def test_an_optimum_past_the_float_range_is_a_numerical_error(self):
+        # a subnormal A against the slacks' unit columns: x = 1 / 2.2e-311
+        tiny = LinearProgram("max", c=(1,), A=((2.2e-311,),), b=(1,))
+        with pytest.raises(simplex.NumericalError, match="beyond the float range"):
+            simplex.solve_simplex(tiny)
+        assert simplex.solve_simplex(scaled(tiny, b=0.0)).x == (0.0,)
+
+
+class TestVertexOracleAtAnyScale:
+    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e7])
+    def test_agrees_with_simplex_when_A_and_b_are_scaled(self, s):
+        lp = scaled(SCALED, Ab=s)
+        res, ours = simplex.vertex_oracle(lp), simplex.solve_simplex(lp)
+        assert res.solution.status == ours.status == "optimal"
+        assert res.solution.x == pytest.approx(ours.x, rel=1e-12)
+        assert res.solution.z == pytest.approx(ours.z, rel=1e-12) == pytest.approx(8.0)
+        assert len(res.vertices) == 4
+
+    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e7])
+    def test_agrees_with_simplex_when_c_or_b_is_scaled(self, s):
+        for lp in (scaled(SCALED, c=s), scaled(SCALED, b=s)):
+            res, ours = simplex.vertex_oracle(lp), simplex.solve_simplex(lp)
+            assert res.solution.x == pytest.approx(ours.x, rel=1e-12)
+            assert res.solution.z == pytest.approx(ours.z, rel=1e-12)
+            assert res.optimal_vertices == (res.solution.x,)
+
+    def test_tiny_objective_keeps_its_optimal_vertex(self):
+        res = simplex.vertex_oracle(scaled(SCALED, c=1e-10))
+        assert res.solution.x == pytest.approx((2.0, 1.0))
+        assert res.isoquant_slope == pytest.approx(-1.5)
+
+    @pytest.mark.parametrize("s", [1e-10, 1.0, 1e10])
+    def test_unboundedness_at_any_scale(self, s):
+        lp = LinearProgram("max", c=(1, 1), A=((s, -s),), b=(s,))
+        assert simplex.vertex_oracle(lp).solution.status == "unbounded"
+        bounded = LinearProgram("max", c=(1, 1), A=((s, s),), b=(s,))
+        assert simplex.vertex_oracle(bounded).solution.status == "optimal"
