@@ -2,15 +2,16 @@
 independent vertex-enumeration oracle for two-variable problems.
 
 A LinearProgram always stores its restrictions as A x <= b together with
-x >= 0; a minimum problem is handled by negating the objective.  c, A and b
-are accepted as sequences or arrays.  A program whose tableau is at most
-SMALL columns wide (n + m + 2, see ``linalg``) holds them as float tuples and
-its tableau as column lists; a wider one holds read-only float64 arrays and
-its tableau as one array.  The attributes c, A and b are read-only float64
-arrays either way, built on first access from the tuples; the solver and
-the oracle read the held values.  Only standard forms with b >= 0 are
-solvable here: anything that would need artificial variables is reported as
-"unsupported" rather than solved by an invented phase-1 method.
+x >= 0; a minimum problem runs on the same tableau as max -z = (-c).x - d.
+c, A and b are accepted as sequences or arrays and checked by one rule.  A
+program whose tableau is at most SMALL columns wide (n + m + 2, see
+``linalg``) holds them as float tuples and its tableau as column lists; a
+wider one holds read-only float64 arrays and its tableau as one array.  The
+attributes c, A and b are read-only float64 arrays either way, fresh ones
+built from the tuples; the solver and the oracle read the held values.  Only
+standard forms with b >= 0 are solvable here: anything that would need
+artificial variables is reported as "unsupported" rather than solved by an
+invented phase-1 method.
 """
 
 from __future__ import annotations
@@ -38,36 +39,45 @@ class IterationLimitError(NumericalError, RuntimeError):
 class LinearProgram(_FrozenRecord):
     """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,)."""
 
-    __slots__ = ("sense", "_c", "_A", "_b", "d", "names", "_arrays")
+    __slots__ = ("sense", "_c", "_A", "_b", "d", "names")
     _fields = ("sense", "c", "A", "b", "d", "names")
 
     def __init__(self, sense, c, A, b, d=0.0, names=None):
         if sense not in ("max", "min"):
             raise SimplexError(f"sense must be 'max' or 'min', not {sense!r}")
         try:
-            small = len(c) + len(A) + 2 <= SMALL
-        except TypeError:  # no sequences: _as_tuples refuses them
-            small = True
-        c, A, b = (_as_tuples if small else _as_arrays)(c, A, b)
+            n, m = len(c), len(A)
+            np = None  # float tuples, unless the tableau is wider than SMALL
+            if n + m + 2 > SMALL:
+                import numpy as np
+            c, A = _held(c, (n,), np), _held(A, (m, n), np)
+        except (TypeError, ValueError):  # no sequences, text, or entries that are no numbers
+            raise SimplexError("each restriction row must have one entry per variable") from None
         try:
-            finite = math.isfinite(d)
+            b = _held(b, (m,), np)
+        except (TypeError, ValueError):
+            raise SimplexError("rows(A) must equal dim(b)") from None
+        try:
+            if np is None:
+                finite = all(map(math.isfinite, c + b + sum(A, ())))
+            else:
+                finite = np.isfinite(np.concatenate((c, A.ravel(), b))).all()
+            finite = finite and math.isfinite(d)
         except TypeError:
             finite = False
         if not finite:
             raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
-        arrays = None if small else {"c": c, "A": A, "b": b}
-        for key, v in zip(self.__slots__, (sense, c, A, b, d, names, arrays)):
+        for key, v in zip(self.__slots__, (sense, c, A, b, d, names)):
             object.__setattr__(self, key, v)
 
     def _array(self, key: str):
-        if self._arrays is None:
+        """The held array, or a fresh read-only one built from the tuples."""
+        a = getattr(self, "_" + key)
+        if type(a) is tuple:
             import numpy as np
-            arrays = {k: np.array(getattr(self, "_" + k), dtype=float) for k in "cAb"}
-            arrays["A"] = arrays["A"].reshape(self.m, self.n)
-            for a in arrays.values():
-                a.flags.writeable = False
-            object.__setattr__(self, "_arrays", arrays)
-        return self._arrays[key]
+            a = np.array(a, dtype=float).reshape((self.m, self.n) if key == "A" else -1)
+            a.flags.writeable = False
+        return a
 
     c = property(lambda self: self._array("c"))
     A = property(lambda self: self._array("A"))
@@ -117,54 +127,29 @@ class LinearProgram(_FrozenRecord):
         return out
 
 
-def _floats(v, depth: int = 1) -> tuple:
-    """A sequence of numbers (depth 1), or of such sequences (depth 2), as
-    float tuples; TypeError for text, which np.array gives too few dimensions."""
-    if isinstance(v, str):
-        raise TypeError("text is no sequence of numbers")
-    return tuple([float(x) if depth == 1 else _floats(x) for x in v])
-
-
-def _as_tuples(c, A, b):
-    """c, A (rows) and b as float tuples, checked as _as_arrays checks them."""
-    try:
-        c = _floats(c)
-        A = _floats(A, 2)
-        rows_ok = all(len(row) == len(c) for row in A)
-    except (TypeError, ValueError):  # not numbers, or rows that are no sequences
-        rows_ok = False
-    if not rows_ok:
-        raise SimplexError("each restriction row must have one entry per variable")
-    try:
-        b = _floats(b)
-    except (TypeError, ValueError):
-        b = None
-    if b is None or len(b) != len(A):
-        raise SimplexError("rows(A) must equal dim(b)")
-    if not all(map(math.isfinite, c + b + sum(A, ()))):
-        raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
-    return c, A, b
-
-
-def _as_arrays(c, A, b):
-    """c, A and b as read-only float64 arrays of shapes (n,), (m, n), (m,)."""
-    import numpy as np
-    c, b = np.array(c, dtype=float), np.array(b, dtype=float)
-    try:
-        A = np.array(A, dtype=float)
-    except ValueError:  # ragged rows
-        A = None
-    if A is not None and A.shape == (0,):  # A=(): no restrictions
-        A = A.reshape(0, c.size)
-    if A is None or c.ndim != 1 or A.ndim != 2 or A.shape[1] != c.size:
-        raise SimplexError("each restriction row must have one entry per variable")
-    if b.shape != A.shape[:1]:
-        raise SimplexError("rows(A) must equal dim(b)")
-    if not np.isfinite(np.concatenate((c, A.ravel(), b))).all():
-        raise SimplexError("c, A, b and d must be finite (no NaN or inf)")
-    for a in (c, A, b):
+def _held(v, shape: tuple, np):
+    """v as float tuples (a matrix as a tuple of rows) if np is None, else
+    as a read-only float64 array of np (NumPy); TypeError or ValueError
+    unless v, and each row of a matrix, is a sequence other than text of the
+    length shape gives, with numbers for entries.  An array's shape checks
+    its rows."""
+    if isinstance(v, str) or len(v) != shape[0]:
+        raise TypeError("no sequence of this length")
+    if np is not None:
+        a = np.array(v, dtype=float)
+        if a.size == 0:  # A=(): no restrictions
+            a = a.reshape(shape)
+        if a.shape != shape:  # text rows, rows of other lengths, sequences for entries
+            raise ValueError("no rows of this length")
         a.flags.writeable = False
-    return c, A, b
+        return a
+    if hasattr(v, "tolist"):  # an array's entries as Python numbers, at once
+        v = v.tolist()
+    if len(shape) == 1:
+        return tuple([float(x) for x in v])
+    if any(isinstance(row, str) or len(row) != shape[1] for row in v):
+        raise TypeError("no rows of this length")
+    return tuple([tuple([float(x) for x in row]) for row in v])
 
 
 def _numbers(value, key: str, depth: int):
@@ -195,9 +180,10 @@ class LpSolution(_FrozenRecord):
 class SimplexTableau:
     """(1+m) x (1+n+m+1) tableau: z column, x columns, s columns, RHS.
 
-    Row 0 holds (1, -c_1..-c_n, 0..0, d); rows 1..m hold the restrictions
-    with their slack unit columns.  Basis variables are identified by
-    index: 0 is z, 1..n the structural variables, n+1..n+m the slacks.
+    Row 0 holds (1, -c_1..-c_n, 0..0, d), or (1, c_1..c_n, 0..0, -d) for a
+    min problem; rows 1..m hold the restrictions with their slack unit
+    columns.  Basis variables are identified by index: 0 is z, 1..n the
+    structural variables, n+1..n+m the slacks.
     ``cells`` holds the tableau as column lists or as one array (see the
     module docstring), ``grid`` gives it as a float64 array.  ``scale`` holds
     one scale per variable (z, x, s) and ``tols`` the entering and degeneracy
@@ -286,24 +272,17 @@ def _ratios(cells, j: int, rs, sj: float):
     return np.divide(cells[1:, -1], col, out=np.full(col.size, np.inf), where=eligible)
 
 
-def negate_to_max(lp: LinearProgram) -> LinearProgram:
-    """min z = c.x + d  <=>  max -z = (-c).x - d over the same feasible set."""
-    if lp.sense == "max":
-        return lp
-    return LinearProgram("max", [-v for v in lp._c], lp._A, lp._b, -lp.d, lp.names)
-
-
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
-    """Initial tableau with slack variables; first basis is {z, s_1..s_m}."""
-    if lp.sense != "max":
-        raise SimplexError("canonicalize expects a max problem; use negate_to_max")
+    """Initial tableau with slack variables; first basis is {z, s_1..s_m}.
+    Row 0 holds max z = c.x + d, or for a min problem max -z = (-c).x - d."""
     c, A, b = lp._c, lp._A, lp._b
     n, m = lp.n, lp.m
+    sign = -1.0 if lp.sense == "max" else 1.0  # of c in row 0
     if type(c) is tuple:  # columns: z, x_1..x_n, s_1..s_m, RHS
         grid = [[1.0] + [0.0] * m]
-        grid += [[-v, *[row[j] for row in A]] for j, v in enumerate(c)]
+        grid += [[sign * v, *[row[j] for row in A]] for j, v in enumerate(c)]
         grid += [[0.0] + [float(k == i) for k in range(m)] for i in range(m)]
-        grid.append([float(lp.d), *b])
+        grid.append([-sign * float(lp.d), *b])
         rows = [max(map(abs, row), default=0.0) or 1.0 for row in A]
         cols = [max([abs(row[j]) / r for row, r in zip(A, rows)], default=0.0) or 1.0
                 for j in range(n)]
@@ -311,8 +290,8 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
         import numpy as np
         grid = np.zeros((1 + m, 1 + n + m + 1))
         grid[0, 0] = 1.0
-        grid[0, 1 : 1 + n] = -c
-        grid[0, -1] = lp.d
+        grid[0, 1 : 1 + n] = -c if sign < 0 else c
+        grid[0, -1] = -sign * lp.d
         grid[1:, 1 : 1 + n] = A
         grid[1:, 1 + n : -1] = np.eye(m)
         grid[1:, -1] = b
@@ -375,8 +354,8 @@ def solve_simplex(
     minimum-ratio rule (smallest ratio, then smallest row index).  After a
     degenerate pivot (minimum ratio 0), Bland's rule holds until z moves, so
     the method cannot cycle: the first negative column enters and ratio ties
-    go to the smallest basis variable.  A min problem is negated first and
-    its optimal value negated back.
+    go to the smallest basis variable.  A min problem runs on the tableau of
+    max -z (see canonicalize), and its optimal value is negated at the end.
 
     Each test is relative to the LP's scale, read once by canonicalize: row
     i of A has the scale r_i = max_j |a_ij|, slack s_i the scale r_i and x_j
@@ -390,13 +369,6 @@ def solve_simplex(
     passes the entering test, one still enters if _improving finds it, so a
     column in tiny units cannot hide another's gain by inflating max_j.
     """
-    if lp.sense == "min":
-        inner = solve_simplex(negate_to_max(lp), trace=trace)
-        if inner.status != "optimal":
-            return inner
-        return LpSolution(
-            "optimal", inner.x, -inner.z, inner.slacks, inner.iterations
-        )
     try:
         t = canonicalize(lp)
     except SimplexError:
@@ -448,7 +420,8 @@ def solve_simplex(
     if not all(map(math.isfinite, values)):  # as 1 / a for a subnormal pivot a
         raise NumericalError("the optimum lies beyond the float range")
     x, slacks = tuple(values[1 : 1 + t.n]), tuple(values[1 + t.n :])
-    return LpSolution("optimal", x, values[0], slacks, t.iteration)
+    z = values[0] if lp.sense == "max" else -values[0]
+    return LpSolution("optimal", x, z, slacks, t.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +445,8 @@ def _feasible(rows, x: float, y: float, tol: float = 1e-7) -> bool:
 
 def vertex_oracle(lp: LinearProgram) -> OracleResult:
     """Enumerate all candidate vertices of the feasible region of a
-    two-variable standard maximum problem and evaluate z at each.
+    two-variable standard maximum problem and evaluate z at each; a min
+    problem scores each vertex by -z, as its simplex tableau does.
 
     Lines considered: the m restriction boundaries plus the two axes; two
     lines meet where Cramer's rule gives a point, unless their determinant is
@@ -481,16 +455,11 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     restriction boundary).  Every test is relative to the size of the values
     it compares, so scaling c, or A and b, scales the answer alike.
     """
-    if lp.sense == "min":
-        inner = vertex_oracle(negate_to_max(lp))
-        sol = inner.solution
-        if sol.status == "optimal":
-            sol = LpSolution("optimal", sol.x, -sol.z, sol.slacks, sol.iterations)
-        return OracleResult(sol, inner.vertices, inner.optimal_vertices, inner.isoquant_slope)
     if lp.n != 2:
         raise SimplexError("vertex oracle is defined for n = 2 only")
 
-    c1, c2 = map(float, lp._c)
+    sign = 1.0 if lp.sense == "max" else -1.0  # scores max z, or max -z
+    c1, c2 = (sign * float(v) for v in lp._c)
     slope = -c1 / c2 if abs(c2) > PIVOT_MIN * abs(c1) else None
     rows = [(float(a1), float(a2), float(r)) for (a1, a2), r in zip(lp._A, lp._b)]
 
@@ -529,5 +498,5 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     best = [p for p, wp in zip(vertices, w) if wp >= w_best - 1e-9 * max(map(abs, w))]
     x, y = best[0]
     slacks = tuple(r - (a1 * x + a2 * y) for a1, a2, r in rows)
-    sol = LpSolution("optimal", best[0], w_best + lp.d, slacks, 0)
+    sol = LpSolution("optimal", best[0], sign * (w_best + sign * lp.d), slacks, 0)
     return OracleResult(sol, tuple(vertices), tuple(best), slope)

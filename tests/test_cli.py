@@ -61,6 +61,13 @@ class TestLp:
         assert "RHS" in err
         assert "RHS" not in out
 
+    def test_iteration_limit_exit_3(self, lp_file, monkeypatch, capsys):
+        from ecomath import simplex
+        monkeypatch.setattr(simplex, "iteration_cap", lambda n, m: 0)
+        code, _, err = run(["lp", "solve", lp_file], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "presumed cycling" in err
+
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -472,6 +479,16 @@ class TestFinance:
         )
         assert code == EXIT_OK
         assert json.loads(out)["Kn"] == pytest.approx(100 * 1.05 ** 3 + 10 * (1.05 ** 3 - 1) / 0.05)
+
+    def test_installment_solves_for_E(self, capsys):
+        from ecomath import finmath
+        code, out, _ = run(
+            ["--format", "json", "finance", "installment", "--Kn", "1000", "--q", "1.05",
+             "--n", "10"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out) == {"E": finmath.installment_solve(Kn=1000.0, q=1.05, n=10)}
 
     def test_rate_without_root_exit_1(self, capsys):
         code, _, err = run(

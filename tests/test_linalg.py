@@ -173,6 +173,22 @@ class TestMatrixOps:
         with pytest.raises(DimensionError):
             linalg.mat_mul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
 
+    @pytest.mark.parametrize("n", [linalg.SMALL + 1, 30])
+    def test_array_paths_match_numpy(self, n):
+        g = np.random.default_rng(n)
+        a, b = g.standard_normal((3, n)), g.standard_normal((n, 4))
+        A, B = Matrix.from_array(a), Matrix.from_array(b)
+        assert type(A._a) is not tuple and type(B._a) is not tuple
+        assert np.array_equal(A.T.to_array(), a.T)
+        lams, vs = g.standard_normal(3), a
+        got = linalg.linear_combination(lams, [Vector(v) for v in vs])
+        assert np.array_equal(got.to_array(), lams[0] * vs[0] + lams[1] * vs[1] + lams[2] * vs[2])
+        u, v = a[0], b[:, 0]
+        assert linalg.dot(Vector(u), Vector(v)) == pytest.approx(
+            np.dot(u, v), rel=1e-12, abs=1e-12 * np.abs(u * v).sum())
+        got = linalg.mat_mul(A, B).to_array()
+        assert np.all(np.abs(got - a @ b) <= 1e-12 * (np.abs(a) @ np.abs(b)))
+
 
 rng = np.random.default_rng(20260823)
 

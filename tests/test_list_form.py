@@ -197,10 +197,17 @@ def test_float_tuples_refuse_what_arrays_refuse():
     for ragged in ([[1, 2, 3], [4]], [1, [2, 3], 4]):
         with pytest.raises(linalg.DimensionError):
             Matrix(2, 2, ragged)
-    for c, A, b in (((1, 2), ["12", "34"], (1, 1)), ("12", [[1, 2], [3, 4]], (1, 1)),
-                    ((1, 2), [[1, 2], [3, 4]], "11"), ((1, 2), "1234", (1, 1))):
-        with pytest.raises(simplex.SimplexError):
+
+    def refusal(c, A, b):
+        with pytest.raises(simplex.SimplexError) as info:
             simplex.LinearProgram("max", c, A, b)
+        return str(info.value)
+
+    for n in (2, SMALL - 1):  # a tuple-held program, and one wider than SMALL
+        c, A, b = [1] * n, [[1] * n] * 2, (1, 1)
+        for bad in ((c, ["1" * n] * 2, b), ("1" * n, A, b), (c, A, "11"), (c, "1" * 2 * n, b),
+                    (["x"] + c[1:], A, b), (c, A, ("x", 1)), (c, [["x"] + c[1:]] * 2, b)):
+            assert refusal(*bad) == on_arrays(refusal, *bad)
 
 
 @pytest.mark.parametrize("n", [SMALL + 1, 20, 40])

@@ -6,21 +6,26 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_list_form import small_programs
 
 from ecomath import simplex
-from ecomath.simplex import LinearProgram, SimplexError
+from ecomath.simplex import LinearProgram, LpSolution, SimplexError
 
 rng = np.random.default_rng(123)
 
 WORKED = LinearProgram("max", c=(3, 2), A=((1, 1), (1, 0)), b=(4, 2))
+WIDE = 7  # this many variables make a tableau wider than SMALL: arrays, not tuples
 
 
 class TestLinearProgram:
     def test_dimension_checks(self):
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(1, 2), A=((1,),), b=(1,))
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(1,), A=((1,), (1,)), b=(1,))
+        for n in (1, WIDE):
+            with pytest.raises(SimplexError, match="one entry per variable"):
+                LinearProgram("max", c=[1] * (n + 1), A=[[1] * n], b=(1,))
+            with pytest.raises(SimplexError, match="rows"):
+                LinearProgram("max", c=[1] * n, A=[[1] * n] * 2, b=(1,))
 
     def test_bad_sense(self):
         with pytest.raises(SimplexError):
@@ -60,15 +65,18 @@ class TestLinearProgram:
         assert lp == WORKED
 
     def test_mis_shaped_A_rejected(self):
-        # a 2x3 A holds six numbers, as a 3x2 one would: reshaping must not accept it
-        with pytest.raises(SimplexError, match="one entry per variable"):
-            LinearProgram("max", c=(1, 2), A=((1, 2, 3), (4, 5, 6)), b=(1, 1, 1))
-        with pytest.raises(SimplexError, match="one entry per variable"):
-            LinearProgram("max", c=(1, 2), A=((1, 2), (3,)), b=(1, 1))  # ragged
-        with pytest.raises(SimplexError, match="one entry per variable"):
-            LinearProgram("max", c=(1, 2), A=(1, 2), b=(1,))  # a flat row
-        with pytest.raises(SimplexError, match="rows"):
-            LinearProgram("max", c=(1, 2), A=(), b=(1,))
+        for n in (2, WIDE):
+            # an n x (n + 1) A holds as many numbers as an (n + 1) x n one
+            # would: reshaping must not accept it
+            c = list(range(1, n + 1))
+            with pytest.raises(SimplexError, match="one entry per variable"):
+                LinearProgram("max", c=c, A=[c + [0]] * n, b=[1] * (n + 1))
+            with pytest.raises(SimplexError, match="one entry per variable"):
+                LinearProgram("max", c=c, A=(c, c[1:]), b=(1, 1))  # ragged
+            with pytest.raises(SimplexError, match="one entry per variable"):
+                LinearProgram("max", c=c, A=c, b=(1,))  # a flat row
+            with pytest.raises(SimplexError, match="rows"):
+                LinearProgram("max", c=c, A=(), b=(1,))
 
     def test_no_restrictions(self):
         lp = LinearProgram("max", c=(1, 2), A=(), b=())
@@ -253,16 +261,21 @@ class TestDegeneracyAndInputs:
         assert out.z == pytest.approx(1.25)
         assert out.x == pytest.approx((1.0, 0.0, 1.0, 0.0))
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(simplex, "iteration_cap", lambda n, m: 0)
+        with pytest.raises(simplex.IterationLimitError, match="after 0 pivots"):
+            simplex.solve_simplex(WORKED)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_program_rejected(self, bad):
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(bad, 1), A=((1, 1),), b=(1,))
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(1, 1), A=((1, bad),), b=(1,))
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(1, 1), A=((1, 1),), b=(bad,))
-        with pytest.raises(SimplexError):
-            LinearProgram("max", c=(1, 1), A=((1, 1),), b=(1,), d=bad)
+        for n in (2, WIDE):
+            ones = [1.0] * (n - 1)
+            for c, A, b, d in (([bad] + ones, [[1] + ones], (1,), 0.0),
+                               ([1] + ones, [ones + [bad]], (1,), 0.0),
+                               ([1] + ones, [[1] + ones], (bad,), 0.0),
+                               ([1] + ones, [[1] + ones], (1,), bad)):
+                with pytest.raises(SimplexError, match="finite"):
+                    LinearProgram("max", c=c, A=A, b=b, d=d)
 
 
 SCALED = LinearProgram("max", c=(3, 2), A=((1, 2), (2, 1)), b=(4, 5))  # x = (2, 1), z = 8
@@ -370,3 +383,46 @@ class TestVertexOracleAtAnyScale:
         assert simplex.vertex_oracle(lp).solution.status == "unbounded"
         bounded = LinearProgram("max", c=(1, 1), A=((s, s),), b=(s,))
         assert simplex.vertex_oracle(bounded).solution.status == "optimal"
+
+
+def solve_with_trace(lp):
+    trace = []
+    try:
+        out = simplex.solve_simplex(lp, trace=trace)
+    except simplex.NumericalError as exc:  # past the float range, or cycling
+        out = type(exc).__name__
+    return out, [t.format_text() for t in trace], [t.basis for t in trace]
+
+
+def negated(out):
+    return out if isinstance(out, str) else LpSolution(
+        out.status, out.x, -out.z, out.slacks, out.iterations)
+
+
+def assert_min_is_max_of_minus_c(c, A, b, d):
+    """min c.x + d runs as max (-c).x - d, bit for bit, with z negated."""
+    lo, hi = LinearProgram("min", c, A, b, d), LinearProgram("max", -c, A, b, -d)
+    (lo_out, *lo_trace), (hi_out, *hi_trace) = solve_with_trace(lo), solve_with_trace(hi)
+    assert repr(lo_out) == repr(negated(hi_out))
+    assert lo_trace == hi_trace
+    if lo.n == 2:
+        lo_res, hi_res = simplex.vertex_oracle(lo), simplex.vertex_oracle(hi)
+        assert repr(lo_res.solution) == repr(negated(hi_res.solution))
+        assert repr(lo_res._values()[1:]) == repr(hi_res._values()[1:])
+
+
+class TestMinAsMax:
+    @given(small_programs(), st.floats(-10, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_small_programs(self, lp, d):
+        _, c, A, b = lp
+        assert_min_is_max_of_minus_c(c, A, b, d)
+
+    @pytest.mark.parametrize("n, m", [(2, 6), (2, 12), (WIDE, 4), (12, 10)])
+    def test_programs_wider_than_small(self, n, m):
+        rng = np.random.default_rng(n * m)
+        A = rng.uniform(-1.0, 5.0, (m, n)) * (rng.random((m, n)) < 0.8)
+        b = rng.integers(0, 9, m) * rng.uniform(1.0, 20.0)
+        assert type(LinearProgram("min", np.ones(n), A, b)._A) is not tuple
+        for _ in range(5):
+            assert_min_is_max_of_minus_c(rng.integers(-5, 6, n) * 1.5, A, b, rng.uniform(-9, 9))
