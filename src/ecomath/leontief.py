@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .linalg import EPS_ZERO, DimensionError, Matrix, Vector, _min, mat_combine, mat_vec
+from .linalg import EPS_ZERO, DimensionError, Matrix, Vector, _min, mat_vec
 from . import linsolve
 from .numeric import _FrozenRecord
 
@@ -40,27 +40,40 @@ class DeliveriesTable(_FrozenRecord):
 
 class LeontiefModel(_FrozenRecord):
     """Input-output matrix P plus an optional resource consumption matrix R.
-    I - P is eliminated once; every solve replays ``elimination`` on its y
-    (a slot, not a field: no argument of __init__, unseen by == and repr)."""
+    The technology matrix T = I - P is formed once, from P alone, and kept;
+    T is eliminated once, and every solve replays ``elimination`` on its y.
+    T, its largest entry in absolute value and the elimination are slots,
+    not fields: no argument of __init__, unseen by ==, hash, repr and
+    pickle, which rebuilds them from P."""
 
-    __slots__ = ("P", "R", "labels", "elimination")
+    __slots__ = ("P", "R", "labels", "_T", "_T_max", "elimination")
     _fields = ("P", "R", "labels")
     _defaults = {"R": None, "labels": None}
 
     def __post_init__(self):
-        if not self.P.is_square:
+        P, n = self.P, self.P.rows
+        if not P.is_square:
             raise DimensionError("P must be square")
-        if _min(self.P) < 0:
+        if _min(P) < 0:
             raise ModelError("P must be non-negative")
         if self.R is not None:
-            if self.R.cols != self.P.rows:
+            if self.R.cols != n:
                 raise DimensionError("R must have one column per agent")
             if _min(self.R) < 0:
                 raise ModelError("R must be non-negative")
+        if type(P._a) is tuple:  # 1 - v and 0 - v: what 1.0*I + (-1.0)*P rounds to
+            T = Matrix(n, n, [float(k % (n + 1) == 0) - v for k, v in enumerate(P._a)])
+            T_max = max(map(abs, T._a))
+        else:
+            import numpy as np
+            T = Matrix.from_array(np.eye(n) - P._a)
+            T_max = float(np.abs(T._a).max())
         steps: list = []
-        _, rk, _, _ = linsolve.rref(self.technology_matrix(), steps)
-        if rk < self.n:
-            raise ModelError(f"technology matrix I - P is singular (rank {rk} < {self.n})")
+        _, rk, _, _ = linsolve.rref(T, steps)
+        if rk < n:
+            raise ModelError(f"technology matrix I - P is singular (rank {rk} < {n})")
+        object.__setattr__(self, "_T", T)
+        object.__setattr__(self, "_T_max", T_max)
         object.__setattr__(self, "elimination", tuple(steps))
 
     @property
@@ -68,7 +81,8 @@ class LeontiefModel(_FrozenRecord):
         return self.P.rows
 
     def technology_matrix(self) -> Matrix:
-        return mat_combine(1.0, Matrix.identity(self.n), -1.0, self.P)
+        """T = I - P, the matrix kept when the model was built."""
+        return self._T
 
     def total_demand_matrix(self) -> Matrix:
         """(I - P)^-1, materialized on request from the stored elimination."""
@@ -113,25 +127,35 @@ def _row_sum(row: tuple) -> float:
     return s
 
 
+def _abs_sum(v: Vector) -> float:
+    """sum_i |v_i|: the size against which the flags read a component."""
+    a = v._a
+    return sum(map(abs, a)) if type(a) is tuple else float(abs(a).sum())
+
+
 def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
-    """y = (I - P) q.  The flag reports a negative component (model
-    inconsistency) alongside the value rather than rejecting it."""
+    """y = (I - P) q, by the model's kept T.  The flag reports a component
+    y_i < -EPS_ZERO max|T| sum_j |q_j| (a model inconsistency; the bound on
+    the terms T_ij q_j, so the test does not depend on the scale of q)
+    alongside the value rather than rejecting it."""
     if q.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {q.n}")
-    y = mat_vec(m.technology_matrix(), q)
-    return y, _min(y) < -EPS_ZERO
+    y = mat_vec(m._T, q)
+    return y, _min(y) < -EPS_ZERO * m._T_max * _abs_sum(q)
 
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
     """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2)
     (``linsolve.replay``).  Up to ONE_PANEL (32) sectors that is bit for bit
     what eliminating [I - P | y] as one panel gives; from 33 sectors on, one
-    matrix product per panel of NB columns, equal to it up to rounding."""
+    matrix product per panel of NB columns, equal to it up to rounding.  The
+    flag reports a component q_i < -EPS_ZERO sum_j |q_j|, relative to q's
+    own size, alongside the value."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
     y = list(y._a) if type(y._a) is tuple else y.to_array()
     q = Vector(linsolve.replay(m.elimination, y))
-    return q, _min(q) < -EPS_ZERO
+    return q, _min(q) < -EPS_ZERO * _abs_sum(q)
 
 
 def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Vector:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ecomath import leontief
+from ecomath import leontief, linalg
 from ecomath.leontief import DeliveriesTable, LeontiefModel, ModelError
-from ecomath.linalg import DimensionError, Matrix, Vector
+from ecomath.linalg import DimensionError, Matrix, Vector, mat_combine
 
 rng = np.random.default_rng(7)
 
@@ -172,3 +172,76 @@ class TestScaleAwareProductivity:
         assert np.allclose(q.to_array(), np.linalg.solve(np.eye(n) - P, y.to_array()), rtol=1e-12)
         back, _ = leontief.final_demand(model, q)
         assert np.max(np.abs(back.to_array() - y.to_array())) <= 1e-9
+
+
+def productive(n, seed):
+    """A random P whose column sums are at most 0.9, so I - P is regular."""
+    w = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
+    return w * (0.9 / w.sum(axis=0).max())
+
+
+class TestTechnologyMatrix:
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 40])
+    def test_bit_identical_to_identity_minus_P(self, n, zero):
+        P = productive(n, n).ravel()
+        P[0::3], P[1::3] = zero, -zero  # signed zeros on and off the diagonal
+        P = Matrix.from_array(P.reshape(n, n))
+        T = LeontiefModel(P).technology_matrix()
+        reference = mat_combine(1.0, Matrix.identity(n), -1.0, P)  # the former code
+        assert type(T._a) is type(reference._a)
+        assert list(map(float.hex, T.entries)) == list(map(float.hex, reference.entries))
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_built_model_forms_I_minus_P_no_more(self, n, monkeypatch):
+        model = LeontiefModel(Matrix.from_array(productive(n, 5)))
+        q = Vector(np.linspace(1.0, 2.0, n))
+        calls = []
+
+        def spy(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        combine = spy("mat_combine", linalg.mat_combine)
+        monkeypatch.setattr(linalg, "mat_combine", combine)
+        monkeypatch.setattr(leontief, "mat_combine", combine, raising=False)
+        monkeypatch.setattr(Matrix, "identity", classmethod(spy("identity", Matrix.identity.__func__)))
+        T = model.technology_matrix()
+        y, _ = leontief.final_demand(model, q)
+        assert calls == []
+        assert T is model.technology_matrix()
+        assert y == linalg.mat_vec(T, q)
+
+
+class TestScaleFreeFlags:
+    """final_demand flags y_i < -EPS_ZERO max|T| sum|q|, total_output flags
+    q_i < -EPS_ZERO sum|q|: both read the same at any scale of q or y."""
+
+    MODEL = LeontiefModel(Matrix.from_rows([[0.2, 0.5], [0.3, 0.1]]))
+
+    @pytest.mark.parametrize("scale", [2.0 ** -500, 1.0, 2.0 ** 500])
+    def test_a_tiny_negative_demand_is_flagged(self, scale):
+        y, warn = leontief.final_demand(self.MODEL, vec(1e-12 * scale, 1e-11 * scale))
+        assert y[0] < 0 < y[1]  # (-4.2e-12, 8.7e-12) at scale 1
+        assert warn
+
+    @pytest.mark.parametrize("scale", [2.0 ** -500, 1.0, 2.0 ** 500])
+    def test_a_tiny_negative_output_is_flagged(self, scale):
+        q, warn = leontief.total_output(self.MODEL, vec(-1e-12 * scale, 1e-12 * scale))
+        assert q[0] < 0 < q[1]
+        assert warn
+
+    def test_consistent_round_trips_at_large_scale_are_not_flagged(self):
+        flagged = []
+        for seed in range(300):
+            n = 2 + seed % 11  # float tuples up to 8 sectors, arrays above
+            model = LeontiefModel(Matrix.from_array(productive(n, seed)))
+            y = np.random.default_rng(seed).uniform(0.0, 1e9, n)
+            y[seed % n] = 0.0
+            q, warn_q = leontief.total_output(model, Vector(y))
+            _, warn_y = leontief.final_demand(model, q)
+            if warn_q or warn_y:
+                flagged.append(seed)
+        assert flagged == []

@@ -140,12 +140,16 @@ def test_market_model_kept_profit_is_no_field():
 
 
 def test_leontief_model_copies_still_solve():
-    m = leontief.model_from_table(table())[0]
-    y = Vector((4.0, 3.0))
-    want, _ = leontief.total_output(m, y)
-    for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
-        got, _ = leontief.total_output(again, y)
-        assert got == want
+    # the kept I - P is a slot: copies rebuild it, and == and hash see P only
+    wide = leontief.LeontiefModel(Matrix(10, 10, [0.05] * 100))
+    for m, y in ((leontief.model_from_table(table())[0], Vector((4.0, 3.0))),
+                 (wide, Vector([4.0, 3.0] * 5))):
+        want, _ = leontief.total_output(m, y)
+        for again in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
+            assert again.technology_matrix() == m.technology_matrix()
+            got, _ = leontief.total_output(again, y)
+            assert got == want
 
 
 def test_to_dict_gives_the_fields_in_order_and_nested_records_as_dicts():
