@@ -29,50 +29,13 @@ class EvalDomainError(ArithmeticError):
 
 class Expr(_FrozenRecord):
     """Base class; all nodes are immutable slotted records (numeric._FrozenRecord,
-    each with a plain __init__) and compare structurally.
-
-    ``==`` and ``hash`` walk the tree with an explicit stack, not one Python
-    frame per level, so they work on any tree that evaluate handles; a
-    subtree shared within a tree is visited once.
-    """
+    each with a plain __init__) and compare structurally, by the base's ==
+    and hash, which walk a tree of any depth with an explicit stack."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return to_string(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if a.__class__ is not b.__class__:
-                return False
-            for u, v in zip(a._values(), b._values()):
-                if isinstance(u, Expr):
-                    stack.append((u, v))
-                elif u != v:
-                    return False
-        return True
-
-    def __hash__(self):
-        hashes: dict[int, int] = {}  # id(node) -> hash, for the nodes done
-        stack = [self]
-        while stack:
-            e = stack[-1]
-            kids = e._values()
-            todo = [c for c in kids if isinstance(c, Expr) and id(c) not in hashes]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            fields = (hashes[id(c)] if isinstance(c, Expr) else c for c in kids)
-            hashes[id(e)] = hash((e.__class__, *fields))
-        return hashes[id(self)]
 
 
 class Const(Expr):

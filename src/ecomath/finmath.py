@@ -44,9 +44,9 @@ def _check_rows(n_exact: float, horizon: Optional[int]) -> None:
 
 
 def _power(q: float, n: float) -> float:
-    """q^n, or FinanceError where ** overflows."""
+    """q^n as a float, or FinanceError where it leaves the float range."""
     try:
-        return q ** n
+        return float(q) ** n
     except OverflowError:
         raise FinanceError(f"q^n = {q!r}^{n!r} exceeds the float range") from None
 
@@ -98,7 +98,7 @@ def seq_term(s: SequenceSpec, n: int) -> float:
     check_args(FinanceError, 1, closed=True, n=n)
     if s.kind == "arith":
         return s.a1 + (n - 1) * s.step
-    return s.a1 * s.step ** (n - 1)
+    return s.a1 * _power(s.step, n - 1)
 
 
 def series_sum(s: SequenceSpec, n: int) -> float:
@@ -107,7 +107,7 @@ def series_sum(s: SequenceSpec, n: int) -> float:
     if s.kind == "arith":
         return n * s.a1 + s.step / 2.0 * (n - 1) * n
     q = s.step
-    return s.a1 * (q ** n - 1.0) / (q - 1.0)
+    return s.a1 * (_power(q, n) - 1.0) / (q - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,11 @@ def compound_solve(K0=None, Kn=None, q=None, n=None) -> float:
     missing = _require_exactly_one_missing(K0=K0, Kn=Kn, q=q, n=n)
     check_args(FinanceError, K0=K0, Kn=Kn, q=q, n=n)
     if missing == "Kn":
-        return K0 * q ** n
+        return K0 * _power(q, n)
     if missing == "K0":
-        return Kn / q ** n  # present value
+        return Kn / _power(q, n)  # present value
     if missing == "q":
-        return (Kn / K0) ** (1.0 / n)
+        return _power(Kn / K0, 1.0 / n)
     if q == 1.0:
         raise FinanceError("cannot solve for n at q = 1")
     return math.log(Kn / K0) / math.log(q)
@@ -138,7 +138,7 @@ def effective_rate(p_nom: float, m: int) -> tuple[float, float]:
     """Effective annual factor and rate for m compounding periods per year."""
     check_args(FinanceError, p_nom=p_nom)
     check_args(FinanceError, 1, closed=True, m=m)
-    q_eff = (1.0 + p_nom / (100.0 * m)) ** m
+    q_eff = _power(1.0 + p_nom / (100.0 * m), m)
     return q_eff, 100.0 * (q_eff - 1.0)
 
 
@@ -148,9 +148,9 @@ def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, Kn=Kn, E=E, n=n)
     if missing == "Kn":
-        return E * q * (q ** n - 1.0) / (q - 1.0)
+        return E * q * (_power(q, n) - 1.0) / (q - 1.0)
     if missing == "E":
-        return Kn * (q - 1.0) / (q * (q ** n - 1.0))
+        return Kn * (q - 1.0) / (q * (_power(q, n) - 1.0))
     if missing == "n":
         return math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q)
     return _solve_q(
@@ -163,7 +163,7 @@ def installment_present_value(E: float, q: float, n: float) -> float:
     """B0 = E (q^n - 1) / (q^(n-1) (q - 1))."""
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, E=E, n=n)
-    return E * (q ** n - 1.0) / (q ** (n - 1) * (q - 1.0))
+    return E * (_power(q, n) - 1.0) / (_power(q, n - 1) * (q - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -477,4 +477,5 @@ def master_formula(K0: float, q: float, R: float, n: float) -> float:
     check_args(FinanceError, 0, closed=True, n=n)
     if q == 1.0:
         raise FinanceError("master formula needs q != 1")
-    return K0 * q ** n + R * (q ** n - 1.0) / (q - 1.0)
+    qn = _power(q, n)
+    return K0 * qn + R * (qn - 1.0) / (q - 1.0)

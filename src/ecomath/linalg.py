@@ -4,16 +4,20 @@ A value of at most SMALL rows and columns holds its entries as one flat tuple
 of Python floats in row-major order, a larger one as one read-only float64
 array.  The representation follows from the shape alone, so equal values hold
 the same one, and NumPy is imported only for the arrays and by ``to_array``
-and ``from_array``.  Values are immutable after construction and every
-operation is a pure function, safe to share between threads.  ``EPS_ZERO`` is
-the single comparison tolerance used across the package unless an operation
-documents otherwise.
+and ``from_array``.  Vector and Matrix are records (``numeric._FrozenRecord``)
+of the held entries and the shape, and of the orientation for a Vector: they
+are immutable, and == and hash are the records' own, exact on the entries
+with -0.0 equal to 0.0, in either form.  Every operation is a pure function,
+safe to share between threads.  ``EPS_ZERO`` is the single comparison
+tolerance used across the package unless an operation documents otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
+
+from .numeric import _FrozenRecord
 
 EPS_ZERO = 1e-9
 SMALL = 8  # widest value held as a float tuple: the list/array crossover of inverse
@@ -27,8 +31,8 @@ class FormatError(ValueError):
     """A matrix/vector text file could not be parsed."""
 
 
-class _ArrayValue:
-    """Finite float entries of a fixed shape; equality is exact."""
+class _ArrayValue(_FrozenRecord):
+    """Finite float entries of a fixed shape: the fields _a and _shape."""
 
     __slots__ = ("_a", "_shape")
 
@@ -49,9 +53,6 @@ class _ArrayValue:
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_shape", shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
     @property
     def entries(self) -> tuple[float, ...]:
         a = self._a
@@ -65,21 +66,6 @@ class _ArrayValue:
             a = np.array(a).reshape(self._shape)
             a.flags.writeable = False
         return a
-
-    def _tag(self):  # what besides the shape and entries decides equality
-        return None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if (self._tag(), self._shape) != (other._tag(), other._shape):
-            return False
-        a, b = self._a, other._a
-        return a == b if type(a) is tuple else bool((a == b).all())
-
-    def __hash__(self):  # -0.0 hashes as 0.0, as == has it
-        a = self._a
-        return hash((self._tag(), self._shape, a if type(a) is tuple else (a + 0.0).tobytes()))
 
 
 class Vector(_ArrayValue):
@@ -104,9 +90,6 @@ class Vector(_ArrayValue):
         object.__setattr__(self, "orientation", orientation)
 
     to_array = _ArrayValue.to_array  # each class's own attribute, for span wrappers
-
-    def _tag(self):
-        return self.orientation
 
     def __reduce__(self):
         return Vector, (self._a, self.orientation)

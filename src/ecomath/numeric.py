@@ -3,8 +3,9 @@
 ``brent``, the one bracketed root finder (``finmath`` rates and the
 sign-change cells of ``calculus.roots``), ``check_args``, the one rule by
 which ``finmath``, ``econ`` and ``calculus.analysis`` refuse a scalar argument
-(NaN and +-inf included), and ``_FrozenRecord``, the base of the expression
-nodes and of every result record.
+(NaN and +-inf included), and ``_FrozenRecord``, the base of every immutable
+value: the expression nodes, ``Vector`` and ``Matrix``, ``LinearProgram`` and
+every result record, which all share its one == and hash.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ class _FrozenRecord:
     trailing fields in _defaults.  __init__ takes the fields by position or
     keyword, then calls __post_init__ to validate; == compares the fields of
     two records of one class, hash hashes them, repr lists them, and pickle
-    and copy rebuild a record through __init__."""
+    and copy rebuild a record through __init__.
+
+    == and hash read the fields through _values and _key, and walk nested
+    records with an explicit stack, not one Python frame per level, so they
+    work on any expression tree that evaluate handles; a record shared within
+    a tree is visited once."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -59,10 +65,35 @@ class _FrozenRecord:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__:
+                return False
+            for u, v in zip(a._values(), b._values()):
+                if isinstance(u, _FrozenRecord):
+                    stack.append((u, v))
+                elif _key(u) != _key(v):
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        hashes: dict[int, int] = {}  # id(record) -> hash, for the records done
+        stack = [self]
+        while stack:
+            r = stack[-1]
+            values = r._values()
+            todo = [v for v in values if isinstance(v, _FrozenRecord) and id(v) not in hashes]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            keys = [hashes[id(v)] if isinstance(v, _FrozenRecord) else _key(v) for v in values]
+            hashes[id(r)] = hash((r.__class__, *keys))
+        return hashes[id(self)]
 
     def __repr__(self):
         args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
@@ -70,6 +101,12 @@ class _FrozenRecord:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+
+def _key(v):
+    """What == and hash read of a field: an array (ndim >= 1) as its shape
+    and bytes, -0.0 read as 0.0; any other value as it is."""
+    return (v.shape, (v + 0.0).tobytes()) if getattr(v, "ndim", 0) else v
 
 
 def check_args(error: type, lo: float = 0.0, hi: float = math.inf, /, *,

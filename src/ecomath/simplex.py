@@ -37,7 +37,9 @@ class IterationLimitError(NumericalError, RuntimeError):
 
 
 class LinearProgram(_FrozenRecord):
-    """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,)."""
+    """c, A, b: read-only float64 arrays of shapes (n,), (m, n), (m,); ==,
+    hash and pickle read the held tuples or arrays, so a program of float
+    tuples compares and hashes without NumPy."""
 
     __slots__ = ("sense", "_c", "_A", "_b", "d", "names")
     _fields = ("sense", "c", "A", "b", "d", "names")
@@ -83,12 +85,8 @@ class LinearProgram(_FrozenRecord):
     A = property(lambda self: self._array("A"))
     b = property(lambda self: self._array("b"))
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        import numpy as np
-        same = (self.sense, self.d, self.names) == (other.sense, other.d, other.names)
-        return same and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in "cAb")
+    def _values(self) -> tuple:
+        return self.sense, self._c, self._A, self._b, self.d, self.names
 
     @property
     def n(self) -> int:
@@ -187,24 +185,23 @@ class SimplexTableau:
     ``cells`` holds the tableau as column lists or as one array (see the
     module docstring), ``grid`` gives it as a float64 array.  ``scale`` holds
     one scale per variable (z, x, s) and ``tols`` the entering and degeneracy
-    tolerances, which canonicalize reads from the LP (see solve_simplex); a
-    tableau built by hand has unit scales and the bare PIVOT_MIN and FEAS_TOL.
+    tolerances, both read from the LP by canonicalize (see solve_simplex).
     """
 
-    def __init__(self, grid, basis: list[int], n: int, m: int):
+    def __init__(self, grid, basis: list[int], n: int, m: int, scale: list, tols: tuple):
         self.cells = grid
         self.basis = basis
         self.n = n
         self.m = m
         self.iteration = 0
-        self.scale = [1.0] * (1 + n + m)
-        self.tols = (PIVOT_MIN, FEAS_TOL)
+        self.scale = scale
+        self.tols = tols
 
     def copy(self) -> "SimplexTableau":
         cells = self.cells
         t = SimplexTableau([u[:] for u in cells] if type(cells) is list else cells.copy(),
-                           list(self.basis), self.n, self.m)
-        t.iteration, t.scale, t.tols = self.iteration, self.scale, self.tols
+                           list(self.basis), self.n, self.m, self.scale, self.tols)
+        t.iteration = self.iteration
         return t
 
     @property
@@ -303,11 +300,10 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
         c, b, rows, cols = c.tolist(), b.tolist(), rows.tolist(), cols.tolist()
     if min(b, default=0.0) < 0:
         raise SimplexError("unsupported: negative capacity would need a phase-1 method")
-    t = SimplexTableau(grid, [0] + [n + 1 + i for i in range(m)], n, m)
-    t.scale = [1.0] + [1.0 / g for g in cols] + rows
-    t.tols = (PIVOT_MIN * max([abs(v) / g for v, g in zip(c, cols)], default=0.0),
-              FEAS_TOL * max([abs(v) / r for v, r in zip(b, rows)], default=0.0))
-    return t
+    tols = (PIVOT_MIN * max([abs(v) / g for v, g in zip(c, cols)], default=0.0),
+            FEAS_TOL * max([abs(v) / r for v, r in zip(b, rows)], default=0.0))
+    return SimplexTableau(grid, [0] + [n + 1 + i for i in range(m)], n, m,
+                          [1.0] + [1.0 / g for g in cols] + rows, tols)
 
 
 def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:

@@ -510,6 +510,11 @@ class TestFinance:
         assert proc.returncode == EXIT_INPUT
         assert "past MAX_ROWS" in proc.stderr
 
+    def test_compound_past_the_float_range_exit_1(self, capsys):
+        code, _, err = run(["finance", "compound", "--K0", "1", "--q", "10", "--n", "400"], capsys)
+        assert code == EXIT_INPUT
+        assert "exceeds the float range" in err
+
     def test_overdetermined_exit_1(self, capsys):
         code, _, _ = run(
             ["finance", "compound", "--K0", "1", "--Kn", "2", "--q", "1.05", "--n", "3"],

@@ -451,6 +451,9 @@ class TestMasterFormula:
             finmath.master_formula(1.0, 1.0, 1.0, 1)
 
 
+GEOM10 = SequenceSpec("geom", 1.0, 10.0)
+
+
 class TestClosedFormsEndInFinanceError:
     def test_remaining_debt_without_interest(self):
         assert finmath.remaining_debt(100, 1.0, 5, 3) == 85.0
@@ -467,6 +470,29 @@ class TestClosedFormsEndInFinanceError:
     def test_redemption_solve_past_the_float_range(self):
         with pytest.raises(FinanceError, match="exceeds the float range"):
             finmath.redemption_solve(R0=1e300, q=1e300, n=10, A=1e300)
+
+    @pytest.mark.parametrize("call", [
+        lambda: finmath.compound_solve(K0=1.0, q=10.0, n=400.0),
+        lambda: finmath.compound_solve(Kn=1.0, q=10.0, n=400.0),
+        lambda: finmath.compound_solve(K0=1.0, Kn=1e300, n=0.01),
+        lambda: finmath.installment_solve(E=1.0, q=10.0, n=400.0),
+        lambda: finmath.installment_solve(Kn=1.0, q=10.0, n=400.0),
+        lambda: finmath.installment_present_value(1.0, 10.0, 400.0),
+        lambda: finmath.series_sum(GEOM10, 400),
+        lambda: finmath.seq_term(GEOM10, 400),
+        lambda: finmath.master_formula(1.0, 10.0, 1.0, 400.0),
+        lambda: finmath.effective_rate(1e6, 1000),
+        lambda: finmath.remaining_debt(1, 10, 1, 400),
+    ], ids=["compound-Kn", "compound-K0", "compound-q", "installment-Kn", "installment-E",
+            "installment_present_value", "series_sum", "seq_term", "master_formula",
+            "effective_rate", "remaining_debt-ints"])
+    def test_q_to_the_n_past_the_float_range(self, call):
+        with pytest.raises(FinanceError, match="exceeds the float range"):
+            call()
+
+    def test_int_arguments_give_a_float(self):
+        got = finmath.compound_solve(K0=1, q=2, n=3)
+        assert got == 8.0 and type(got) is float
 
     def test_pension_duration_of_overflowing_products(self):
         with pytest.raises(FinanceError, match="duration must be a finite number"):

@@ -5,12 +5,16 @@ unhashable), refuses assignment, survives pickle and deepcopy, and has the
 repr ``Name(field=value, ...)`` over its fields in declaration order."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ecomath import calculus as ca
-from ecomath import econ, finmath, leontief, linsolve, simplex
+from ecomath import econ, finmath, leontief, linalg, linsolve, simplex
 from ecomath.calculus import (
     Abs, Add, Const, Div, Exp, Ln, Mul, Neg, Pow, Sub, Var, X,
 )
@@ -79,7 +83,7 @@ CASES = [
       "curvature_intervals", "vertical_asymptotes", "asymptote", "range_estimate")),
 ]
 IDS = [make().__class__.__name__ for make, _ in CASES]
-UNHASHABLE = {"Schedule", "LinearProgram"}  # a dict field; array fields
+UNHASHABLE = {"Schedule"}  # a dict field
 
 
 def test_every_record_class_is_covered():
@@ -166,3 +170,73 @@ def test_to_dict_gives_the_fields_in_order_and_nested_records_as_dicts():
     assert pa.to_dict() == {"x_S": pa.x_S, "x_G": pa.x_G, "x_M": pa.x_M, "G_max": pa.G_max,
                             "parallel_tangent_gap": pa.parallel_tangent_gap}
     assert list(pa.to_dict()) == ["x_S", "x_G", "x_M", "G_max", "parallel_tangent_gap"]
+
+
+# ---------------------------------------------------------------------------
+# One == and hash for every value: numeric._FrozenRecord reads an array field
+# by its shape and bytes (-0.0 as 0.0) and every other field as it is
+# ---------------------------------------------------------------------------
+
+def signed_zero_pairs():
+    """(value with 0.0, the same with -0.0) for each class and form."""
+    for n in (3, linalg.SMALL + 1):  # a float tuple, an array
+        plus = [1.0, 0.0] + [2.0] * (n - 2)
+        minus = [1.0, -0.0] + [2.0] * (n - 2)
+        yield Vector(plus), Vector(minus)
+        yield Matrix(n, n, plus * n), Matrix(n, n, minus * n)
+
+
+def test_signed_zeros_compare_and_hash_alike():
+    pairs = [(Const(0.0), Const(-0.0)), *signed_zero_pairs()]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_array_values_compare_by_content():
+    n = linalg.SMALL + 1
+    a, b = Matrix(n, n, [0.5] * (n * n)), Matrix(n, n, [0.5] * (n * n))
+    assert type(a._a) is not tuple and a._a is not b._a
+    assert a == b and hash(a) == hash(b)
+    assert a != Matrix(n, n, [0.5] * (n * n - 1) + [0.25])
+    assert Vector([1.0] * n) != Vector([1.0] * n, "row")
+    assert Vector([1.0] * n) != Vector([1.0] * (n + 1))
+
+
+def test_a_numpy_scalar_field_equals_a_float():
+    np = pytest.importorskip("numpy")
+    a, b = econ.CostModel(**dict(COST, a3=np.float64(1.0))), econ.CostModel(**COST)
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("n", [2, linalg.SMALL + 1], ids=["tuple", "array"])
+def test_vectors_and_matrices_refuse_del(n):
+    for v in (Vector([1.0] * n), Matrix(n, n, [1.0] * (n * n))):
+        for name in ("_a", "_shape"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(v, name)
+        assert v == copy.copy(v)
+
+
+def test_linear_programs_compare_by_the_held_values():
+    wide = dict(LP, c=[3, 2, 1, 1, 1], A=[[1, 1, 0, 0, 1], [1, 0, 1, 1, 0]])  # 5 + 2 + 2 > SMALL
+    for doc in (LP, wide):
+        a, b = simplex.LinearProgram.from_dict(doc), simplex.LinearProgram.from_dict(doc)
+        assert (type(a._c) is tuple) == (doc is LP)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for again in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert again == a and hash(again) == hash(a)
+        assert a != simplex.LinearProgram.from_dict(dict(doc, b=[4, 3]))
+        assert a != simplex.LinearProgram.from_dict(dict(doc, sense="min"))
+
+
+def test_tuple_programs_compare_without_numpy():
+    script = (
+        "import sys\n"
+        "from ecomath.simplex import LinearProgram\n"
+        "a, b = (LinearProgram('max', (3, 2), ((1, 1), (1, 0)), (4, 2)) for _ in 'ab')\n"
+        "assert a == b and hash(a) == hash(b) and len({a, b}) == 1\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(simplex.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
