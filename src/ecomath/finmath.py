@@ -124,14 +124,14 @@ def compound_solve(K0=None, Kn=None, q=None, n=None) -> float:
     missing = _require_exactly_one_missing(K0=K0, Kn=Kn, q=q, n=n)
     check_args(FinanceError, K0=K0, Kn=Kn, q=q, n=n)
     if missing == "Kn":
-        return K0 * _power(q, n)
+        return _finite(Kn=K0 * _power(q, n))
     if missing == "K0":
-        return Kn / _power(q, n)  # present value
+        return _finite(K0=Kn / _power(q, n))  # present value
     if missing == "q":
-        return _power(Kn / K0, 1.0 / n)
+        return _finite(q=_power(Kn / K0, 1.0 / n))
     if q == 1.0:
         raise FinanceError("cannot solve for n at q = 1")
-    return math.log(Kn / K0) / math.log(q)
+    return _finite(n=math.log(Kn / K0) / math.log(q))
 
 
 def effective_rate(p_nom: float, m: int) -> tuple[float, float]:
@@ -148,22 +148,22 @@ def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, Kn=Kn, E=E, n=n)
     if missing == "Kn":
-        return E * q * (_power(q, n) - 1.0) / (q - 1.0)
+        return _finite(Kn=E * q * (_power(q, n) - 1.0) / (q - 1.0))
     if missing == "E":
-        return Kn * (q - 1.0) / (q * (_power(q, n) - 1.0))
+        return _finite(E=Kn * (q - 1.0) / (q * (_power(q, n) - 1.0)))
     if missing == "n":
-        return math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q)
-    return _solve_q(
+        return _finite(n=math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q))
+    return _finite(q=_solve_q(
         lambda qq: E * qq * (1.0 - qq ** -n) / (qq - 1.0) - Kn * qq ** -n,
         f"Kn = {Kn:g} with E = {E:g}, n = {n:g}",
-    )
+    ))
 
 
 def installment_present_value(E: float, q: float, n: float) -> float:
     """B0 = E (q^n - 1) / (q^(n-1) (q - 1))."""
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, E=E, n=n)
-    return E * (_power(q, n) - 1.0) / (_power(q, n - 1) * (q - 1.0))
+    return _finite(B0=E * (_power(q, n) - 1.0) / (_power(q, n - 1) * (q - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,4 +478,4 @@ def master_formula(K0: float, q: float, R: float, n: float) -> float:
     if q == 1.0:
         raise FinanceError("master formula needs q != 1")
     qn = _power(q, n)
-    return K0 * qn + R * (qn - 1.0) / (q - 1.0)
+    return _finite(Kn=K0 * qn + R * (qn - 1.0) / (q - 1.0))

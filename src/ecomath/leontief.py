@@ -147,14 +147,16 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
     """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2)
     (``linsolve.replay``).  Up to ONE_PANEL (32) sectors that is bit for bit
-    what eliminating [I - P | y] as one panel gives; from 33 sectors on, one
-    matrix product per panel of NB columns, equal to it up to rounding.  The
-    flag reports a component q_i < -EPS_ZERO sum_j |q_j|, relative to q's
-    own size, alongside the value."""
+    what eliminating [I - P | y] as one panel gives.  From 33 sectors on it
+    is each panel's forward operations on y in turn, then the back pass
+    through the upper factor's identity diagonal blocks, from the last panel
+    up: three matrix-vector products per panel, equal to that elimination up
+    to rounding.  The flag reports a component q_i < -EPS_ZERO sum_j |q_j|,
+    relative to q's own size, alongside the value."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
     y = list(y._a) if type(y._a) is tuple else y.to_array()
-    q = Vector(linsolve.replay(m.elimination, y))
+    q = Vector._adopt(linsolve.replay(m.elimination, y), (m.n,), orientation="col")
     return q, _min(q) < -EPS_ZERO * _abs_sum(q)
 
 

@@ -36,22 +36,37 @@ class _ArrayValue(_FrozenRecord):
 
     __slots__ = ("_a", "_shape")
 
-    def _hold(self, entries, shape):
-        """Store entries (a flat list of floats, or an array) with this shape."""
+    def _hold(self, entries, shape, adopt=False):
+        """Store entries (a flat list of floats, or an array) with this shape;
+        adopt: they are floats, or a float64 array that nothing else writes,
+        so the array is held as it is, not copied."""
         if max(shape) <= SMALL:
             if hasattr(entries, "ravel"):
-                entries = entries.astype(float).ravel().tolist()
+                entries = (entries if adopt else entries.astype(float)).ravel().tolist()
             ok = all(map(math.isfinite, entries))
             a = tuple(entries)
         else:
             import numpy as np
-            a = np.array(entries, dtype=float).reshape(shape)
+            a = (np.asarray if adopt else np.array)(entries, dtype=float).reshape(shape)
             ok = math.isfinite(a.sum()) or np.isfinite(a).all()  # the sum may overflow
             a.flags.writeable = False
         if not ok:
             raise ValueError(f"{type(self).__name__} entries must be finite (no NaN or inf)")
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_shape", shape)
+
+    @classmethod
+    def _adopt(cls, entries, shape, **fields):
+        """The value of this shape and these other fields that holds entries,
+        a list or tuple of floats or a fresh float64 array made by the kernel,
+        read-only from now on.  It equals what the public constructor builds
+        from them, and hashes alike, but only the finiteness check runs: no
+        float() per entry, no row-width scan, no copy of the array."""
+        value = object.__new__(cls)
+        value._hold(entries, shape, adopt=True)
+        for name, v in fields.items():
+            object.__setattr__(value, name, v)
+        return value
 
     @property
     def entries(self) -> tuple[float, ...]:

@@ -4,9 +4,14 @@ Row reduction with partial pivoting is the single elimination routine;
 rank, determinants, inverses and solvability classification all reduce to
 it.  It runs on the column lists of a float-tuple value (at most SMALL rows
 and columns, see ``linalg``) and on a float64 array above that; up to ONE_PANEL
-columns both take the same pivots and round each entry alike.  The small
-symmetric eigenproblems come from ``numpy.linalg.eigh``.
-"""
+columns both are one Gauss-Jordan panel, take the same pivots and round each
+entry alike.  Wider, the array kernel is the forward pass alone: each panel
+of NB columns is reduced by Gauss-Jordan on its own rows and below, which
+leaves an upper factor with identity diagonal blocks, and the back pass,
+one product per panel, runs only on what a caller reads: b in ``replay``, I
+in ``inverse``, the non-pivot columns in ``rref``.  ``determinant``,
+``rank`` and ``is_regular`` stop after the forward pass.  The small
+symmetric eigenproblems come from ``numpy.linalg.eigh``."""
 
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 from .numeric import NumericalError, _FrozenRecord
 
 PIVOT_TOL = 1e-10  # times max|a_ij|: smaller candidates are no pivot
-ONE_PANEL = 32  # at most this many columns: one panel, one rank-1 update per pivot
+ONE_PANEL = 32  # at most this many columns: one Gauss-Jordan panel, one rank-1 update per pivot
 NB = 16  # columns per panel above ONE_PANEL; 2 NB is the measured crossover
 
 
@@ -116,85 +121,152 @@ def _gauss_jordan_cols(a: list, steps: Optional[list] = None):
     return len(pivots), tuple(cols), (mant, expo)
 
 
-def _gauss_jordan(a, steps: Optional[list] = None):
-    """Reduce a to RREF in place; a column takes no pivot if its candidates
-    are within PIVOT_TOL max|a| of zero.  Returns (rank, pivot_cols,
-    (mant, expo)) with det_factor = mant * 2**expo, kept apart so that the
-    product of the pivots cannot overflow on the way.
+def _reduce_panel(W, w: int, tol: float, mant: float, expo: int):
+    """Gauss-Jordan on a transposed panel in place: row c < w of W is column c
+    of the panel, its columns are the rows, and the rows from w on, if any,
+    are zero and collect the transform's columns, row w + r for pivot row r.
+    A candidate column within tol of zero takes no pivot.  Each entry rounds
+    as in _pivot_step on the untransposed panel.  Returns the pivots
+    [(swapped row, pivot, multipliers), ...], their columns and (mant, expo)
+    updated by them."""
+    import numpy as np
+    pivots, cols = [], []
+    for c in range(w):
+        r = len(pivots)
+        if r >= W.shape[1]:
+            break
+        i = r + int(np.abs(W[c, r:]).argmax())  # argmax returns the first maximum
+        p = float(W[c, i])
+        if abs(p) <= tol:
+            W[c, r:] = 0.0  # structural zero, keep the tail clean
+            continue
+        # the rows of W above c are 0.0 at r and i; the transform's later rows are zero
+        V = W[c:w + r + 1]
+        if i != r:
+            t = V[:, r].copy()
+            V[:, r] = V[:, i]
+            V[:, i] = t
+            mant = -mant
+        # mant * p rounds like the plain product: frexp and ldexp are exact
+        pm, pe = math.frexp(p)
+        mant, me = math.frexp(mant * pm)
+        expo += pe + me
+        if len(W) > w:
+            W[w + r, r] = 1.0  # the transform's column for row r, so far e_r
+        f = W[c].copy()
+        f[r] = 0.0
+        y = V[:, r]
+        y /= p
+        # row c comes out exactly the unit vector: p / p == 1 and f - 1 f == 0
+        V -= np.multiply.outer(y, f)
+        pivots.append((i, p, f))
+        cols.append(c)
+    return pivots, cols, mant, expo
 
-    Column lists go to _gauss_jordan_cols.  On an array, up to ONE_PANEL (32)
-    columns, a is one panel: one rank-1 update per pivot,
-    and steps, if given, gets (0, ((swapped row, pivot, multipliers), ...),
-    None).  Wider, each panel of NB columns is reduced on rows r0 on, in a
-    copy whose NB more columns collect its transform's columns G at the pivot
-    rows r0, r0+1, ...; the rows above then take the pivot rows in one
-    product, the columns to the right G in another, and steps gets (r0,
-    swapped rows, G).  Rows r0 on are zero left of the panel, so swaps need
-    not touch them."""
+
+def _gauss_jordan(a, steps: Optional[list] = None):
+    """Eliminate a in place; a column takes no pivot if its candidates are
+    within PIVOT_TOL max|a| of zero.  Returns (rank, pivot_cols, (mant,
+    expo)) with det_factor = mant * 2**expo, kept apart so that the product
+    of the pivots cannot overflow on the way.
+
+    Column lists go to _gauss_jordan_cols.  On an array of up to ONE_PANEL
+    (32) columns, a is one panel, reduced to RREF in a transposed copy (one
+    rank-1 update per pivot), and steps, if given, gets (0, ((swapped row,
+    pivot, multipliers), ...), None).  Wider, this is the forward pass alone.
+    Each panel of NB columns is reduced by Gauss-Jordan on rows r0 on, in a
+    transposed copy whose NB more rows collect its transform G; rows above
+    r0 are never touched, so a ends block upper triangular with identity
+    diagonal blocks at the pivots, and only the back pass (_back) clears
+    above them.  The columns to the right take the panel's row moves and G's
+    two products (_forward).  steps gets (r0, moves, F) per panel: F's rows
+    r0 on are G, its rows above r0 the upper factor's block at the panel's
+    pivot columns."""
     if type(a) is list:
         return _gauss_jordan_cols(a, steps)
     import numpy as np
     m, n = a.shape
     tol = PIVOT_TOL * np.abs(a).max()
-    nb = n if n <= ONE_PANEL else NB
-    mant, expo = 1.0, 0
-    pivot_cols = []
-    r0 = 0
-    for j0 in range(0, n, nb):
-        w = min(nb, n - j0)
-        blocked = w < n
-        P = np.hstack([a[:, j0:j0 + w], np.zeros((m, w))]) if blocked else a
-        Q, pivots, cols = P[r0:], [], []  # Q's row r is a's row r0 + r
-        for c in range(w):
-            r = len(pivots)
-            if r0 + r >= m:
-                break
-            col = np.abs(Q[r:, c])
-            i = r + int(col.argmax())  # argmax returns the first maximum
-            if col[i - r] <= tol:
-                Q[r:, c] = 0.0  # structural zero, keep the tail clean
-                continue
-            if i != r:
-                Q[r], Q[i] = Q[i].copy(), Q[r].copy()
-                mant = -mant
-            p = Q[r, c]
-            # mant * p rounds like the plain product: frexp and ldexp are exact
-            pm, pe = math.frexp(p)
-            mant, me = math.frexp(mant * pm)
-            expo += pe + me
-            if blocked:
-                Q[r, w + r] = 1.0  # the transform's column for row r, so far e_r
-            # row r is zero left of c; the transform's later columns are still zero
-            f = _pivot_step(Q[:, :w + r + 1] if blocked else Q, r, c, first=c)
-            pivots.append((i, p, f))
-            cols.append(c)
-        k = len(pivots)
-        if not blocked:
-            step = (0, tuple(pivots), None)
-        else:
-            P[:r0] -= P[:r0, cols] @ Q[:k]
-            a[:, j0:j0 + w] = P[:, :w]
-            step = (r0, tuple(i for i, _, _ in pivots), P[:, w:w + k].copy())
-            _apply_panel(a[:, j0 + w:], *step)
-        if steps is not None and k:
-            steps.append(step)
-        pivot_cols += [j0 + c for c in cols]
+    if n <= ONE_PANEL:
+        W = a.T.copy()
+        pivots, cols, mant, expo = _reduce_panel(W, n, tol, 1.0, 0)
+        a[...] = W.T
+        if steps is not None and pivots:
+            steps.append((0, tuple(pivots), None))
+        return len(pivots), tuple(cols), (mant, expo)
+    mant, expo, r0, pivot_cols = 1.0, 0, 0, []
+    for j0 in range(0, n, NB):
+        w = min(NB, n - j0)
+        W = np.zeros((2 * w, m - r0))
+        W[:w] = a[r0:, j0:j0 + w].T  # rows r0 on are zero left of the panel
+        pivots, cols, mant, expo = _reduce_panel(W, w, tol, mant, expo)
+        a[r0:, j0:j0 + w] = W[:w].T
+        k, cols = len(pivots), [j0 + c for c in cols]
+        if k:
+            moves = _moves([i for i, _, _ in pivots])
+            G = W[w:w + k].T
+            _forward(a[r0:, j0 + w:], moves, G, np.matmul)
+            if steps is not None:
+                steps.append((r0, moves, np.vstack([a[:r0, cols], G])))
+        pivot_cols += cols
         r0 += k
         if r0 >= m:
             break
     return r0, tuple(pivot_cols), (mant, expo)
 
 
-def _apply_panel(b, r0: int, rows: tuple, G) -> None:
-    """One panel's row operations on b, in place: its swaps among rows r0 on,
-    then b <- b + (G - I_S) b_S at its pivot rows S, one matrix product."""
-    v = b[r0:]
+def _moves(rows: list) -> tuple:
+    """The swaps of rows r and rows[r], in turn, as one move (to, frm):
+    v[to] = v[frm] applies them all at once."""
+    at = {}  # position -> the row that ends there
     for r, i in enumerate(rows):
         if i != r:
-            v[r], v[i] = v[i].copy(), v[r].copy()
-    b_s = v[:len(rows)].copy()
-    v[:len(rows)] = 0.0
-    b += G @ b_s
+            at[r], at[i] = at.get(i, i), at.get(r, r)
+    to = [t for t, f in at.items() if t != f]
+    return to, [at[t] for t in to]
+
+
+def _forward(v, moves, G, mul) -> None:
+    """One panel's forward row operations on v, the rows from its r0 on, in
+    place: the row moves, then v <- G v_top at the k pivot rows and
+    v + G v_top below them, with mul for the products."""
+    to, frm = moves
+    if to:
+        v[to] = v[frm]
+    k = G.shape[1]
+    v[k:] += mul(G[k:], v[:k])
+    v[:k] = mul(G[:k], v[:k])
+
+
+def _back(steps: list, b, mul):
+    """The back pass on b, in place, after every panel's forward operations:
+    from the last panel up, the rows above its r0 lose its upper-factor
+    block times its pivot rows, one product per panel."""
+    for r0, _, F in reversed(steps):
+        b[:r0] -= mul(F[:r0], b[r0:r0 + F.shape[1]])
+    return b
+
+
+def _columnwise(G, x):
+    """G x, each column of x by the matrix-vector product that it gets
+    alone, so a column's result does not depend on the columns beside it."""
+    return G @ x if x.ndim == 1 else (G @ x.T[:, :, None])[:, :, 0].T
+
+
+def _replay_array(steps: list, b, mul):
+    """replay on the float array b, in place, with mul for panel products."""
+    if steps and steps[0][2] is not None:
+        for r0, moves, F in steps:
+            _forward(b[r0:], moves, F[r0:], mul)
+        return _back(steps, b, mul)
+    import numpy as np
+    for _, pivots, _ in steps:  # one panel: a rank-1 update per pivot
+        for r, (i, p, f) in enumerate(pivots):
+            if i != r:
+                b[r], b[i] = b[i].copy(), b[r].copy()
+            b[r] = b[r] / p
+            b -= np.multiply.outer(f, b[r])
+    return b
 
 
 def _work(M: Matrix):
@@ -206,11 +278,11 @@ def _work(M: Matrix):
 
 def _from_cols(a: list) -> Matrix:
     """The matrix whose columns are the lists in a."""
-    return Matrix(len(a[0]), len(a), [col[i] for i in range(len(a[0])) for col in a])
+    return Matrix._adopt([col[i] for i in range(len(a[0])) for col in a], (len(a[0]), len(a)))
 
 
 def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[int, ...], float]:
-    """Reduced row-echelon form via partial pivoting, by blocked Gauss-Jordan.
+    """Reduced row-echelon form via partial pivoting.
 
     Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
     the effect of row swaps and scalings, so for a square input
@@ -218,26 +290,43 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
     Pivots are chosen by maximum absolute value, ties broken by smallest row
     index; a column whose candidates are all within PIVOT_TOL times the
     largest entry of M has no pivot, so the rank does not depend on the scale
-    of M.  Above ONE_PANEL (32) columns the panel products round in another
-    order than one rank-1 update per pivot, so a candidate within rounding of
-    that tolerance can take the other side of it.  If ``steps`` is a list,
-    the row operations are recorded in it for ``replay``, one entry per panel.
+    of M.  Up to ONE_PANEL (32) columns R is one panel's Gauss-Jordan
+    elimination.  Wider, it is the forward pass in panels of NB columns,
+    whose products round in another order than one rank-1 update per pivot
+    (a candidate within rounding of the tolerance can take the other side of
+    it), then the back pass on M's non-pivot columns alone; the pivot
+    columns are unit vectors, so a regular square M gets R = I.  If
+    ``steps`` is a list, the row operations are appended to it for
+    ``replay``, one entry per panel.
     """
     a = _work(M)
-    rk, pivot_cols, (mant, expo) = _gauss_jordan(a, steps)
+    record: list = []
+    rk, pivot_cols, (mant, expo) = _gauss_jordan(a, record)
+    if steps is not None:
+        steps += record
     det_factor = math.ldexp(mant, expo) if expo <= 1024 else math.copysign(math.inf, mant)
-    R = _from_cols(a) if type(a) is list else Matrix.from_array(a)
-    return R, rk, pivot_cols, det_factor
+    if type(a) is list:
+        return _from_cols(a), rk, pivot_cols, det_factor
+    if record and record[0][2] is not None:  # the forward pass: R from the back pass
+        import numpy as np
+        free = sorted(set(range(M.cols)) - set(pivot_cols))
+        R = np.zeros_like(a)
+        R[:, free] = _back(record, a[:, free], np.matmul)
+        R[range(rk), pivot_cols] = 1.0
+        a = R
+    return Matrix._adopt(a, a.shape), rk, pivot_cols, det_factor
 
 
 def replay(steps: list, b):
     """The row operations recorded by ``rref(M, steps)`` applied to a copy of
     b: a list of floats (one column) for a float-tuple M, else an array of one
-    or more columns, and the result takes b's form.  Up to ONE_PANEL (32)
-    columns of M, that is what eliminating [M | b] as one panel leaves there,
-    bit for bit.  Wider, each panel is one matrix product, which sums in
-    another order than the elimination of [M | b], so the two agree to
-    rounding."""
+    or more columns, and the result takes b's form.  That is what eliminating
+    [M | b] to RREF leaves in b.  Up to ONE_PANEL (32) columns of M, it is
+    bit for bit what eliminating [M | b] as one panel leaves there.  Wider,
+    each panel's forward operations run in turn, then the back pass, one
+    matrix-vector product per column and step, so a column's result does not
+    depend on the columns beside it; the products sum in another order than
+    the elimination of [M | b], so the two agree to rounding."""
     if type(b) is list:
         b = b[:]
         for _, pivots, _ in steps:
@@ -248,29 +337,20 @@ def replay(steps: list, b):
                 b = [x - fk * y for x, fk in zip(b, f)]
         return b
     import numpy as np
-    b = np.array(b, dtype=float)
-    for r0, pivots, G in steps:
-        if G is not None:
-            _apply_panel(b, r0, pivots, G)
-            continue
-        for r, (i, p, f) in enumerate(pivots):  # one panel: a rank-1 update per pivot
-            if i != r:
-                b[r], b[i] = b[i].copy(), b[r].copy()
-            b[r] = b[r] / p
-            b -= np.multiply.outer(f, b[r])
-    return b
+    return _replay_array(steps, np.array(b, dtype=float), _columnwise)
 
 
 def _replay_identity(steps: list, M: Matrix) -> Matrix:
     """The row operations recorded for the square M replayed on I: M's
-    inverse.  For a float-tuple M, replay's list loop on each column of I,
-    which skips a step whose pivot-row entry is 0: no column of I ever holds
-    -0.0, so x - f 0 would leave every entry as it is (a non-finite f makes
-    the inverse non-finite either way)."""
+    inverse, by matrix products on all of I at once for an array.  For a
+    float-tuple M, replay's list loop on each column of I, which skips a
+    step whose pivot-row entry is 0: no column of I ever holds -0.0, so
+    x - f 0 would leave every entry as it is (a non-finite f makes the
+    inverse non-finite either way)."""
     n = M.rows
     if type(M._a) is not tuple:
         import numpy as np
-        return Matrix.from_array(replay(steps, np.eye(n)))
+        return Matrix._adopt(_replay_array(steps, np.eye(n), np.matmul), (n, n))
     cols = []
     for j in range(n):
         b = [0.0] * n
@@ -287,7 +367,8 @@ def _replay_identity(steps: list, M: Matrix) -> Matrix:
 
 
 def rank(M: Matrix) -> int:
-    return rref(M)[1]
+    """The rank, from the forward pass alone."""
+    return _gauss_jordan(_work(M))[0]
 
 
 def solve(sys: LinearSystem) -> SolutionSet:
@@ -297,6 +378,7 @@ def solve(sys: LinearSystem) -> SolutionSet:
     R, rank_A, pivots_A, _ = rref(sys.A, steps)
     b = sys.b  # in the form of A's steps: a wide A can have a short b
     y = replay(steps, list(b.entries) if type(sys.A._a) is tuple else b.to_array())
+    y = y if type(y) is list else y.tolist()
     if max(map(abs, y[rank_A:]), default=0.0) > PIVOT_TOL * max(map(abs, b.entries)):
         return SolutionSet("none", None, (), rank_A, rank_A + 1)
 
@@ -304,18 +386,20 @@ def solve(sys: LinearSystem) -> SolutionSet:
     particular = [0.0] * n
     for k, j in enumerate(pivots_A):
         particular[j] = y[k]
+    particular = Vector._adopt(particular, (n,), orientation="col")
     if rank_A == n:
-        return SolutionSet("unique", Vector(particular), (), rank_A, rank_A)
+        return SolutionSet("unique", particular, (), rank_A, rank_A)
 
     # one direction per free column f: 1 at f, minus column f of R at the pivots
-    directions = []
+    directions, a = [], R._a
     for f in (j for j in range(n) if j not in pivots_A):
+        col = a[f::n] if type(a) is tuple else a[:, f].tolist()
         d = [0.0] * n
         d[f] = 1.0
         for k, j in enumerate(pivots_A):
-            d[j] = -R[k, f]
-        directions.append(Vector(d))
-    return SolutionSet("multiple", Vector(particular), tuple(directions), rank_A, rank_A)
+            d[j] = -col[k]
+        directions.append(Vector._adopt(d, (n,), orientation="col"))
+    return SolutionSet("multiple", particular, tuple(directions), rank_A, rank_A)
 
 
 def determinant(A: Matrix) -> float:
@@ -369,8 +453,9 @@ def is_regular(A: Matrix) -> bool:
 
 
 def inverse(A: Matrix) -> Matrix:
-    """Inverse by replaying the elimination of A on I, which equals
-    eliminating [A | I]; singular exactly when A has rank below n."""
+    """Inverse by replaying the elimination of A on I, forward pass and back
+    pass, which equals eliminating [A | I]; singular exactly when A has rank
+    below n."""
     if not A.is_square:
         raise DimensionError(f"inverse needs a square matrix, got {A.rows}x{A.cols}")
     steps: list = []

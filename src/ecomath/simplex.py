@@ -396,8 +396,10 @@ def solve_simplex(
         sj = scale[j_star]
         ratios = _ratios(t.cells, j_star, rs, sj)
         i_star, best = _least(ratios)
-        if best == math.inf and not any(v > s / sj for v, s in zip(_line(t.cells, j_star), rs)):
-            return LpSolution("unbounded", iterations=t.iteration)  # S3
+        if best == math.inf:
+            if not any(v > s / sj for v, s in zip(_line(t.cells, j_star), rs)):
+                return LpSolution("unbounded", iterations=t.iteration)  # S3
+            raise NumericalError("the optimum lies beyond the float range")  # each ratio overflowed
         i_star += 1  # S4: smallest ratio, then smallest row
         if bland:  # ratio ties go to the smallest basis variable
             tied = [1 + i for i, r in enumerate(ratios) if r == best]

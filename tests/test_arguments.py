@@ -112,6 +112,31 @@ def test_non_finite_argument_refused(fn, kwargs, name, value):
         fn(**{**kwargs, name: value})
 
 
+# (function, finite arguments, the result named): a quotient or product
+# leaves the float range before q^n or math.log sees it
+OVERFLOWS = [
+    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, q=1.05), "n"),
+    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, n=2.0), "q"),
+    (finmath.installment_solve, dict(Kn=1e300, E=1e-300, q=1.05), "n"),
+    (finmath.installment_solve, dict(E=1e308, q=1.0001, n=2.0), "Kn"),
+    (finmath.installment_present_value, dict(E=1e308, q=1.0001, n=2.0), "B0"),
+    (finmath.master_formula, dict(K0=1e308, q=2.0, R=1.0, n=2.0), "Kn"),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, name", OVERFLOWS,
+                         ids=[f"{fn.__name__}-{name}-{i}" for i, (fn, _, name) in enumerate(OVERFLOWS)])
+def test_result_past_the_float_range_refused(fn, kwargs, name):
+    with pytest.raises(finmath.FinanceError, match=rf"^{name} must be a finite number, got inf$"):
+        fn(**kwargs)
+
+
+def test_result_past_the_float_range_exits_1(capsys):
+    from ecomath.cli import EXIT_INPUT, dispatch
+    assert dispatch(["finance", "compound", "--K0", "1e-300", "--Kn", "1e300", "--q", "1.05"]) == EXIT_INPUT
+    assert "n must be a finite number, got inf" in capsys.readouterr().err
+
+
 RECORD_CASES = [(cls, fields, name) for cls, fields in RECORDS
                 for name, v in fields.items() if isinstance(v, float)]
 

@@ -200,3 +200,73 @@ def test_replay_equals_one_panel_elimination_at_one_panel_columns():
     assert len(steps) == 1 and steps[0][2] is None  # one panel
     R, _, _, _ = one_panel(linsolve.rref, Matrix.from_array(np.hstack([A, b])))
     assert np.array_equal(linsolve.replay(steps, b), R.to_array()[:, n:])
+
+
+# Normwise backward error |b - A x|inf / (max|A| |x|_1 + |b|inf): the forward
+# pass and the back pass are Gaussian elimination with partial pivoting and a
+# block back substitution, backward stable at this size.
+
+def backward_error(A, x, b):
+    return np.abs(b - A @ x).max() / (np.abs(A).max() * np.abs(x).sum() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("n", [2, 8, 33, 100, 300])
+def test_backward_error_of_solve_and_inverse(n):
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed])
+        A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        got = linsolve.solve(linsolve.LinearSystem(Matrix.from_array(A), Vector(b)))
+        assert got.kind == "unique"
+        assert backward_error(A, got.particular.to_array(), b) <= 1e-15
+        inv = linsolve.inverse(Matrix.from_array(A)).to_array()
+        for j, e in enumerate(np.eye(n)):
+            assert backward_error(A, inv[:, j], e) <= 1e-15
+
+
+def test_free_columns_of_a_wide_rank_deficient_system():
+    # 60 x 90 of rank 50: 20 repeated and 20 combined columns, shuffled, so
+    # the free columns fall in every panel and take the back pass
+    rng = np.random.default_rng(60)
+    B = rng.standard_normal((60, 50))
+    A = np.hstack([B, B[:, rng.integers(0, 50, 20)], B @ rng.standard_normal((50, 20))])
+    A = A[:, rng.permutation(90)]
+    b = A @ rng.standard_normal(90)
+    got = linsolve.solve(linsolve.LinearSystem(Matrix.from_array(A), Vector(b)))
+    assert got.kind == "multiple" and got.rank_A == 50 and len(got.free_directions) == 40
+    for d in got.free_directions:
+        d = d.to_array()
+        assert np.abs(A @ d).max() <= 1e-12 * np.abs(A).max() * np.abs(d).sum()
+    x = got.particular.to_array()
+    assert np.abs(A @ x - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 300])
+def test_blocked_replay_of_columns_together_and_alone(n):
+    rng = np.random.default_rng(n)
+    steps = []
+    linsolve.rref(Matrix.from_array(rng.standard_normal((n, n))), steps)
+    b = rng.standard_normal((n, 2))
+    both = linsolve.replay(steps, b)
+    for j in range(2):
+        assert np.array_equal(both[:, j], linsolve.replay(steps, b[:, j]))
+
+
+def test_kernel_outputs_equal_what_the_constructors_build():
+    rng = np.random.default_rng(5)
+    for n in (3, 40):
+        A = Matrix.from_array(rng.standard_normal((n, n + 2)))
+        R = linsolve.rref(A)[0]
+        inv = linsolve.inverse(Matrix.from_array(A.to_array()[:, :n]))
+        sol = linsolve.solve(linsolve.LinearSystem(A, Vector(rng.standard_normal(n))))
+        for got in (R, inv):
+            built = Matrix(got.rows, got.cols, got.entries)
+            assert got == built and hash(got) == hash(built) and type(got._a) is type(built._a)
+        for got in (sol.particular, *sol.free_directions):
+            built = Vector(got.entries)
+            assert got == built and hash(got) == hash(built) and type(got._a) is type(built._a)
+        if type(R._a) is not tuple:
+            assert not R._a.flags.writeable and not inv._a.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        Matrix._adopt(np.array([[1.0, np.inf]] * 9), (9, 2))
+    with pytest.raises(ValueError, match="finite"):
+        Vector._adopt([1.0, np.nan], (2,), orientation="col")

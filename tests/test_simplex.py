@@ -157,6 +157,16 @@ class TestSolveSimplex:
         out = simplex.solve_simplex(LinearProgram("max", c=(1,), A=(), b=()))
         assert out.status == "unbounded"
 
+    @pytest.mark.parametrize("n", [1, WIDE])
+    def test_a_step_past_the_float_range_is_a_numerical_error(self, n):
+        # 1 / 1e-310 overflows: every ratio is inf, yet a pivot candidate exists
+        A = np.zeros((2, n))
+        A[1, 0] = 1e-310
+        for sense, c in (("max", 1.0), ("min", -1.0)):
+            lp = LinearProgram(sense, [c] + [0.0] * (n - 1), A, (0.0, 1.0))
+            with np.errstate(over="ignore"), pytest.raises(simplex.NumericalError, match="float range"):
+                simplex.solve_simplex(lp)
+
     def test_min_problem_negated(self):
         lp = LinearProgram("min", c=(-1,), A=((1,),), b=(2,))
         out = simplex.solve_simplex(lp)
