@@ -71,7 +71,14 @@ def _pivot_step(a, r: int, j: int, first: int = 0):
     place: scale row r by its pivot a[r, j], then clear column j elsewhere by
     one rank-1 update x - f y of the columns from ``first`` on (row r must be
     zero left of them), row r included with f = 0, so both forms round each
-    entry alike (and turn -0.0 into 0.0 alike).  Returns the multipliers f."""
+    entry alike.  Returns the multipliers f.
+
+    Only the simplex reaches the array branch, which forms f y by einsum: a
+    zero product comes out 0.0 there where the list's f * y can give -0.0,
+    and x - f y tells the two apart only for x = -0.0.  So on input with no
+    -0.0 both forms agree bit for bit, but for one case in row r: where
+    y = x / p underflows to -0.0, the list's y - 0 y makes it 0.0 and the
+    array keeps it (simplex.pivot adds 0.0 to that row)."""
     if type(a) is list:
         p = a[j][r]
         f = a[j][:]
@@ -81,11 +88,12 @@ def _pivot_step(a, r: int, j: int, first: int = 0):
             y = u[r] = u[r] / p
             a[k] = [x - fi * y for x, fi in zip(u, f)]
         return f
+    import numpy as np
     a[r, first:] /= a[r, j]
     f = a[:, j].copy()
     f[r] = 0.0
     # column j comes out exactly the unit vector: p / p == 1 and f - f * 1 == 0
-    a[:, first:] -= f[:, None] * a[r, first:]  # the outer product f y
+    a[:, first:] -= np.einsum("i,j->ij", f, a[r, first:])  # the outer product f y
     return f
 
 

@@ -12,6 +12,12 @@ built from the tuples; the solver and the oracle read the held values.  Only
 standard forms with b >= 0 are solvable here: anything that would need
 artificial variables is reported as "unsupported" rather than solved by an
 invented phase-1 method.
+
+A tableau holds no -0.0, so the array pivot step can form its product by
+einsum (see ``linsolve._pivot_step``): canonicalize adds 0.0 to what it
+copies in, and pivot adds 0.0 to an array's pivot row, the one place where a
+step can make a -0.0 (x / p underflowing).  So x and slacks read off it
+hold none, and LpSolution adds 0.0 to z, which a min problem negates.
 """
 
 from __future__ import annotations
@@ -161,9 +167,16 @@ def _numbers(value, key: str, depth: int):
 
 
 class LpSolution(_FrozenRecord):
-    # status is "optimal" | "unbounded" | "infeasible" | "unsupported"
+    """status is "optimal" | "unbounded" | "infeasible" | "unsupported".
+    z is held with 0.0 added: the z of a min problem is the negated z of
+    max -c, which would make a zero optimum -0.0.  From solve_simplex and
+    vertex_oracle, x and slacks hold no -0.0 either."""
+
     __slots__ = ("status", "x", "z", "slacks", "iterations")
     _defaults = {"x": (), "z": float("nan"), "slacks": (), "iterations": 0}
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", self.z + 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -271,15 +284,17 @@ def _ratios(cells, j: int, rs, sj: float):
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
     """Initial tableau with slack variables; first basis is {z, s_1..s_m}.
-    Row 0 holds max z = c.x + d, or for a min problem max -z = (-c).x - d."""
+    Row 0 holds max z = c.x + d, or for a min problem max -z = (-c).x - d.
+    Every entry is written with 0.0 added, so a zero cost, d = 0 or a -0.0
+    in A or b is 0.0 there: the tableau starts with no -0.0."""
     c, A, b = lp._c, lp._A, lp._b
     n, m = lp.n, lp.m
     sign = -1.0 if lp.sense == "max" else 1.0  # of c in row 0
     if type(c) is tuple:  # columns: z, x_1..x_n, s_1..s_m, RHS
         grid = [[1.0] + [0.0] * m]
-        grid += [[sign * v, *[row[j] for row in A]] for j, v in enumerate(c)]
+        grid += [[sign * v + 0.0, *[row[j] + 0.0 for row in A]] for j, v in enumerate(c)]
         grid += [[0.0] + [float(k == i) for k in range(m)] for i in range(m)]
-        grid.append([-sign * float(lp.d), *b])
+        grid.append([-sign * float(lp.d) + 0.0, *[v + 0.0 for v in b]])
         rows = [max(map(abs, row), default=0.0) or 1.0 for row in A]
         cols = [max([abs(row[j]) / r for row, r in zip(A, rows)], default=0.0) or 1.0
                 for j in range(n)]
@@ -292,6 +307,7 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
         grid[1:, 1 : 1 + n] = A
         grid[1:, 1 + n : -1] = np.eye(m)
         grid[1:, -1] = b
+        grid += 0.0
         a = np.abs(A)
         rows = a.max(axis=1, initial=0.0)
         rows[rows == 0.0] = 1.0
@@ -309,12 +325,17 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
 def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
     """Pivot operation on element (i_star, j_star), in place; rows are
     1-based over the restriction block, columns 1-based over the variable
-    block.  Returns t; copy it first to keep the previous tableau."""
+    block.  Returns t; copy it first to keep the previous tableau.  A
+    tableau with no -0.0 keeps none: x - f y is -0.0 only where x is, and
+    the pivot row, where x / p can underflow to -0.0, gets 0.0 added in an
+    array (the list step's y - 0 y already turns -0.0 into 0.0)."""
     cells = t.cells
     p = cells[j_star][i_star] if type(cells) is list else float(cells[i_star, j_star])
     if p <= PIVOT_MIN * t.scale[t.basis[i_star]] / t.scale[j_star]:
         raise SimplexError(f"pivot element {p!r} at ({i_star},{j_star}) is not positive")
     _pivot_step(cells, i_star, j_star)
+    if type(cells) is not list:
+        cells[i_star] += 0.0
     t.basis[i_star] = j_star
     t.iteration += 1
     return t
@@ -371,6 +392,17 @@ def solve_simplex(
         return LpSolution("unsupported")
     if trace is not None:
         trace.append(t.copy())
+    if type(t.cells) is list:
+        return _iterate(lp, t, trace)
+    import numpy as np
+    # as plain floats do, the array form runs into inf and nan without a
+    # warning; a result past the float range ends in NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _iterate(lp, t, trace)
+
+
+def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpSolution:
+    """solve_simplex's pivots from the tableau t of lp on, and the result."""
     cap = iteration_cap(lp.n, lp.m)
     scale, (enter_tol, degenerate_tol) = t.scale, t.tols
     rs = [PIVOT_MIN * scale[k] for k in t.basis[1:]]  # by the scale of each row's basic variable
@@ -473,7 +505,7 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
             if _feasible(rows, x, y) and not any(  # a new vertex, not a repeat
                     max(abs(x - u), abs(y - v)) <= 1e-8 * max(abs(x), abs(y), abs(u), abs(v))
                     for u, v in vertices):
-                vertices.append((x, y))
+                vertices.append((x + 0.0, y + 0.0))  # no -0.0, as from solve_simplex
 
     if not vertices:
         return OracleResult(LpSolution("infeasible"), (), (), slope)
@@ -495,6 +527,6 @@ def vertex_oracle(lp: LinearProgram) -> OracleResult:
     w_best = max(w)
     best = [p for p, wp in zip(vertices, w) if wp >= w_best - 1e-9 * max(map(abs, w))]
     x, y = best[0]
-    slacks = tuple(r - (a1 * x + a2 * y) for a1, a2, r in rows)
+    slacks = tuple(r - (a1 * x + a2 * y) + 0.0 for a1, a2, r in rows)
     sol = LpSolution("optimal", best[0], sign * (w_best + sign * lp.d), slacks, 0)
     return OracleResult(sol, tuple(vertices), tuple(best), slope)

@@ -55,6 +55,22 @@ class TestLp:
         assert code == EXIT_NO_SOLUTION
         assert "unsupported" in out or "unsupported" in err
 
+    @pytest.mark.parametrize("n", [1, 7])  # a tableau of float tuples, an array
+    def test_a_zero_optimum_prints_as_zero(self, n, tmp_path, capsys):
+        # min -3 x1 s.t. 2 x1 <= 2, x1 <= 0: one degenerate pivot to z = 0,
+        # the negated z of max 3 x1, so -0.0 unless it is normalized
+        path = tmp_path / "lp.json"
+        pad = [0] * (n - 1)
+        path.write_text(json.dumps({"sense": "min", "c": [-3] + pad,
+                                    "A": [[2] + pad, [1] + pad], "b": [2, 0]}))
+        code, out, _ = run(["--format", "json", "lp", "solve", str(path)], capsys)
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["z"] == 0.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in [doc["z"], *doc["x"], *doc["slacks"]])
+        code, out, _ = run(["lp", "solve", str(path)], capsys)
+        assert code == EXIT_OK and "-0" not in out
+        assert ["z", "0"] in [line.split() for line in out.splitlines()]
+
     def test_trace_goes_to_stderr(self, lp_file, capsys):
         code, out, err = run(["lp", "solve", lp_file, "--trace"], capsys)
         assert code == EXIT_OK

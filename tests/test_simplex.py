@@ -3,14 +3,15 @@ vertex-enumeration oracle for two-variable programs."""
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_list_form import small_programs
+from test_list_form import on_arrays, small_programs
 
-from ecomath import simplex
+from ecomath import linsolve, simplex
 from ecomath.simplex import LinearProgram, LpSolution, SimplexError
 
 rng = np.random.default_rng(123)
@@ -166,6 +167,29 @@ class TestSolveSimplex:
             lp = LinearProgram(sense, [c] + [0.0] * (n - 1), A, (0.0, 1.0))
             with np.errstate(over="ignore"), pytest.raises(simplex.NumericalError, match="float range"):
                 simplex.solve_simplex(lp)
+
+    @pytest.mark.parametrize("n", [1, WIDE])
+    def test_an_overflowing_ratio_is_a_numerical_error_under_warnings_as_errors(self, n):
+        # the only candidate's ratio 1 / 1e-310 overflows; plain floats warn
+        # of nothing, and neither may an array tableau
+        A = np.zeros((2, n))
+        A[1, 0] = 1e-310
+        lp = LinearProgram("max", [1.0] * n, A, (0.0, 1.0))
+        assert (type(lp._A) is tuple) == (n == 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(simplex.NumericalError, match="float range"):
+                simplex.solve_simplex(lp)
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    def test_a_step_to_inf_and_nan_warns_of_nothing(self, small, monkeypatch):
+        # pivoting on 1e-301 takes the slack's row-0 entry to inf, and
+        # _improving's product of that inf with x2's zero column is nan
+        monkeypatch.setattr(simplex, "SMALL", small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = simplex.solve_simplex(LinearProgram("max", (1e300, 0.0), ((1e-301, 0.0),), (0.0,)))
+        assert out == LpSolution("optimal", (0.0, 0.0), 0.0, (0.0,), 1)
 
     def test_min_problem_negated(self):
         lp = LinearProgram("min", c=(-1,), A=((1,),), b=(2,))
@@ -436,3 +460,92 @@ class TestMinAsMax:
         assert type(LinearProgram("min", np.ones(n), A, b)._A) is not tuple
         for _ in range(5):
             assert_min_is_max_of_minus_c(rng.integers(-5, 6, n) * 1.5, A, b, rng.uniform(-9, 9))
+
+
+def signed_zeros(values) -> int:
+    """How many entries of values are -0.0."""
+    a = np.asarray(values, dtype=float)
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+class TestNoNegativeZero:
+    """The tableau holds no -0.0 (canonicalize and pivot keep it so), which
+    lets the array pivot step form its product by einsum; LP results carry
+    none either."""
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    def test_canonicalize_writes_no_negative_zero(self, small, monkeypatch):
+        monkeypatch.setattr(simplex, "SMALL", small)
+        for lp in (LinearProgram("max", (0.0, 1.0), ((1.0, 1.0),), (4.0,)),  # -0 * -1
+                   LinearProgram("min", (1.0, 2.0), ((1.0, 1.0),), (4.0,), d=0.0),  # -d
+                   LinearProgram("max", (3.0, -0.0), ((-0.0, 1.0), (1.0, -0.0)), (-0.0, 2.0),
+                                 d=-0.0)):
+            assert (type(lp._A) is tuple) == (small > 0)
+            assert signed_zeros(simplex.canonicalize(lp).grid) == 0
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])
+    def test_a_pivot_row_that_underflows_holds_zero(self, small, monkeypatch):
+        monkeypatch.setattr(simplex, "SMALL", small)
+        t = simplex.canonicalize(LinearProgram("max", (1.0, 0.0), ((2.0, -5e-324),), (1.0,)))
+        simplex.pivot(t, 1, 1)  # -5e-324 / 2 rounds to -0.0
+        assert t.grid[1, 2] == 0.0 and signed_zeros(t.grid) == 0
+
+    def test_array_step_is_the_broadcast_step_bit_for_bit(self):
+        # the broadcast product keeps the sign of a zero product, einsum's
+        # does not: on a tableau with no -0.0 only the pivot row can tell
+        rng = np.random.default_rng(27)
+        scales = np.array([0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e300])
+        with np.errstate(all="ignore"):
+            for cols in (9, 10, 33, 101, 202):
+                for _ in range(20):
+                    shape = (int(rng.integers(2, cols)), cols)
+                    a = rng.uniform(-2.0, 2.0, shape) * rng.choice(scales, shape) + 0.0
+                    r, j = (int(v) for v in rng.integers(0, shape))
+                    a[r, j] = rng.choice([-1.0, 1.0]) * rng.choice(scales[1:])
+                    want = a.copy()
+                    want[r] /= want[r, j]
+                    f = want[:, j].copy()
+                    f[r] = 0.0
+                    want -= f[:, None] * want[r]
+                    got = a.copy()
+                    assert linsolve._pivot_step(got, r, j).tobytes() == f.tobytes()
+                    others = np.arange(shape[0]) != r
+                    assert got[others].tobytes() == want[others].tobytes()
+                    assert (got[r] + 0.0).tobytes() == want[r].tobytes()
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])
+    def test_a_zero_min_optimum_is_zero(self, small, monkeypatch):
+        # z is the negated RHS of row 0, which is 0.0 here
+        monkeypatch.setattr(simplex, "SMALL", small)
+        for lp in (LinearProgram("min", (1.0, 2.0), ((1.0, 1.0),), (4.0,)),  # no pivot
+                   LinearProgram("min", (-3.0,), ((2.0,), (1.0,)), (2.0, 0.0))):  # a degenerate one
+            out = simplex.solve_simplex(lp)
+            assert (type(lp._A) is tuple) == (small > 0)
+            assert out.status == "optimal" and out.z == 0.0 and signed_zeros(out.z) == 0
+
+    @given(small_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_no_tableau_or_result_holds_negative_zero(self, lp):
+        def run():
+            trace = []
+            try:
+                out = simplex.solve_simplex(LinearProgram(*lp), trace=trace)
+            except simplex.NumericalError:  # past the float range, or cycling
+                out = LpSolution("error")
+            return [signed_zeros(t.grid) for t in trace], signed_zeros((*out.x, *out.slacks, out.z))
+
+        got = run()
+        assert got == on_arrays(run)
+        assert got == ([0] * len(got[0]), 0)
+
+    def test_vertex_oracle_results_hold_no_negative_zero(self):
+        # Cramer gives y = (0 * 1 - 0 * 3) / -3 = -0.0 at the vertex (1/3, 0)
+        for lp, x in ((LinearProgram("max", (2.0, -2.0), ((3.0, -1.0),), (1.0,)), (1 / 3, 0.0)),
+                      (LinearProgram("min", (-1.0, 2.0), ((0.0, 3.0), (1.0, 1.0)), (3.0, 0.0)),
+                       (0.0, 0.0)),
+                      (LinearProgram("max", (1.0, 1.0), ((1.0, 1.0), (1.0, 0.0)), (2.0, -0.0)),
+                       (0.0, 2.0))):  # slack -0.0 - (1 * 0 + 0 * 2)
+            res = simplex.vertex_oracle(lp)
+            assert res.solution.x == x
+            assert signed_zeros(res.vertices + res.optimal_vertices) == 0
+            assert signed_zeros((*res.solution.x, *res.solution.slacks, res.solution.z)) == 0
