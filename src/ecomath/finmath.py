@@ -14,7 +14,7 @@ import json
 import math
 from typing import Optional
 
-from .numeric import NoSignChangeError, _FrozenRecord, brent, check_args
+from .numeric import NoSignChangeError, _FrozenRecord, brent, check_args, check_result
 
 
 class FinanceError(ValueError):
@@ -49,12 +49,6 @@ def _power(q: float, n: float) -> float:
         return float(q) ** n
     except OverflowError:
         raise FinanceError(f"q^n = {q!r}^{n!r} exceeds the float range") from None
-
-
-def _finite(**value) -> float:
-    """The one named result, or FinanceError if overflow made it inf or NaN."""
-    check_args(FinanceError, -math.inf, **value)
-    return next(iter(value.values()))
 
 
 def _whole(n: float) -> int:
@@ -124,14 +118,14 @@ def compound_solve(K0=None, Kn=None, q=None, n=None) -> float:
     missing = _require_exactly_one_missing(K0=K0, Kn=Kn, q=q, n=n)
     check_args(FinanceError, K0=K0, Kn=Kn, q=q, n=n)
     if missing == "Kn":
-        return _finite(Kn=K0 * _power(q, n))
+        return check_result(FinanceError, Kn=K0 * _power(q, n))
     if missing == "K0":
-        return _finite(K0=Kn / _power(q, n))  # present value
+        return check_result(FinanceError, K0=Kn / _power(q, n))  # present value
     if missing == "q":
-        return _finite(q=_power(Kn / K0, 1.0 / n))
+        return check_result(FinanceError, q=_power(Kn / K0, 1.0 / n))
     if q == 1.0:
         raise FinanceError("cannot solve for n at q = 1")
-    return _finite(n=math.log(Kn / K0) / math.log(q))
+    return check_result(FinanceError, n=math.log(Kn / K0) / math.log(q))
 
 
 def effective_rate(p_nom: float, m: int) -> tuple[float, float]:
@@ -148,12 +142,12 @@ def installment_solve(Kn=None, E=None, q=None, n=None) -> float:
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, Kn=Kn, E=E, n=n)
     if missing == "Kn":
-        return _finite(Kn=E * q * (_power(q, n) - 1.0) / (q - 1.0))
+        return check_result(FinanceError, Kn=E * q * (_power(q, n) - 1.0) / (q - 1.0))
     if missing == "E":
-        return _finite(E=Kn * (q - 1.0) / (q * (_power(q, n) - 1.0)))
+        return check_result(FinanceError, E=Kn * (q - 1.0) / (q * (_power(q, n) - 1.0)))
     if missing == "n":
-        return _finite(n=math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q))
-    return _finite(q=_solve_q(
+        return check_result(FinanceError, n=math.log(1.0 + (q - 1.0) * Kn / (E * q)) / math.log(q))
+    return check_result(FinanceError, q=_solve_q(
         lambda qq: E * qq * (1.0 - qq ** -n) / (qq - 1.0) - Kn * qq ** -n,
         f"Kn = {Kn:g} with E = {E:g}, n = {n:g}",
     ))
@@ -163,7 +157,7 @@ def installment_present_value(E: float, q: float, n: float) -> float:
     """B0 = E (q^n - 1) / (q^(n-1) (q - 1))."""
     check_args(FinanceError, 1, q=q)
     check_args(FinanceError, E=E, n=n)
-    return _finite(B0=E * (_power(q, n) - 1.0) / (_power(q, n - 1) * (q - 1.0)))
+    return check_result(FinanceError, B0=E * (_power(q, n) - 1.0) / (_power(q, n - 1) * (q - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +214,9 @@ def remaining_debt(R0: float, q: float, A: float, n: float) -> float:
     check_args(FinanceError, q=q)
     check_args(FinanceError, -math.inf, R0=R0, A=A, n=n)
     if q == 1.0:
-        return _finite(Rn=R0 - A * n)
+        return check_result(FinanceError, Rn=R0 - A * n)
     qn = _power(q, n)
-    return _finite(Rn=R0 * qn - A * (qn - 1.0) / (q - 1.0))
+    return check_result(FinanceError, Rn=R0 * qn - A * (qn - 1.0) / (q - 1.0))
 
 
 def redemption_duration(p: float, t: float) -> float:
@@ -293,10 +287,10 @@ def redemption_solve(Rn=None, R0=None, q=None, n=None, A=None) -> float:
         return remaining_debt(R0, q, A, n)
     if missing == "A":
         qn = _power(q, n)
-        return _finite(A=(R0 * qn - Rn) * (q - 1.0) / (qn - 1.0))
+        return check_result(FinanceError, A=(R0 * qn - Rn) * (q - 1.0) / (qn - 1.0))
     if missing == "R0":
         qn = _power(q, n)
-        return _finite(R0=(Rn + A * (qn - 1.0) / (q - 1.0)) / qn)
+        return check_result(FinanceError, R0=(Rn + A * (qn - 1.0) / (q - 1.0)) / qn)
     if missing == "n":
         share = A / (q - 1.0)
         num = Rn - share
@@ -331,9 +325,10 @@ def pension_balance(K0: float, q: float, m: int, a: float, n: float) -> float:
     check_args(FinanceError, q=q)
     check_args(FinanceError, -math.inf, K0=K0, m=m, a=a, n=n)
     if q == 1.0:
-        return _finite(Kn=K0 - m * a * n)
+        return check_result(FinanceError, Kn=K0 - m * a * n)
     qn = _power(q, n)
-    return _finite(Kn=K0 * qn - _pension_bracket(m, q) * a * (qn - 1.0) / (q - 1.0))
+    return check_result(FinanceError,
+                        Kn=K0 * qn - _pension_bracket(m, q) * a * (qn - 1.0) / (q - 1.0))
 
 
 def pension_duration(K0: float, q: float, m: int, a: float) -> float:
@@ -344,8 +339,9 @@ def pension_duration(K0: float, q: float, m: int, a: float) -> float:
     if denom <= 0:
         raise FinanceError("withdrawals never exhaust the account (everlasting-capable)")
     if q == 1.0:  # K0 - m a n = 0
-        return _finite(duration=K0 / (m * a))
-    return _finite(duration=math.log(_pension_bracket(m, q) * a / denom) / math.log(q))
+        return check_result(FinanceError, duration=K0 / (m * a))
+    return check_result(FinanceError,
+                        duration=math.log(_pension_bracket(m, q) * a / denom) / math.log(q))
 
 
 def pension_present_value(q: float, m: int, a: float, n: float) -> float:
@@ -353,9 +349,10 @@ def pension_present_value(q: float, m: int, a: float, n: float) -> float:
     check_args(FinanceError, q=q)
     check_args(FinanceError, -math.inf, m=m, a=a, n=n)
     if q == 1.0:  # (q^n - 1)/(q^n (q - 1)) is n at q = 1
-        return _finite(B0=m * a * n)
+        return check_result(FinanceError, B0=m * a * n)
     qn = _power(q, n)
-    return _finite(B0=_pension_bracket(m, q) * a * (qn - 1.0) / (qn * (q - 1.0)))
+    return check_result(FinanceError,
+                        B0=_pension_bracket(m, q) * a * (qn - 1.0) / (qn * (q - 1.0)))
 
 
 def everlasting_pension(K0: float, q: float, m: int) -> float:
@@ -478,4 +475,4 @@ def master_formula(K0: float, q: float, R: float, n: float) -> float:
     if q == 1.0:
         raise FinanceError("master formula needs q != 1")
     qn = _power(q, n)
-    return _finite(Kn=K0 * qn + R * (qn - 1.0) / (q - 1.0))
+    return check_result(FinanceError, Kn=K0 * qn + R * (qn - 1.0) / (q - 1.0))

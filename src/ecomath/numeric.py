@@ -3,9 +3,11 @@
 ``brent``, the one bracketed root finder (``finmath`` rates and the
 sign-change cells of ``calculus.roots``), ``check_args``, the one rule by
 which ``finmath``, ``econ`` and ``calculus.analysis`` refuse a scalar argument
-(NaN and +-inf included), and ``_FrozenRecord``, the base of every immutable
-value: the expression nodes, ``Vector`` and ``Matrix``, ``LinearProgram`` and
-every result record, which all share its one == and hash.
+(NaN and +-inf included), ``check_result``, the one rule by which ``finmath``
+refuses a result that left the float range, and ``_FrozenRecord``, the base
+of every immutable value: the expression nodes, ``Vector`` and ``Matrix``,
+``LinearProgram`` and every result record, which all share its one == and
+hash.
 """
 
 from __future__ import annotations
@@ -121,6 +123,13 @@ def check_args(error: type, lo: float = 0.0, hi: float = math.inf, /, *,
                 raise error(f"{name} must lie in {'[' if closed else '('}{lo:g}, {hi:g}), got {v!r}")
             least = f" with {name} {'>=' if closed else '>'} {lo:g}" if lo > -math.inf else ""
             raise error(f"{name} must be a finite number{least}, got {v!r}")
+
+
+def check_result(error: type, /, **value) -> float:
+    """The result rule: the one named value, or error naming it if overflow
+    made it inf or NaN (check_args' message for a finite number)."""
+    check_args(error, -math.inf, **value)
+    return next(iter(value.values()))
 
 
 class NumericalError(Exception):

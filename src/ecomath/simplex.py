@@ -4,7 +4,7 @@ independent vertex-enumeration oracle for two-variable problems.
 A LinearProgram always stores its restrictions as A x <= b together with
 x >= 0; a minimum problem runs on the same tableau as max -z = (-c).x - d.
 c, A and b are accepted as sequences or arrays and checked by one rule.  A
-program whose tableau is at most SMALL columns wide (n + m + 2, see
+program whose full tableau is at most SMALL columns wide (n + m + 2, see
 ``linalg``) holds them as float tuples and its tableau as column lists; a
 wider one holds read-only float64 arrays and its tableau as one array.  The
 attributes c, A and b are read-only float64 arrays either way, fresh ones
@@ -12,6 +12,14 @@ built from the tuples; the solver and the oracle read the held values.  Only
 standard forms with b >= 0 are solvable here: anything that would need
 artificial variables is reported as "unsupported" rather than solved by an
 invented phase-1 method.
+
+The tableau is the short one of the exchange method (SimplexTableau.cells):
+the n nonbasic columns, one spare and the RHS, (1+m) x (n+2), where the full
+tableau is (1+m) x (n+m+2); z and the basic variables have unit columns,
+which a pivot leaves as they are.  A pivot writes the leaving variable's unit
+column into the spare and runs the elimination kernel's step on every stored
+column, so each entry is the float the full tableau would hold.
+SimplexTableau.grid and format_text give the full layout.
 
 A tableau holds no -0.0, so the array pivot step can form its product by
 einsum (see ``linsolve._pivot_step``): canonicalize adds 0.0 to what it
@@ -189,20 +197,34 @@ class LpSolution(_FrozenRecord):
 
 
 class SimplexTableau:
-    """(1+m) x (1+n+m+1) tableau: z column, x columns, s columns, RHS.
+    """The short tableau of the exchange method: only the nonbasic columns
+    are stored (Chvatal 1983, *Linear Programming*, ch. 2; Vanderbei 2014,
+    *Linear Programming*, ch. 2).
 
-    Row 0 holds (1, -c_1..-c_n, 0..0, d), or (1, c_1..c_n, 0..0, -d) for a
-    min problem; rows 1..m hold the restrictions with their slack unit
-    columns.  Basis variables are identified by index: 0 is z, 1..n the
-    structural variables, n+1..n+m the slacks.
-    ``cells`` holds the tableau as column lists or as one array (see the
-    module docstring), ``grid`` gives it as a float64 array.  ``scale`` holds
-    one scale per variable (z, x, s) and ``tols`` the entering and degeneracy
+    ``cells`` is (1+m) x (n+2): row 0 and the m restriction rows over n+1
+    variable columns and the RHS, as column lists or as one array (see the
+    module docstring).  ``columns[k]`` names the variable of column k: the n
+    nonbasic ones, and at ``spare`` the basic variable that entered last (z
+    at the start), whose unit column the next pivot overwrites with the
+    leaving variable's.  Each stored entry is the float that the full
+    tableau holds at that place.  Variables are identified by index: 0 is z,
+    1..n the structural variables, n+1..n+m the slacks; ``basis[i]`` is the
+    basic variable of row i, and basis[0] is z.
+
+    ``grid`` and ``format_text`` give the full tableau, (1+m) x (1+n+m+1):
+    z column, x columns, s columns, RHS.  Row 0 holds (1, -c_1..-c_n,
+    0..0, d), or (1, c_1..c_n, 0..0, -d) for a min problem, at the start;
+    rows 1..m hold the restrictions with their slack unit columns.  z and the
+    basic variables get exact unit columns there.  ``scale`` holds one scale
+    per variable (z, x, s) and ``tols`` the entering and degeneracy
     tolerances, both read from the LP by canonicalize (see solve_simplex).
     """
 
-    def __init__(self, grid, basis: list[int], n: int, m: int, scale: list, tols: tuple):
-        self.cells = grid
+    def __init__(self, cells, columns: list[int], spare: int, basis: list[int], n: int, m: int,
+                 scale: list, tols: tuple):
+        self.cells = cells
+        self.columns = columns
+        self.spare = spare
         self.basis = basis
         self.n = n
         self.m = m
@@ -213,15 +235,29 @@ class SimplexTableau:
     def copy(self) -> "SimplexTableau":
         cells = self.cells
         t = SimplexTableau([u[:] for u in cells] if type(cells) is list else cells.copy(),
-                           list(self.basis), self.n, self.m, self.scale, self.tols)
+                           list(self.columns), self.spare, list(self.basis), self.n, self.m,
+                           self.scale, self.tols)
         t.iteration = self.iteration
         return t
 
+    def _full(self) -> list:
+        """The full tableau's columns z, x_1..x_n, s_1..s_m, RHS as lists:
+        the stored ones, and exact unit columns for z and the basic
+        variables."""
+        cells = self.cells if type(self.cells) is list else self.cells.T.tolist()
+        full = [None] * (1 + self.n + self.m) + [cells[-1]]
+        for j, u in zip(self.columns, cells):
+            full[j] = u
+        for i, j in enumerate(self.basis):
+            full[j] = [0.0] * (1 + self.m)
+            full[j][i] = 1.0
+        return full
+
     @property
     def grid(self):
-        """The tableau as a float64 array: a copy of column lists, else the array."""
+        """The full tableau as a new float64 array."""
         import numpy as np
-        return np.array(self.cells).T if type(self.cells) is list else self.cells
+        return np.array(self._full()).T
 
     @property
     def rhs(self):
@@ -242,18 +278,19 @@ class SimplexTableau:
         return values
 
     def format_text(self) -> str:
+        """The full tableau as text: a header, then one line per row."""
         header = ["z"] + [f"x{j}" for j in range(1, self.n + 1)] + [
             f"s{i}" for i in range(1, self.m + 1)
         ] + ["RHS"]
         lines = ["# " + ",".join(header)]
-        for row in zip(*self.cells) if type(self.cells) is list else self.cells:
-            lines.append(",".join(repr(float(v)) for v in row))
+        for row in zip(*self._full()):
+            lines.append(",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
 
 def _line(cells, j: Optional[int] = None, top: int = 1):
-    """Row 0 without its RHS (j None), else column j from row top on: a list
-    of column lists, a view of an array."""
+    """Row 0 without its RHS (j None), else stored column j from row top on:
+    a list of column lists, a view of an array."""
     if type(cells) is list:
         return [u[0] for u in cells[:-1]] if j is None else cells[j][top:]
     return cells[0, :-1] if j is None else cells[top:, j]
@@ -268,46 +305,71 @@ def _least(v) -> tuple[int, float]:
     return i, v[i]
 
 
-def _ratios(cells, j: int, rs, sj: float):
-    """RHS / a over column j below row 0 where a is a pivot candidate, above
-    rs / sj for rs PIVOT_MIN times the scale of its row's basic variable and
-    sj that of column j, else inf; NumPy rounds an array tableau's entries
-    as Python rounds the lists'."""
+def _priced(t: SimplexTableau, row0) -> tuple[int, float]:
+    """The stored column of the most negative entry of row0 (t's row 0),
+    on ties the one of the smallest variable index, and that entry."""
+    k, low = _least(row0)
+    if type(row0) is list:
+        ties = [i for i, v in enumerate(row0) if v == low]
+    else:
+        import numpy as np
+        tied = row0 == low
+        ties = np.flatnonzero(tied).tolist() if np.count_nonzero(tied) > 1 else ()
+    if len(ties) > 1:
+        k = min(ties, key=t.columns.__getitem__)
+    return k, low
+
+
+def _row0(t: SimplexTableau, row0) -> list:
+    """Row 0 by variable index, from row0 (t's stored row 0), with 0.0 for z
+    and the basic variables, which cannot enter."""
+    row = [0.0] * (1 + t.n + t.m)
+    for j, v in zip(t.columns, row0.tolist() if type(row0) is not list else row0):
+        row[j] = v
+    row[t.columns[t.spare]] = 0.0
+    return row
+
+
+def _ratios(cells, k: int, rs, sj: float):
+    """RHS / a over stored column k below row 0 where a is a pivot
+    candidate, above rs / sj for rs PIVOT_MIN times the scale of its row's
+    basic variable and sj that of the column's variable, else inf; NumPy
+    rounds an array tableau's entries as Python rounds the lists'."""
     if type(cells) is list:
         return [r / v if v > s / sj else math.inf
-                for r, v, s in zip(cells[-1][1:], cells[j][1:], rs)]
+                for r, v, s in zip(cells[-1][1:], cells[k][1:], rs)]
     import numpy as np
-    col = cells[1:, j]
+    col = cells[1:, k]
     eligible = col > rs / sj
     return np.divide(cells[1:, -1], col, out=np.full(col.size, np.inf), where=eligible)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
-    """Initial tableau with slack variables; first basis is {z, s_1..s_m}.
-    Row 0 holds max z = c.x + d, or for a min problem max -z = (-c).x - d.
-    Every entry is written with 0.0 added, so a zero cost, d = 0 or a -0.0
-    in A or b is 0.0 there: the tableau starts with no -0.0."""
+    """Initial tableau: the n structural columns, the spare holding z's unit
+    column, and the RHS; the first basis is {z, s_1..s_m}, whose unit
+    columns are not stored.  Row 0 holds max z = c.x + d, or for a min
+    problem max -z = (-c).x - d.  Every entry is written with 0.0 added, so
+    a zero cost, d = 0 or a -0.0 in A or b is 0.0 there: the tableau starts
+    with no -0.0."""
     c, A, b = lp._c, lp._A, lp._b
     n, m = lp.n, lp.m
     sign = -1.0 if lp.sense == "max" else 1.0  # of c in row 0
-    if type(c) is tuple:  # columns: z, x_1..x_n, s_1..s_m, RHS
-        grid = [[1.0] + [0.0] * m]
-        grid += [[sign * v + 0.0, *[row[j] + 0.0 for row in A]] for j, v in enumerate(c)]
-        grid += [[0.0] + [float(k == i) for k in range(m)] for i in range(m)]
-        grid.append([-sign * float(lp.d) + 0.0, *[v + 0.0 for v in b]])
+    if type(c) is tuple:  # columns: x_1..x_n, z, RHS
+        cells = [[sign * v + 0.0, *[row[j] + 0.0 for row in A]] for j, v in enumerate(c)]
+        cells.append([1.0] + [0.0] * m)
+        cells.append([-sign * float(lp.d) + 0.0, *[v + 0.0 for v in b]])
         rows = [max(map(abs, row), default=0.0) or 1.0 for row in A]
         cols = [max([abs(row[j]) / r for row, r in zip(A, rows)], default=0.0) or 1.0
                 for j in range(n)]
     else:
         import numpy as np
-        grid = np.zeros((1 + m, 1 + n + m + 1))
-        grid[0, 0] = 1.0
-        grid[0, 1 : 1 + n] = -c if sign < 0 else c
-        grid[0, -1] = -sign * lp.d
-        grid[1:, 1 : 1 + n] = A
-        grid[1:, 1 + n : -1] = np.eye(m)
-        grid[1:, -1] = b
-        grid += 0.0
+        cells = np.zeros((1 + m, n + 2))
+        cells[0, :n] = -c if sign < 0 else c
+        cells[0, n] = 1.0
+        cells[0, -1] = -sign * lp.d
+        cells[1:, :n] = A
+        cells[1:, -1] = b
+        cells += 0.0
         a = np.abs(A)
         rows = a.max(axis=1, initial=0.0)
         rows[rows == 0.0] = 1.0
@@ -318,24 +380,47 @@ def canonicalize(lp: LinearProgram) -> SimplexTableau:
         raise SimplexError("unsupported: negative capacity would need a phase-1 method")
     tols = (PIVOT_MIN * max([abs(v) / g for v, g in zip(c, cols)], default=0.0),
             FEAS_TOL * max([abs(v) / r for v, r in zip(b, rows)], default=0.0))
-    return SimplexTableau(grid, [0] + [n + 1 + i for i in range(m)], n, m,
-                          [1.0] + [1.0 / g for g in cols] + rows, tols)
+    return SimplexTableau(cells, [*range(1, n + 1), 0], n, [0] + [n + 1 + i for i in range(m)],
+                          n, m, [1.0] + [1.0 / g for g in cols] + rows, tols)
 
 
 def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
     """Pivot operation on element (i_star, j_star), in place; rows are
     1-based over the restriction block, columns 1-based over the variable
-    block.  Returns t; copy it first to keep the previous tableau.  A
-    tableau with no -0.0 keeps none: x - f y is -0.0 only where x is, and
+    block, as in the full tableau, and SimplexError refuses any other index
+    before the tableau is touched.  Returns t; copy it first to keep the
+    previous tableau.
+
+    The leaving variable's unit column goes into the spare, the elimination
+    kernel's step runs on every stored column, and the entering column,
+    now that unit column, becomes the next spare.  A basic j_star has the
+    unit column of its row, so it pivots only in that row, as bookkeeping.
+    A tableau with no -0.0 keeps none: x - f y is -0.0 only where x is, and
     the pivot row, where x / p can underflow to -0.0, gets 0.0 added in an
     array (the list step's y - 0 y already turns -0.0 into 0.0)."""
-    cells = t.cells
-    p = cells[j_star][i_star] if type(cells) is list else float(cells[i_star, j_star])
+    cells, columns, m = t.cells, t.columns, t.m
+    if not (1 <= i_star <= m and 1 <= j_star <= t.n + m):
+        raise SimplexError(f"no pivot at ({i_star},{j_star}): rows run 1..{m}, "
+                           f"columns 1..{t.n + m}")
+    s = t.spare
+    try:
+        k = columns.index(j_star)
+        p = cells[k][i_star] if type(cells) is list else float(cells[i_star, k])
+    except ValueError:  # a basic variable that is not stored
+        k, p = s, float(t.basis[i_star] == j_star)
     if p <= PIVOT_MIN * t.scale[t.basis[i_star]] / t.scale[j_star]:
         raise SimplexError(f"pivot element {p!r} at ({i_star},{j_star}) is not positive")
-    _pivot_step(cells, i_star, j_star)
+    if type(cells) is list:
+        cells[s] = [0.0] * (1 + m)
+        cells[s][i_star] = 1.0
+    else:
+        cells[:, s] = 0.0
+        cells[i_star, s] = 1.0
+    _pivot_step(cells, i_star, k)
     if type(cells) is not list:
         cells[i_star] += 0.0
+    columns[s] = t.basis[i_star]
+    t.spare = k
     t.basis[i_star] = j_star
     t.iteration += 1
     return t
@@ -344,8 +429,9 @@ def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
 def _improving(lp: LinearProgram, row0: list) -> list[int]:
     """The structural columns j whose row-0 entry is below -PIVOT_MIN times
     the size of the terms it is formed from, |c_j| + sum_i |y_i a_ij| with y
-    the slacks' row-0 entries: one column's scale cannot hide another's gain
-    from this test, as it can from the one against max_j |c_j| / g_j."""
+    the slacks' row-0 entries (row0 by variable index): one column's scale
+    cannot hide another's gain from this test, as it can from the one
+    against max_j |c_j| / g_j."""
     n, c, A = lp.n, lp._c, lp._A
     y = [abs(v) for v in row0[1 + n:]]
     if type(c) is tuple:
@@ -412,12 +498,13 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
     bland = False  # Bland's rule, in force after a degenerate pivot
 
     while True:
-        # basis columns hold exact zeros in row 0 (every pivot leaves its
-        # column a unit vector), so only non-basis columns can enter
+        # only nonbasic columns and the spare are stored, and the spare's
+        # unit column has 0 in row 0, so it cannot enter
         row0 = _line(t.cells)
-        j_star, low = _least(row0)  # most negative, then smallest column index
+        k, low = _priced(t, row0)  # most negative, then smallest variable index
+        j_star = t.columns[k]
         if bland or not low * scale[j_star] < -enter_tol:
-            row0 = row0 if type(row0) is list else row0.tolist()
+            row0 = _row0(t, row0)
             entering = [j for j, v in enumerate(row0) if v * scale[j] < -enter_tol]
             if not entering:
                 entering = _improving(lp, row0)
@@ -425,11 +512,12 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
                 break  # S1: optimal
             # Bland: the smallest index
             j_star = entering[0] if bland else min(entering, key=row0.__getitem__)
+            k = t.columns.index(j_star)
         sj = scale[j_star]
-        ratios = _ratios(t.cells, j_star, rs, sj)
+        ratios = _ratios(t.cells, k, rs, sj)
         i_star, best = _least(ratios)
         if best == math.inf:
-            if not any(v > s / sj for v, s in zip(_line(t.cells, j_star), rs)):
+            if not any(v > s / sj for v, s in zip(_line(t.cells, k), rs)):
                 return LpSolution("unbounded", iterations=t.iteration)  # S3
             raise NumericalError("the optimum lies beyond the float range")  # each ratio overflowed
         i_star += 1  # S4: smallest ratio, then smallest row

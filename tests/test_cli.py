@@ -120,6 +120,19 @@ class TestLp:
         assert "Traceback" not in out + err
 
 
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", ["lp_worked", "lp_seeded12"])  # float tuples, an array
+def test_lp_solve_prints_the_golden_trace_and_json(name, capsys):
+    # the full-tableau solver's --trace stderr and --format json stdout, byte for byte
+    problem = str(GOLDEN / f"{name}.json")
+    code, _, err = run(["--trace", "lp", "solve", problem], capsys)
+    assert code == EXIT_OK and err == (GOLDEN / f"{name}.trace.txt").read_text()
+    code, out, _ = run(["--format", "json", "lp", "solve", problem], capsys)
+    assert code == EXIT_OK and out == (GOLDEN / f"{name}.out.json").read_text()
+
+
 class TestCalc:
     def test_pole_exit_3(self, capsys):
         code, _, err = run(

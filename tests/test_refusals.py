@@ -1,10 +1,10 @@
-"""Refusals of leontief, linsolve, linalg and finmath that no other test
-reaches: each case raises the documented error type with a message that
+"""Refusals of leontief, linsolve, linalg, finmath and simplex that no other
+test reaches: each case raises the documented error type with a message that
 names the problem, plus the two computations beside them."""
 
 import pytest
 
-from ecomath import finmath, leontief, linalg, linsolve
+from ecomath import finmath, leontief, linalg, linsolve, simplex
 from ecomath.finmath import FinanceError, SequenceSpec
 from ecomath.leontief import DeliveriesTable, LeontiefModel, ModelError
 from ecomath.linalg import DimensionError, FormatError, Matrix, Vector
@@ -81,3 +81,18 @@ def test_row_vector_text_is_one_line():
     v = Vector((1.0, -2.5, 3.0), "row")
     assert linalg.format_vector_text(v) == "1.0,-2.5,3.0\n"
     assert linalg.parse_vector_text(linalg.format_vector_text(v)) == v
+
+
+@pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+@pytest.mark.parametrize("i, j", [(-1, 1), (1, -1), (1, 5), (3, 1), (0, 1), (1, 0)])
+def test_a_pivot_outside_the_variable_block_is_refused(i, j, small, monkeypatch):
+    # rows run 1..m and columns 1..n+m: -1 was row m or the RHS column, and
+    # column 5 (past s2) or row 3 raised a bare IndexError
+    monkeypatch.setattr(simplex, "SMALL", small)
+    t = simplex.canonicalize(simplex.LinearProgram("max", (3, 2), ((1, 1), (1, 0)), (4, 2)))
+    grid = t.grid
+    with pytest.raises(simplex.SimplexError, match=rf"no pivot at \({i},{j}\): rows run 1..2, "
+                                                   r"columns 1..4"):
+        simplex.pivot(t, i, j)
+    assert t.basis == [0, 3, 4] and t.iteration == 0
+    assert t.grid.tobytes() == grid.tobytes()

@@ -549,3 +549,141 @@ class TestNoNegativeZero:
             assert res.solution.x == x
             assert signed_zeros(res.vertices + res.optimal_vertices) == 0
             assert signed_zeros((*res.solution.x, *res.solution.slacks, res.solution.z)) == 0
+
+
+def full_tableau_simplex(lp):
+    """The full-tableau method as a reference: Dantzig's rule, Bland's after a
+    degenerate pivot, on the (1+m) x (n+m+2) tableau with its z column and
+    slack identity, every pivot by ``linsolve._pivot_step`` on the whole
+    array.  Returns the LpSolution (or the error's name) and every tableau
+    it passed through.  Scales and tolerances come from canonicalize."""
+    try:
+        t = simplex.canonicalize(lp)
+    except SimplexError:
+        return LpSolution("unsupported"), []
+    n, m, scale, (enter_tol, degenerate_tol) = lp.n, lp.m, t.scale, t.tols
+    sign = -1.0 if lp.sense == "max" else 1.0
+    T = np.zeros((1 + m, n + m + 2))
+    T[0, 0], T[0, 1:1 + n], T[0, -1] = 1.0, sign * lp.c, -sign * lp.d
+    T[1:, 1:1 + n], T[1:, 1 + n:-1], T[1:, -1] = lp.A, np.eye(m), lp.b
+    T += 0.0
+    basis = [0] + list(range(1 + n, 1 + n + m))
+    rs = np.array([simplex.PIVOT_MIN * scale[k] for k in basis[1:]])
+    tableaus, bland = [T.copy()], False
+    while True:
+        row0 = T[0, :-1].tolist()
+        entering = [j for j, v in enumerate(row0) if v * scale[j] < -enter_tol]
+        entering = entering or simplex._improving(lp, row0)
+        if not entering:
+            break
+        j = entering[0] if bland else min(entering, key=row0.__getitem__)
+        eligible = T[1:, j] > rs / scale[j]
+        ratios = np.divide(T[1:, -1], T[1:, j], out=np.full(m, np.inf), where=eligible)
+        best = ratios.min(initial=np.inf)
+        if best == np.inf:
+            if not eligible.any():
+                return LpSolution("unbounded", iterations=len(tableaus) - 1), tableaus
+            return "NumericalError", tableaus
+        tied = [1 + i for i, r in enumerate(ratios) if r == best]
+        i = min(tied, key=basis.__getitem__) if bland else tied[0]
+        bland = best <= degenerate_tol * scale[j]
+        linsolve._pivot_step(T, i, j)
+        T[i] += 0.0
+        basis[i], rs[i - 1] = j, simplex.PIVOT_MIN * scale[j]
+        tableaus.append(T.copy())
+        if len(tableaus) - 1 > simplex.iteration_cap(n, m):
+            return "IterationLimitError", tableaus
+    values = [0.0] * (1 + n + m)
+    for k, v in zip(basis, T[:, -1].tolist()):
+        values[k] = v
+    if not all(map(np.isfinite, values)):
+        return "NumericalError", tableaus
+    z = values[0] if lp.sense == "max" else -values[0]
+    return LpSolution("optimal", tuple(values[1:1 + n]), z, tuple(values[1 + n:]),
+                      len(tableaus) - 1), tableaus
+
+
+def seeded_program(rng, n: int, m: int) -> LinearProgram:
+    """A random LP of n variables and m restrictions: integer entries with
+    ties, or uniform ones with negatives, in A; integer costs that are often
+    zero or tied; zeros in b (degenerate pivots, Bland's rule); either sense;
+    c and b at a scale of 1e-6, 1 or 1e6."""
+    mask = rng.random((m, n)) < rng.uniform(0.3, 1.0)
+    integers = rng.random() < 0.5
+    A = (rng.integers(0, 5, (m, n)) if integers else rng.uniform(-1.0, 5.0, (m, n))) * mask
+    s, sense = rng.choice([1e-6, 1.0, 1e6]), rng.choice(["max", "min"])
+    c = rng.integers(-1, 6, n) * (s if sense == "max" else -s)  # mostly gains: pivots
+    return LinearProgram(sense, c, A, rng.integers(0, 9, m) * s, float(rng.integers(-2, 3)))
+
+
+def against_the_full_tableau(lp):
+    """repr of solve_simplex's result, and the bytes of each traced grid, as
+    ``full_tableau_simplex`` gives them."""
+    trace = []
+    try:
+        out = repr(simplex.solve_simplex(lp, trace=trace))
+    except simplex.NumericalError as exc:
+        out = type(exc).__name__
+    want, tableaus = full_tableau_simplex(lp)
+    assert out == (want if isinstance(want, str) else repr(want))
+    assert [t.grid.tobytes() for t in trace] == [g.tobytes() for g in tableaus]
+    return len(trace)
+
+
+class TestShortTableau:
+    """Only the nonbasic columns are stored and pivoted; every result and
+    every traced full tableau is the full-tableau method's, bit for bit."""
+
+    def test_the_full_tableau_method_on_seeded_programs(self):
+        rng = np.random.default_rng(2028)
+        pivots = {"small": 0, "arrays": 0}  # traced tableaus
+        for _ in range(320):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            lp = seeded_program(rng, n, m)
+            pivots["small"] += against_the_full_tableau(lp)
+            pivots["arrays"] += on_arrays(against_the_full_tableau, lp)
+        assert pivots["small"] == pivots["arrays"] > 2 * 320  # 540 pivots, 119 degenerate
+
+    def test_the_grid_is_the_full_layout(self):
+        t = simplex.canonicalize(WORKED)
+        assert t.columns == [1, 2, 0] and t.spare == 2  # x1, x2, the spare (z)
+        simplex.pivot(t, 2, 1)
+        assert t.columns == [1, 2, 4] and t.spare == 0  # s2 took the spare, x1 is the next
+        assert t.grid.tolist() == [[1, 0, -2, 0, 3, 6], [0, 0, 1, 1, -1, 2], [0, 1, 0, 0, 1, 2]]
+        assert t.format_text().splitlines()[0] == "# z,x1,x2,s1,s2,RHS"
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    def test_the_short_tableau_is_n_plus_2_wide(self, small, monkeypatch):
+        monkeypatch.setattr(simplex, "SMALL", small)
+        t = simplex.canonicalize(WORKED)
+        simplex.pivot(t, 2, 1)
+        stored = np.array(t.cells).T if type(t.cells) is list else t.cells
+        assert stored.shape == (1 + 2, 2 + 2)
+        assert stored[:, t.spare].tolist() == [0.0, 0.0, 1.0]  # x1's unit column
+
+    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    def test_past_the_float_range_the_implied_columns_stay_units(self, small, monkeypatch):
+        # the one place where the full-tableau method differs: its second
+        # pivot enters a column holding inf, so 0 * inf turns z's column and
+        # the basic columns to NaN there, while here they are implied units;
+        # both end in the same NumericalError, and every stored column agrees
+        monkeypatch.setattr(simplex, "SMALL", small)
+        lp = LinearProgram(
+            "min",
+            (-9.98276146416745e-301, 34800538663.2985, 39998940243.277596, 7.1535646069213e-311),
+            ((4.1640983591603824e-300, 1e-323, 36095450628.814606, 6884144900.389772),
+             (3.76127785782557e-310, 0.0, -3.764665746483862e+299, -3.2583476597436103e-301)),
+            (3.643474698272068e-10, 0.0))
+        assert (type(lp._A) is tuple) == (small > 0)
+        trace = []
+        with np.errstate(all="ignore"):
+            with pytest.raises(simplex.NumericalError, match="float range"):
+                simplex.solve_simplex(lp, trace=trace)
+            want, tableaus = full_tableau_simplex(lp)
+        assert want == "NumericalError" and len(trace) == len(tableaus) == 3
+        assert [t.grid.tobytes() for t in trace[:2]] == [g.tobytes() for g in tableaus[:2]]
+        got, full, basis = trace[-1].grid, tableaus[-1], trace[-1].basis
+        assert basis == [0, 3, 1] and np.isnan(full[:, basis]).any()
+        assert got[:, basis].tolist() == np.eye(3).tolist()
+        stored = [j for j in range(got.shape[1]) if j not in basis]
+        assert got[:, stored].tobytes() == full[:, stored].tobytes()
