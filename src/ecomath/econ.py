@@ -15,7 +15,7 @@ import math
 from . import calculus as ca
 from .calculus import Expr
 from .calculus import analysis as an
-from .numeric import _FrozenRecord, check_args
+from .numeric import _FrozenRecord, check_args, check_result
 
 
 class EconError(ValueError):
@@ -342,5 +342,5 @@ def psych_value(x: float, a: float) -> float:
     check_args(EconError, a=a)
     check_args(EconError, -math.inf, x=x)
     if x >= 0:
-        return a * math.log10(1.0 + x)
-    return -2.0 * a * math.log10(1.0 - x)
+        return check_result(EconError, value=a * math.log10(1.0 + x))
+    return check_result(EconError, value=-2.0 * a * math.log10(1.0 - x))

@@ -20,7 +20,26 @@ from operator import mul
 from .numeric import _FrozenRecord
 
 EPS_ZERO = 1e-9
-SMALL = 8  # widest value held as a float tuple: the list/array crossover of inverse
+# The widest value held as float tuples: where the list form stops being the
+# faster one.  Timed per call on random n x n values (2 CPUs, one BLAS
+# thread, +-15 %), the forms cross at n = 7-8 for rref, 9-10 for solve and 8
+# for inverse.  An LP of n variables and m restrictions (LinearProgram and
+# solve_simplex) is faster as tuples up to 6 x 6 and 8 x 4, within 15 % at
+# 8 x 8, and faster as arrays at 9 x 9 and 6 x 12.
+SMALL = 8
+
+
+def _holds_tuples(shape: tuple) -> bool:
+    """Whether Vector, Matrix and LinearProgram hold float tuples at this shape."""
+    return max(shape) <= SMALL
+
+
+def _read_only_array(entries, shape: tuple):
+    """Float tuples (flat or rows), or a fresh float64 array, read-only, of this shape."""
+    import numpy as np
+    a = np.asarray(entries, dtype=float).reshape(shape)
+    a.flags.writeable = False
+    return a
 
 
 class DimensionError(ValueError):
@@ -40,16 +59,15 @@ class _ArrayValue(_FrozenRecord):
         """Store entries (a flat list of floats, or an array) with this shape;
         adopt: they are floats, or a float64 array that nothing else writes,
         so the array is held as it is, not copied."""
-        if max(shape) <= SMALL:
+        if _holds_tuples(shape):
             if hasattr(entries, "ravel"):
                 entries = (entries if adopt else entries.astype(float)).ravel().tolist()
             ok = all(map(math.isfinite, entries))
             a = tuple(entries)
         else:
             import numpy as np
-            a = (np.asarray if adopt else np.array)(entries, dtype=float).reshape(shape)
+            a = _read_only_array(entries if adopt else np.array(entries, dtype=float), shape)
             ok = math.isfinite(a.sum()) or np.isfinite(a).all()  # the sum may overflow
-            a.flags.writeable = False
         if not ok:
             raise ValueError(f"{type(self).__name__} entries must be finite (no NaN or inf)")
         object.__setattr__(self, "_a", a)
@@ -76,11 +94,7 @@ class _ArrayValue(_FrozenRecord):
     def to_array(self):
         """The entries as a read-only float64 array (the backing one, if any)."""
         a = self._a
-        if type(a) is tuple:
-            import numpy as np
-            a = np.array(a).reshape(self._shape)
-            a.flags.writeable = False
-        return a
+        return _read_only_array(a, self._shape) if type(a) is tuple else a
 
 
 class Vector(_ArrayValue):
@@ -181,9 +195,6 @@ class Matrix(_ArrayValue):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        if n > SMALL:
-            import numpy as np
-            return cls.from_array(np.eye(n))
         return cls(n, n, [float(i == j) for i in range(n) for j in range(n)])
 
     @classmethod

@@ -4,9 +4,10 @@ independent vertex-enumeration oracle for two-variable problems.
 A LinearProgram always stores its restrictions as A x <= b together with
 x >= 0; a minimum problem runs on the same tableau as max -z = (-c).x - d.
 c, A and b are accepted as sequences or arrays and checked by one rule.  A
-program whose full tableau is at most SMALL columns wide (n + m + 2, see
-``linalg``) holds them as float tuples and its tableau as column lists; a
-wider one holds read-only float64 arrays and its tableau as one array.  The
+program of n variables and m restrictions holds them in the form that
+``linalg`` gives a Matrix of A's shape (m, n): float tuples, and its tableau
+as column lists, up to SMALL rows and columns; read-only float64 arrays, and
+its tableau as one array, above.  The
 attributes c, A and b are read-only float64 arrays either way, fresh ones
 built from the tuples; the solver and the oracle read the held values.  Only
 standard forms with b >= 0 are solvable here: anything that would need
@@ -34,7 +35,7 @@ import json
 import math
 from typing import Optional
 
-from .linalg import SMALL
+from .linalg import _holds_tuples, _read_only_array
 from .linsolve import _pivot_step
 from .numeric import NumericalError, _FrozenRecord
 
@@ -63,8 +64,8 @@ class LinearProgram(_FrozenRecord):
             raise SimplexError(f"sense must be 'max' or 'min', not {sense!r}")
         try:
             n, m = len(c), len(A)
-            np = None  # float tuples, unless the tableau is wider than SMALL
-            if n + m + 2 > SMALL:
+            np = None  # float tuples, unless linalg holds an array of A's shape
+            if not _holds_tuples((m, n)):
                 import numpy as np
             c, A = _held(c, (n,), np), _held(A, (m, n), np)
         except (TypeError, ValueError):  # no sequences, text, or entries that are no numbers
@@ -90,9 +91,7 @@ class LinearProgram(_FrozenRecord):
         """The held array, or a fresh read-only one built from the tuples."""
         a = getattr(self, "_" + key)
         if type(a) is tuple:
-            import numpy as np
-            a = np.array(a, dtype=float).reshape((self.m, self.n) if key == "A" else -1)
-            a.flags.writeable = False
+            a = _read_only_array(a, (self.m, self.n) if key == "A" else (len(a),))
         return a
 
     c = property(lambda self: self._array("c"))
@@ -149,12 +148,9 @@ def _held(v, shape: tuple, np):
         raise TypeError("no sequence of this length")
     if np is not None:
         a = np.array(v, dtype=float)
-        if a.size == 0:  # A=(): no restrictions
-            a = a.reshape(shape)
-        if a.shape != shape:  # text rows, rows of other lengths, sequences for entries
+        if a.size and a.shape != shape:  # text rows, rows of other lengths, sequences for entries
             raise ValueError("no rows of this length")
-        a.flags.writeable = False
-        return a
+        return _read_only_array(a, shape)  # A=() has no rows: shape (0, n)
     if hasattr(v, "tolist"):  # an array's entries as Python numbers, at once
         v = v.tolist()
     if len(shape) == 1:
@@ -297,11 +293,11 @@ def _line(cells, j: Optional[int] = None, top: int = 1):
 
 
 def _least(v) -> tuple[int, float]:
-    """The index and value of the first least entry of a list or an array;
-    (0, inf) if there is none."""
+    """The index and value of the first least entry of a list or an array,
+    or of its first NaN, as argmin takes it; (0, inf) if there is none."""
     if not len(v):
         return 0, math.inf
-    i = v.index(min(v)) if type(v) is list else int(v.argmin())
+    i = v.index(next(filter(math.isnan, v), min(v))) if type(v) is list else int(v.argmin())
     return i, v[i]
 
 
@@ -516,10 +512,10 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
         sj = scale[j_star]
         ratios = _ratios(t.cells, k, rs, sj)
         i_star, best = _least(ratios)
-        if best == math.inf:
-            if not any(v > s / sj for v, s in zip(_line(t.cells, k), rs)):
+        if not best < math.inf:  # no finite least ratio: none, each one overflowed, or NaN
+            if best == math.inf and not any(v > s / sj for v, s in zip(_line(t.cells, k), rs)):
                 return LpSolution("unbounded", iterations=t.iteration)  # S3
-            raise NumericalError("the optimum lies beyond the float range")  # each ratio overflowed
+            raise NumericalError("the optimum lies beyond the float range")
         i_star += 1  # S4: smallest ratio, then smallest row
         if bland:  # ratio ties go to the smallest basis variable
             tied = [1 + i for i, r in enumerate(ratios) if r == best]

@@ -112,29 +112,40 @@ def test_non_finite_argument_refused(fn, kwargs, name, value):
         fn(**{**kwargs, name: value})
 
 
-# (function, finite arguments, the result named): a quotient or product
-# leaves the float range before q^n or math.log sees it
+# (function, finite arguments, the result named, the error type, the result):
+# a quotient or product leaves the float range before q^n or math.log sees
+# it, or a log10 times a huge scale does
+FIN, ECON = finmath.FinanceError, econ.EconError
 OVERFLOWS = [
-    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, q=1.05), "n"),
-    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, n=2.0), "q"),
-    (finmath.installment_solve, dict(Kn=1e300, E=1e-300, q=1.05), "n"),
-    (finmath.installment_solve, dict(E=1e308, q=1.0001, n=2.0), "Kn"),
-    (finmath.installment_present_value, dict(E=1e308, q=1.0001, n=2.0), "B0"),
-    (finmath.master_formula, dict(K0=1e308, q=2.0, R=1.0, n=2.0), "Kn"),
+    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, q=1.05), "n", FIN, "inf"),
+    (finmath.compound_solve, dict(K0=1e-300, Kn=1e300, n=2.0), "q", FIN, "inf"),
+    (finmath.installment_solve, dict(Kn=1e300, E=1e-300, q=1.05), "n", FIN, "inf"),
+    (finmath.installment_solve, dict(E=1e308, q=1.0001, n=2.0), "Kn", FIN, "inf"),
+    (finmath.installment_present_value, dict(E=1e308, q=1.0001, n=2.0), "B0", FIN, "inf"),
+    (finmath.master_formula, dict(K0=1e308, q=2.0, R=1.0, n=2.0), "Kn", FIN, "inf"),
+    (econ.psych_value, dict(x=1e308, a=1e308), "value", ECON, "inf"),
+    (econ.psych_value, dict(x=-1e308, a=1e308), "value", ECON, "-inf"),
 ]
 
 
-@pytest.mark.parametrize("fn, kwargs, name", OVERFLOWS,
-                         ids=[f"{fn.__name__}-{name}-{i}" for i, (fn, _, name) in enumerate(OVERFLOWS)])
-def test_result_past_the_float_range_refused(fn, kwargs, name):
-    with pytest.raises(finmath.FinanceError, match=rf"^{name} must be a finite number, got inf$"):
+@pytest.mark.parametrize("fn, kwargs, name, error, result", OVERFLOWS,
+                         ids=[f"{row[0].__name__}-{row[2]}-{i}" for i, row in enumerate(OVERFLOWS)])
+def test_result_past_the_float_range_refused(fn, kwargs, name, error, result):
+    with pytest.raises(error, match=rf"^{name} must be a finite number, got {result}$"):
         fn(**kwargs)
 
 
-def test_result_past_the_float_range_exits_1(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["finance", "compound", "--K0", "1e-300", "--Kn", "1e300", "--q", "1.05"],
+     "n must be a finite number, got inf"),
+    (["--format", "json", "econ", "value", "--x", "1e308", "--a", "1e308"],
+     "value must be a finite number, got inf"),
+], ids=["finance", "econ"])
+def test_result_past_the_float_range_exits_1(argv, message, capsys):
     from ecomath.cli import EXIT_INPUT, dispatch
-    assert dispatch(["finance", "compound", "--K0", "1e-300", "--Kn", "1e300", "--q", "1.05"]) == EXIT_INPUT
-    assert "n must be a finite number, got inf" in capsys.readouterr().err
+    assert dispatch(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
 
 
 RECORD_CASES = [(cls, fields, name) for cls, fields in RECORDS

@@ -164,3 +164,18 @@ def test_textbook_size_linear_algebra_loads_no_numpy(tmp_path):
     ):
         modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
         assert not {"numpy", "scipy"} & top_level(modules), argv
+
+
+@pytest.mark.parametrize("n, m", [(2, 5), (4, 6), (8, 8)])
+def test_textbook_size_programs_load_no_numpy(n, m, tmp_path):
+    # a program holds float tuples while linalg would hold its A as such:
+    # up to SMALL variables and SMALL restrictions
+    lp = tmp_path / "lp.json"
+    lp.write_text(json.dumps({"c": [1 + j % 3 for j in range(n)],
+                              "A": [[1 + (i + j) % 4 for j in range(n)] for i in range(m)],
+                              "b": [10 + i for i in range(m)]}))
+    for argv in (["lp", "solve", str(lp)], ["--trace", "lp", "solve", str(lp)],
+                 ["--format", "json", "lp", "solve", str(lp)]):
+        modules = loaded_after(f"from ecomath.cli import dispatch\nassert dispatch({argv!r}) == 0")
+        assert "ecomath.simplex" in modules
+        assert not {"numpy", "scipy"} & top_level(modules), argv

@@ -23,8 +23,7 @@ def on_arrays(f, *args):
     """f(*args) with every value held as an array (SMALL = 0), and NumPy's
     floating-point warnings off, as plain Python floats have none."""
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-        for module in (linalg, simplex):
-            mp.setattr(module, "SMALL", 0)
+        mp.setattr(linalg, "SMALL", 0)
         return f(*args)
 
 
@@ -122,8 +121,8 @@ def test_leontief_model_matches_the_array_path(table):
 
 @st.composite
 def small_programs(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, SMALL - 2 - n))
+    n = draw(st.integers(1, SMALL))
+    m = draw(st.integers(0, SMALL))
     kind = draw(st.sampled_from([st.integers(0, 4).map(float), st.floats(0, 10)]))
     c = draw(hnp.arrays(np.float64, n, elements=st.integers(-3, 5).map(float)))
     A = draw(hnp.arrays(np.float64, (m, n), elements=kind))
@@ -153,10 +152,20 @@ def test_float_tuples_up_to_small_arrays_above():
     assert type(Matrix.zeros(SMALL + 1, 1)._a) is not tuple
     assert type(Vector([1.0] * SMALL)._a) is tuple
     assert type(Vector([1.0] * (SMALL + 1))._a) is not tuple
-    lp = simplex.LinearProgram("max", [1.0] * 2, [[1.0] * 2] * (SMALL - 4), [1.0] * (SMALL - 4))
-    assert type(lp._A) is tuple and type(simplex.canonicalize(lp).cells) is list
-    assert type(simplex.LinearProgram("max", [1.0] * 2, [[1.0] * 2] * (SMALL - 3),
-                                      [1.0] * (SMALL - 3))._A) is not tuple
+    # a program holds what a Matrix of its A holds, c and b alike
+    for n, m in ((SMALL, SMALL), (SMALL + 1, 1), (1, SMALL + 1)):
+        lp = simplex.LinearProgram("max", [1.0] * n, [[1.0] * n] * m, [1.0] * m)
+        tuples = max(n, m) <= SMALL
+        assert {type(lp._c) is tuple, type(lp._A) is tuple, type(lp._b) is tuple} == {tuples}
+        assert (type(simplex.canonicalize(lp).cells) is list) == tuples
+
+
+def test_patching_linalg_small_alone_switches_every_form():
+    def forms():
+        lp = simplex.LinearProgram("max", [1.0], [[1.0]], [1.0])
+        return [type(v) is tuple for v in (Vector([1.0])._a, Matrix.zeros(1, 1)._a, lp._A)]
+
+    assert forms() == [True] * 3 and on_arrays(forms) == [False] * 3
 
 
 def test_values_never_change_form_in_an_operation():
@@ -203,7 +212,7 @@ def test_float_tuples_refuse_what_arrays_refuse():
             simplex.LinearProgram("max", c, A, b)
         return str(info.value)
 
-    for n in (2, SMALL - 1):  # a tuple-held program, and one wider than SMALL
+    for n in (2, SMALL + 1):  # a program of float tuples, and one of arrays
         c, A, b = [1] * n, [[1] * n] * 2, (1, 1)
         for bad in ((c, ["1" * n] * 2, b), ("1" * n, A, b), (c, A, "11"), (c, "1" * 2 * n, b),
                     (["x"] + c[1:], A, b), (c, A, ("x", 1)), (c, [["x"] + c[1:]] * 2, b)):

@@ -218,7 +218,8 @@ def test_vectors_and_matrices_refuse_del(n):
 
 
 def test_linear_programs_compare_by_the_held_values():
-    wide = dict(LP, c=[3, 2, 1, 1, 1], A=[[1, 1, 0, 0, 1], [1, 0, 1, 1, 0]])  # 5 + 2 + 2 > SMALL
+    n = linalg.SMALL + 1  # variables: arrays, not tuples
+    wide = dict(LP, c=[3, 2] + [1] * (n - 2), A=[[1, 1] + [0] * (n - 2), [1] * n])
     for doc in (LP, wide):
         a, b = simplex.LinearProgram.from_dict(doc), simplex.LinearProgram.from_dict(doc)
         assert (type(a._c) is tuple) == (doc is LP)

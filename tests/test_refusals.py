@@ -83,12 +83,12 @@ def test_row_vector_text_is_one_line():
     assert linalg.parse_vector_text(linalg.format_vector_text(v)) == v
 
 
-@pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+@pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
 @pytest.mark.parametrize("i, j", [(-1, 1), (1, -1), (1, 5), (3, 1), (0, 1), (1, 0)])
 def test_a_pivot_outside_the_variable_block_is_refused(i, j, small, monkeypatch):
     # rows run 1..m and columns 1..n+m: -1 was row m or the RHS column, and
     # column 5 (past s2) or row 3 raised a bare IndexError
-    monkeypatch.setattr(simplex, "SMALL", small)
+    monkeypatch.setattr(linalg, "SMALL", small)
     t = simplex.canonicalize(simplex.LinearProgram("max", (3, 2), ((1, 1), (1, 0)), (4, 2)))
     grid = t.grid
     with pytest.raises(simplex.SimplexError, match=rf"no pivot at \({i},{j}\): rows run 1..2, "

@@ -2,6 +2,7 @@
 vertex-enumeration oracle for two-variable programs."""
 
 import copy
+import json
 import pickle
 import warnings
 
@@ -11,13 +12,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_list_form import on_arrays, small_programs
 
-from ecomath import linsolve, simplex
+from ecomath import cli, linalg, linsolve, simplex
 from ecomath.simplex import LinearProgram, LpSolution, SimplexError
 
 rng = np.random.default_rng(123)
 
 WORKED = LinearProgram("max", c=(3, 2), A=((1, 1), (1, 0)), b=(4, 2))
-WIDE = 7  # this many variables make a tableau wider than SMALL: arrays, not tuples
+# ratios reach nan on the third pivot (see test_a_nan_minimum_ratio_is_a_numerical_error)
+NAN_RATIO = {
+    "sense": "max",
+    "c": [7.613231997318006e+78, -1.4995200162263578e+114, 1.040236253242491e+173,
+          3.162767650759431e-91, 2.0830608454221094e-154, -1.300273221352874e-129],
+    "A": [[2.896426341293271e+255, -2.2536137799382764e+24, 2.3577541763825477e+161, -0.0,
+           6.793821163044048e+250, 0.0],
+          [-1.4473431237728217e+220, 4.874134396914202e+81, 2.2051435028777625e+119, -0.0,
+           1.7040023855470557e-86, -0.0],
+          [0.0, 7.889341003293952e-251, -1.531539579420824e+252, 1.3684145764051752e+244,
+           9.98194090052481e+85, 1.632919082820354e+185],
+          [1.072582049895496e+245, -3.059827729300877e+50, -4.788194362943464e-216,
+           -8.130540403768082e-64, 2.2631995441332972e+77, 3.1899915713058236e-21],
+          [-2.087939362995027e-211, -0.0, 4.309367248414115e-90, 0.0, 3.856411920751466e-305,
+           -0.0]],
+    "b": [2.4193050527561943e+195, 1.213001763796041e+105, 1.5225834756079643e-83,
+          6.396012168484171e+76, 3.328240859157888e+177],
+}
+WIDE = linalg.SMALL + 1  # this many variables make a program hold arrays, not tuples
 
 
 class TestLinearProgram:
@@ -181,11 +200,35 @@ class TestSolveSimplex:
             with pytest.raises(simplex.NumericalError, match="float range"):
                 simplex.solve_simplex(lp)
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
+    def test_a_nan_minimum_ratio_is_a_numerical_error(self, small, monkeypatch, tmp_path, capsys):
+        # the third pivot's ratios are (inf, inf, nan, inf, inf): both forms
+        # take the nan as the least ratio, and it ends the solve before
+        # Bland's tie-break, which no ratio equals
+        monkeypatch.setattr(linalg, "SMALL", small)
+        lp = LinearProgram.from_dict(NAN_RATIO)
+        assert (type(lp._A) is tuple) == (small > 0)
+        trace = []
+        with np.errstate(all="ignore"), pytest.raises(simplex.NumericalError, match="float range"):
+            simplex.solve_simplex(lp, trace=trace)
+        assert len(trace) == 3
+        path = tmp_path / "lp.json"
+        path.write_text(json.dumps(NAN_RATIO))
+        assert cli.dispatch(["lp", "solve", str(path)]) == cli.EXIT_NUMERICAL
+        assert "beyond the float range" in capsys.readouterr().err
+
+    def test_the_least_entry_is_the_first_nan_on_both_forms(self):
+        nan = float("nan")
+        for v in ([2.0, nan, 1.0, nan], [nan, 1.0], [1.0, 0.5, -0.0, 0.0, 0.5], [3.0]):
+            i, low = simplex._least(v)
+            assert (i, repr(low)) == (int(np.array(v).argmin()), repr(v[i]))
+            assert simplex._least(np.array(v))[0] == i
+
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
     def test_a_step_to_inf_and_nan_warns_of_nothing(self, small, monkeypatch):
         # pivoting on 1e-301 takes the slack's row-0 entry to inf, and
         # _improving's product of that inf with x2's zero column is nan
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out = simplex.solve_simplex(LinearProgram("max", (1e300, 0.0), ((1e-301, 0.0),), (0.0,)))
@@ -367,11 +410,11 @@ class TestScaleRelativeTolerances:
                 assert (by_b.x, by_b.z) == (tuple(v * s for v in base.x), base.z * s)
                 assert (by_Ab.x, by_Ab.z) == (base.x, base.z)
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
     def test_one_tiny_column_hides_no_other_gain(self, small, monkeypatch):
         # x2's column is ~1e-5 of its rows' scale, so max_j |c_j| / g_j is
         # 1.5e5, and x3's reduced cost of -1e-5 is 7e-11 of that
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         lp = LinearProgram("max", c=(1, -3, 0), b=(1, 8, 2, 6, 0),
                            A=((-2e5, -1, -2), (0, 0, -2), (1e5, -2, 3), (1e5, 2, -1),
                               (2e5, 2, -2)))
@@ -452,7 +495,7 @@ class TestMinAsMax:
         _, c, A, b = lp
         assert_min_is_max_of_minus_c(c, A, b, d)
 
-    @pytest.mark.parametrize("n, m", [(2, 6), (2, 12), (WIDE, 4), (12, 10)])
+    @pytest.mark.parametrize("n, m", [(2, WIDE), (2, 12), (WIDE, 4), (12, 10)])
     def test_programs_wider_than_small(self, n, m):
         rng = np.random.default_rng(n * m)
         A = rng.uniform(-1.0, 5.0, (m, n)) * (rng.random((m, n)) < 0.8)
@@ -473,9 +516,9 @@ class TestNoNegativeZero:
     lets the array pivot step form its product by einsum; LP results carry
     none either."""
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
     def test_canonicalize_writes_no_negative_zero(self, small, monkeypatch):
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         for lp in (LinearProgram("max", (0.0, 1.0), ((1.0, 1.0),), (4.0,)),  # -0 * -1
                    LinearProgram("min", (1.0, 2.0), ((1.0, 1.0),), (4.0,), d=0.0),  # -d
                    LinearProgram("max", (3.0, -0.0), ((-0.0, 1.0), (1.0, -0.0)), (-0.0, 2.0),
@@ -483,9 +526,9 @@ class TestNoNegativeZero:
             assert (type(lp._A) is tuple) == (small > 0)
             assert signed_zeros(simplex.canonicalize(lp).grid) == 0
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])
     def test_a_pivot_row_that_underflows_holds_zero(self, small, monkeypatch):
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         t = simplex.canonicalize(LinearProgram("max", (1.0, 0.0), ((2.0, -5e-324),), (1.0,)))
         simplex.pivot(t, 1, 1)  # -5e-324 / 2 rounds to -0.0
         assert t.grid[1, 2] == 0.0 and signed_zeros(t.grid) == 0
@@ -513,10 +556,10 @@ class TestNoNegativeZero:
                     assert got[others].tobytes() == want[others].tobytes()
                     assert (got[r] + 0.0).tobytes() == want[r].tobytes()
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])
     def test_a_zero_min_optimum_is_zero(self, small, monkeypatch):
         # z is the negated RHS of row 0, which is 0.0 here
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         for lp in (LinearProgram("min", (1.0, 2.0), ((1.0, 1.0),), (4.0,)),  # no pivot
                    LinearProgram("min", (-3.0,), ((2.0,), (1.0,)), (2.0, 0.0))):  # a degenerate one
             out = simplex.solve_simplex(lp)
@@ -652,22 +695,22 @@ class TestShortTableau:
         assert t.grid.tolist() == [[1, 0, -2, 0, 3, 6], [0, 0, 1, 1, -1, 2], [0, 1, 0, 0, 1, 2]]
         assert t.format_text().splitlines()[0] == "# z,x1,x2,s1,s2,RHS"
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
     def test_the_short_tableau_is_n_plus_2_wide(self, small, monkeypatch):
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         t = simplex.canonicalize(WORKED)
         simplex.pivot(t, 2, 1)
         stored = np.array(t.cells).T if type(t.cells) is list else t.cells
         assert stored.shape == (1 + 2, 2 + 2)
         assert stored[:, t.spare].tolist() == [0.0, 0.0, 1.0]  # x1's unit column
 
-    @pytest.mark.parametrize("small", [simplex.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
     def test_past_the_float_range_the_implied_columns_stay_units(self, small, monkeypatch):
         # the one place where the full-tableau method differs: its second
         # pivot enters a column holding inf, so 0 * inf turns z's column and
         # the basic columns to NaN there, while here they are implied units;
         # both end in the same NumericalError, and every stored column agrees
-        monkeypatch.setattr(simplex, "SMALL", small)
+        monkeypatch.setattr(linalg, "SMALL", small)
         lp = LinearProgram(
             "min",
             (-9.98276146416745e-301, 34800538663.2985, 39998940243.277596, 7.1535646069213e-311),
