@@ -24,8 +24,8 @@ EPS_ZERO = 1e-9
 # faster one.  Timed per call on random n x n values (2 CPUs, one BLAS
 # thread, +-15 %), the forms cross at n = 7-8 for rref, 9-10 for solve and 8
 # for inverse.  An LP of n variables and m restrictions (LinearProgram and
-# solve_simplex) is faster as tuples up to 6 x 6 and 8 x 4, within 15 % at
-# 8 x 8, and faster as arrays at 9 x 9 and 6 x 12.
+# solve_simplex, dense random programs) takes as arrays 0.96-1.01x its time
+# as tuples at 6 x 6 and 8 x 4, and 0.75-0.82x at 8 x 8, 9 x 9 and 6 x 12.
 SMALL = 8
 
 

@@ -75,12 +75,13 @@ def _pivot_step(a, r: int, j: int, first: int = 0):
     zero left of them), row r included with f = 0, so both forms round each
     entry alike.  Returns the multipliers f.
 
-    Only the simplex reaches the array branch, which forms f y by einsum: a
-    zero product comes out 0.0 there where the list's f * y can give -0.0,
-    and x - f y tells the two apart only for x = -0.0.  So on input with no
-    -0.0 both forms agree bit for bit, but for one case in row r: where
-    y = x / p underflows to -0.0, the list's y - 0 y makes it 0.0 and the
-    array keeps it (simplex.pivot adds 0.0 to that row)."""
+    Only the simplex reaches the array branch, which does not read first: it
+    works on every column through one view y of row r, divides y, subtracts
+    the product f y formed by einsum and adds 0.0 to y last.  A zero product
+    comes out 0.0 there where the list's f * y can give -0.0, and x - f y
+    tells the two apart only for x = -0.0; where y = x / p underflows to
+    -0.0, the list's y - 0 y and the array's y + 0.0 both make it 0.0.  So
+    on input with no -0.0 both forms agree bit for bit and leave none."""
     if type(a) is list:
         p = a[j][r]
         f = a[j][:]
@@ -91,11 +92,13 @@ def _pivot_step(a, r: int, j: int, first: int = 0):
             a[k] = [x - fi * y for x, fi in zip(u, f)]
         return f
     import numpy as np
-    a[r, first:] /= a[r, j]
+    y = a[r]
+    y /= y[j]
     f = a[:, j].copy()
     f[r] = 0.0
     # column j comes out exactly the unit vector: p / p == 1 and f - f * 1 == 0
-    a[:, first:] -= np.einsum("i,j->ij", f, a[r, first:])  # the outer product f y
+    a -= np.einsum("i,j->ij", f, y)  # the outer product f y
+    y += 0.0
     return f
 
 
@@ -196,7 +199,7 @@ def _gauss_jordan(a, steps: Optional[list] = None):
         return _gauss_jordan_cols(a, steps)
     import numpy as np
     m, n = a.shape
-    tol = PIVOT_TOL * np.abs(a).max()
+    tol = PIVOT_TOL * max(a.max(), -a.min())  # max|a|, with no |a| temporary
     if n <= ONE_PANEL:
         W = a.T.copy()
         pivots, cols, mant, expo = _reduce_panel(W, n, tol, 1.0, 0)
@@ -320,10 +323,9 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
     if record and record[0][2] is not None:  # the forward pass: R from the back pass
         import numpy as np
         free = sorted(set(range(M.cols)) - set(pivot_cols))
-        R = np.zeros_like(a)
-        R[:, free] = _back(record, a[:, free], np.matmul)
-        R[range(rk), pivot_cols] = 1.0
-        a = R
+        a[:, free] = _back(record, a[:, free], np.matmul)
+        a[:, pivot_cols] = 0.0
+        a[range(rk), pivot_cols] = 1.0
     return Matrix._adopt(a, a.shape), rk, pivot_cols, det_factor
 
 

@@ -20,12 +20,15 @@ tableau is (1+m) x (n+m+2); z and the basic variables have unit columns,
 which a pivot leaves as they are.  A pivot writes the leaving variable's unit
 column into the spare and runs the elimination kernel's step on every stored
 column, so each entry is the float the full tableau would hold.
-SimplexTableau.grid and format_text give the full layout.
+SimplexTableau.grid and format_text give the full layout.  One loop runs
+both forms (an array's row-0 and RHS views and ratio buffer kept per solve);
+a NaN or -inf in the last row 0 or an infinite entering tolerance raises
+NumericalError.
 
 A tableau holds no -0.0, so the array pivot step can form its product by
 einsum (see ``linsolve._pivot_step``): canonicalize adds 0.0 to what it
-copies in, and pivot adds 0.0 to an array's pivot row, the one place where a
-step can make a -0.0 (x / p underflowing).  So x and slacks read off it
+copies in, and the step adds 0.0 to an array's pivot row, the one place
+where it can make a -0.0 (x / p underflowing).  So x and slacks read off it
 hold none, and LpSolution adds 0.0 to z, which a min problem negates.
 """
 
@@ -307,10 +310,10 @@ def _priced(t: SimplexTableau, row0) -> tuple[int, float]:
     k, low = _least(row0)
     if type(row0) is list:
         ties = [i for i, v in enumerate(row0) if v == low]
-    else:
-        import numpy as np
-        tied = row0 == low
-        ties = np.flatnonzero(tied).tolist() if np.count_nonzero(tied) > 1 else ()
+    else:  # argmin took the first least entry: a tie can only come after it
+        rest = row0[k + 1:]
+        tied = rest.size and rest[rest.argmin()] == low
+        ties = (row0 == low).nonzero()[0].tolist() if tied else ()
     if len(ties) > 1:
         k = min(ties, key=t.columns.__getitem__)
     return k, low
@@ -326,18 +329,19 @@ def _row0(t: SimplexTableau, row0) -> list:
     return row
 
 
-def _ratios(cells, k: int, rs, sj: float):
+def _ratios(cells, k: int, rs, sj: float, views):
     """RHS / a over stored column k below row 0 where a is a pivot
     candidate, above rs / sj for rs PIVOT_MIN times the scale of its row's
-    basic variable and sj that of the column's variable, else inf; NumPy
-    rounds an array tableau's entries as Python rounds the lists'."""
-    if type(cells) is list:
+    basic variable and sj that of the column's variable, else inf: a new
+    list from column lists (views None), else in the buffer of an array's
+    views (see _iterate); NumPy rounds them as Python rounds the lists'."""
+    if views is None:
         return [r / v if v > s / sj else math.inf
                 for r, v, s in zip(cells[-1][1:], cells[k][1:], rs)]
     import numpy as np
-    col = cells[1:, k]
-    eligible = col > rs / sj
-    return np.divide(cells[1:, -1], col, out=np.full(col.size, np.inf), where=eligible)
+    col, (_, rhs, out) = cells[1:, k], views
+    out.fill(math.inf)
+    return np.divide(rhs, col, out=out, where=col > rs / sj)
 
 
 def canonicalize(lp: LinearProgram) -> SimplexTableau:
@@ -391,10 +395,11 @@ def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
     kernel's step runs on every stored column, and the entering column,
     now that unit column, becomes the next spare.  A basic j_star has the
     unit column of its row, so it pivots only in that row, as bookkeeping.
-    A tableau with no -0.0 keeps none: x - f y is -0.0 only where x is, and
-    the pivot row, where x / p can underflow to -0.0, gets 0.0 added in an
-    array (the list step's y - 0 y already turns -0.0 into 0.0)."""
-    cells, columns, m = t.cells, t.columns, t.m
+    On an array the step divides the pivot row y, subtracts the einsum
+    product f y and adds 0.0 to y, all through one view.  A tableau with no
+    -0.0 keeps none: x - f y is -0.0 only where x is, and in the pivot row,
+    where x / p can underflow to it, y + 0.0 (y - 0 y in lists) gives 0.0."""
+    cells, columns, basis, m = t.cells, t.columns, t.basis, t.m
     if not (1 <= i_star <= m and 1 <= j_star <= t.n + m):
         raise SimplexError(f"no pivot at ({i_star},{j_star}): rows run 1..{m}, "
                            f"columns 1..{t.n + m}")
@@ -403,8 +408,8 @@ def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
         k = columns.index(j_star)
         p = cells[k][i_star] if type(cells) is list else float(cells[i_star, k])
     except ValueError:  # a basic variable that is not stored
-        k, p = s, float(t.basis[i_star] == j_star)
-    if p <= PIVOT_MIN * t.scale[t.basis[i_star]] / t.scale[j_star]:
+        k, p = s, float(basis[i_star] == j_star)
+    if p <= PIVOT_MIN * t.scale[basis[i_star]] / t.scale[j_star]:
         raise SimplexError(f"pivot element {p!r} at ({i_star},{j_star}) is not positive")
     if type(cells) is list:
         cells[s] = [0.0] * (1 + m)
@@ -413,11 +418,8 @@ def pivot(t: SimplexTableau, i_star: int, j_star: int) -> SimplexTableau:
         cells[:, s] = 0.0
         cells[i_star, s] = 1.0
     _pivot_step(cells, i_star, k)
-    if type(cells) is not list:
-        cells[i_star] += 0.0
-    columns[s] = t.basis[i_star]
+    columns[s], basis[i_star] = basis[i_star], j_star
     t.spare = k
-    t.basis[i_star] = j_star
     t.iteration += 1
     return t
 
@@ -467,6 +469,9 @@ def solve_simplex(
     scales the answer exactly and takes the same pivots.  Where no column
     passes the entering test, one still enters if _improving finds it, so a
     column in tiny units cannot hide another's gain by inflating max_j.
+    Where none enters but row 0 holds a NaN (no sign) or -inf, or the
+    entering tolerance is inf, those tests read nothing: NumericalError;
+    +inf in row 0, a cost past the float range, is no gain.
     """
     try:
         t = canonicalize(lp)
@@ -487,18 +492,20 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
     """solve_simplex's pivots from the tableau t of lp on, and the result."""
     cap = iteration_cap(lp.n, lp.m)
     scale, (enter_tol, degenerate_tol) = t.scale, t.tols
+    cells, columns = t.cells, t.columns  # pivot works in place
     rs = [PIVOT_MIN * scale[k] for k in t.basis[1:]]  # by the scale of each row's basic variable
-    if type(t.cells) is not list:
+    views = None  # column lists: each pivot replaces them, so read anew
+    if type(cells) is not list:  # row 0, the RHS below it and the ratio buffer
         import numpy as np
-        rs = np.array(rs)
+        rs, views = np.array(rs), (_line(cells), _line(cells, -1), np.empty(lp.m))
     bland = False  # Bland's rule, in force after a degenerate pivot
 
     while True:
         # only nonbasic columns and the spare are stored, and the spare's
         # unit column has 0 in row 0, so it cannot enter
-        row0 = _line(t.cells)
+        row0 = _line(cells) if views is None else views[0]
         k, low = _priced(t, row0)  # most negative, then smallest variable index
-        j_star = t.columns[k]
+        j_star = columns[k]
         if bland or not low * scale[j_star] < -enter_tol:
             row0 = _row0(t, row0)
             entering = [j for j, v in enumerate(row0) if v * scale[j] < -enter_tol]
@@ -508,12 +515,12 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
                 break  # S1: optimal
             # Bland: the smallest index
             j_star = entering[0] if bland else min(entering, key=row0.__getitem__)
-            k = t.columns.index(j_star)
+            k = columns.index(j_star)
         sj = scale[j_star]
-        ratios = _ratios(t.cells, k, rs, sj)
+        ratios = _ratios(cells, k, rs, sj, views)
         i_star, best = _least(ratios)
         if not best < math.inf:  # no finite least ratio: none, each one overflowed, or NaN
-            if best == math.inf and not any(v > s / sj for v, s in zip(_line(t.cells, k), rs)):
+            if best == math.inf and not any(v > s / sj for v, s in zip(_line(cells, k), rs)):
                 return LpSolution("unbounded", iterations=t.iteration)  # S3
             raise NumericalError("the optimum lies beyond the float range")
         i_star += 1  # S4: smallest ratio, then smallest row
@@ -521,18 +528,18 @@ def _iterate(lp: LinearProgram, t: SimplexTableau, trace: Optional[list]) -> LpS
             tied = [1 + i for i, r in enumerate(ratios) if r == best]
             i_star = min(tied, key=t.basis.__getitem__)
         bland = best <= degenerate_tol * sj
-        t = pivot(t, i_star, j_star)
+        pivot(t, i_star, j_star)
         rs[i_star - 1] = PIVOT_MIN * sj
         if trace is not None:
             trace.append(t.copy())
         if t.iteration > cap:
-            raise IterationLimitError(
-                f"no optimum after {cap} pivots; presumed cycling"
-            )
+            raise IterationLimitError(f"no optimum after {cap} pivots; presumed cycling")
 
     values = t.basis_solution()
     if not all(map(math.isfinite, values)):  # as 1 / a for a subnormal pivot a
         raise NumericalError("the optimum lies beyond the float range")
+    if not (enter_tol < math.inf and all(v > -math.inf for v in row0)):  # row 0 by variable
+        raise NumericalError("row 0 lies beyond the float range: no optimum can be told")
     x, slacks = tuple(values[1 : 1 + t.n]), tuple(values[1 + t.n :])
     z = values[0] if lp.sense == "max" else -values[0]
     return LpSolution("optimal", x, z, slacks, t.iteration)

@@ -3,8 +3,10 @@ vertex-enumeration oracle for two-variable programs."""
 
 import copy
 import json
+import math
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ NAN_RATIO = {
     "b": [2.4193050527561943e+195, 1.213001763796041e+105, 1.5225834756079643e-83,
           6.396012168484171e+76, 3.328240859157888e+177],
 }
+# draw 618 of 4000 seeded programs with entries at 10^+-300: once "optimal" on a non-finite row 0
+ROW0_NONFINITE = Path(__file__).parent / "data" / "lp_row0_nonfinite.json"
 WIDE = linalg.SMALL + 1  # this many variables make a program hold arrays, not tuples
 
 
@@ -216,6 +220,43 @@ class TestSolveSimplex:
         path.write_text(json.dumps(NAN_RATIO))
         assert cli.dispatch(["lp", "solve", str(path)]) == cli.EXIT_NUMERICAL
         assert "beyond the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
+    @pytest.mark.parametrize("lp", [
+        # its entering tolerance overflows, and its last row 0 holds -inf and NaN
+        LinearProgram.from_json(ROW0_NONFINITE.read_text()),
+        # no pivot: the entering tolerance alone overflows
+        LinearProgram("max", (-2.8697591469105514e-207, -4.8393810864856534e+241),
+                      ((-3.6167056806129663e+177, -6.704158509513401e+105),),
+                      (1.5263006810960958e-144,)),
+    ])
+    def test_no_optimum_is_declared_with_an_infinite_entering_tolerance(self, lp, small,
+                                                                        monkeypatch):
+        monkeypatch.setattr(linalg, "SMALL", small)
+        lp = LinearProgram(lp.sense, lp.c, lp.A, lp.b)
+        assert (type(lp._A) is tuple) == (small > 0)
+        assert simplex.canonicalize(lp).tols[0] == math.inf
+        with np.errstate(all="ignore"), pytest.raises(simplex.NumericalError, match="row 0"):
+            simplex.solve_simplex(lp)
+
+    @pytest.mark.parametrize("small", [linalg.SMALL, 0])  # float tuples, arrays
+    def test_no_optimum_is_declared_on_a_nan_reduced_cost(self, small, monkeypatch):
+        # x2's reduced cost, set by hand: a NaN has no sign, so no entering
+        # test reads it as a gain, and none reads it as no gain either
+        monkeypatch.setattr(linalg, "SMALL", small)
+        lp = LinearProgram("max", (0.0, 1.0), ((1.0, 1.0),), (1.0,))
+        t = simplex.canonicalize(lp)
+        if type(t.cells) is list:
+            t.cells[1][0] = math.nan
+        else:
+            t.cells[0, 1] = math.nan
+        with np.errstate(all="ignore"), pytest.raises(simplex.NumericalError, match="row 0"):
+            simplex._iterate(lp, t, None)
+
+    def test_a_non_finite_row_0_exits_3(self, capsys):
+        with np.errstate(all="ignore"):
+            assert cli.dispatch(["lp", "solve", str(ROW0_NONFINITE)]) == cli.EXIT_NUMERICAL
+        assert "row 0 lies beyond the float range" in capsys.readouterr().err
 
     def test_the_least_entry_is_the_first_nan_on_both_forms(self):
         nan = float("nan")
