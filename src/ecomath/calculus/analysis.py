@@ -333,9 +333,10 @@ def poly_real_roots(coeffs) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
-    """The roots rs within tol of [lo, hi], less those near (1e-9 max(1, |r|)) exclude."""
+    """The roots rs within tol of [lo, hi], less those near (1e-9 |r|) exclude:
+    relative, so a root 1e-12 beside a pole at -1e-12 is kept."""
     return [r for r in rs if lo - tol <= r <= hi + tol
-            and all(abs(r - o) > 1e-9 * max(1.0, abs(r)) for o in exclude)]
+            and all(abs(r - o) > 1e-9 * abs(r) for o in exclude)]
 
 
 class _Fn:

@@ -379,7 +379,9 @@ def _calc_args(leaves):
     leaves["integrate"].add_argument("--from", type=_finite, required=True, dest="from")
     leaves["integrate"].add_argument("--to", type=_finite, required=True)
     for name in ("roots", "report"):
-        leaves[name].add_argument("--window", required=True, metavar="LO:HI")
+        # argparse reads "-2:2" after a space as an option, not as the value
+        leaves[name].add_argument("--window", required=True, metavar="LO:HI",
+                                  help="the interval [LO, HI]; a negative LO needs --window=LO:HI")
 
 
 def _econ_args(leaves):

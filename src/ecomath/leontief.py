@@ -41,10 +41,11 @@ class DeliveriesTable(_FrozenRecord):
 class LeontiefModel(_FrozenRecord):
     """Input-output matrix P plus an optional resource consumption matrix R.
     The technology matrix T = I - P is formed once, from P alone, and kept;
-    T is eliminated once, and every solve replays ``elimination`` on its y.
-    T, its largest entry in absolute value and the elimination are slots,
-    not fields: no argument of __init__, unseen by ==, hash, repr and
-    pickle, which rebuilds them from P."""
+    T is eliminated once by ``linsolve.rref``, which fills ``elimination``,
+    the record of its row operations, and every solve replays that record
+    on its y.  T, its largest entry in absolute value and the elimination
+    are slots, not fields: no argument of __init__, unseen by ==, hash, repr
+    and pickle, which rebuilds them from P."""
 
     __slots__ = ("P", "R", "labels", "_T", "_T_max", "elimination")
     _fields = ("P", "R", "labels")
@@ -68,13 +69,13 @@ class LeontiefModel(_FrozenRecord):
             import numpy as np
             T = Matrix.from_array(np.eye(n) - P._a)
             T_max = float(np.abs(T._a).max())
-        steps: list = []
-        _, rk, _, _ = linsolve.rref(T, steps)
+        e = linsolve._Elimination()
+        _, rk, _, _ = linsolve.rref(T, e)
         if rk < n:
             raise ModelError(f"technology matrix I - P is singular (rank {rk} < {n})")
         object.__setattr__(self, "_T", T)
         object.__setattr__(self, "_T_max", T_max)
-        object.__setattr__(self, "elimination", tuple(steps))
+        object.__setattr__(self, "elimination", e)
 
     @property
     def n(self) -> int:
@@ -85,8 +86,9 @@ class LeontiefModel(_FrozenRecord):
         return self._T
 
     def total_demand_matrix(self) -> Matrix:
-        """(I - P)^-1, materialized on request from the stored elimination."""
-        return linsolve._replay_identity(self.elimination, self.P)
+        """(I - P)^-1, materialized on request by replaying the kept
+        elimination on I; past the float range, a NumericalError."""
+        return self.elimination.inverse()
 
 
 def model_from_table(
@@ -128,9 +130,14 @@ def _row_sum(row: tuple) -> float:
 
 
 def _abs_sum(v: Vector) -> float:
-    """sum_i |v_i|: the size against which the flags read a component."""
+    """sum_i |v_i|: the size against which the flags read a component; inf
+    past the float range on either form, with no warning."""
     a = v._a
-    return sum(map(abs, a)) if type(a) is tuple else float(abs(a).sum())
+    if type(a) is tuple:
+        return sum(map(abs, a))
+    import numpy as np
+    with np.errstate(over="ignore"):
+        return float(abs(a).sum())
 
 
 def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
@@ -145,19 +152,21 @@ def final_demand(m: LeontiefModel, q: Vector) -> tuple[Vector, bool]:
 
 
 def total_output(m: LeontiefModel, y: Vector) -> tuple[Vector, bool]:
-    """q = (I - P)^-1 y, by replaying the model's elimination on y: O(n^2)
-    (``linsolve.replay``).  Up to ONE_PANEL (32) sectors that is bit for bit
-    what eliminating [I - P | y] as one panel gives.  From 33 sectors on it
-    is each panel's forward operations on y in turn, then the back pass
-    through the upper factor's identity diagonal blocks, from the last panel
-    up: three matrix-vector products per panel, equal to that elimination up
-    to rounding.  The flag reports a component q_i < -EPS_ZERO sum_j |q_j|,
-    relative to q's own size, alongside the value."""
+    """q = (I - P)^-1 y, by replaying the model's elimination record on y,
+    in the form it was made on: O(n^2) (``linsolve.replay``).  Up to
+    ONE_PANEL (32) sectors that is bit for bit what eliminating [I - P | y]
+    as one panel gives, on either form.  From 33 sectors on it is each
+    panel's forward operations on y in turn, then the back pass through the
+    upper factor's identity diagonal blocks, from the last panel up: three
+    matrix-vector products per panel, equal to that elimination up to
+    rounding.  A q past the float range is a NumericalError.  The flag
+    reports a component q_i < -EPS_ZERO sum_j |q_j|, relative to q's own
+    size, alongside the value."""
     if y.n != m.n:
         raise DimensionError(f"expected dimension {m.n}, got {y.n}")
-    y = list(y._a) if type(y._a) is tuple else y.to_array()
-    q = Vector._adopt(linsolve.replay(m.elimination, y), (m.n,), orientation="col")
-    return q, _min(q) < -EPS_ZERO * _abs_sum(q)
+    q = Vector._adopt(linsolve.replay(m.elimination, y._a), (m.n,), orientation="col")
+    low = _min(q)  # sum |q| is read only for a negative q_i: productive models have none
+    return q, low < 0.0 and low < -EPS_ZERO * _abs_sum(q)
 
 
 def resource_requirements(m: LeontiefModel, vec: Vector, given: str = "y") -> Vector:

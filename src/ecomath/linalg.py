@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .numeric import _FrozenRecord
+from .numeric import NumericalError, _FrozenRecord
 
 EPS_ZERO = 1e-9
 # The widest value held as float tuples: where the list form stops being the
@@ -67,8 +67,11 @@ class _ArrayValue(_FrozenRecord):
         else:
             import numpy as np
             a = _read_only_array(entries if adopt else np.array(entries, dtype=float), shape)
-            ok = math.isfinite(a.sum()) or np.isfinite(a).all()  # the sum may overflow
+            with np.errstate(over="ignore", invalid="ignore"):  # the sum may overflow
+                ok = math.isfinite(a.sum()) or np.isfinite(a).all()
         if not ok:
+            if adopt:  # the kernel's result, made from finite values
+                raise NumericalError(f"a {type(self).__name__} result lies beyond the float range")
             raise ValueError(f"{type(self).__name__} entries must be finite (no NaN or inf)")
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_shape", shape)
@@ -79,7 +82,8 @@ class _ArrayValue(_FrozenRecord):
         a list or tuple of floats or a fresh float64 array made by the kernel,
         read-only from now on.  It equals what the public constructor builds
         from them, and hashes alike, but only the finiteness check runs: no
-        float() per entry, no row-width scan, no copy of the array."""
+        float() per entry, no row-width scan, no copy of the array.  Only
+        overflow makes a result inf or NaN: a NumericalError."""
         value = object.__new__(cls)
         value._hold(entries, shape, adopt=True)
         for name, v in fields.items():

@@ -9,14 +9,17 @@ entry alike.  Wider, the array kernel is the forward pass alone: each panel
 of NB columns is reduced by Gauss-Jordan on its own rows and below, which
 leaves an upper factor with identity diagonal blocks, and the back pass,
 one product per panel, runs only on what a caller reads: b in ``replay``, I
-in ``inverse``, the non-pivot columns in ``rref``.  ``determinant``,
-``rank`` and ``is_regular`` stop after the forward pass.  The small
-symmetric eigenproblems come from ``numpy.linalg.eigh``."""
+in ``inverse``, the non-pivot columns in ``rref``.  The kernel returns the
+record of its row operations, an ``_Elimination``, which ``rref`` fills for
+a caller and ``replay`` runs on b.  ``determinant``, ``rank`` and
+``is_regular`` stop after the forward pass.  NumPy's floating-point warnings
+are off, as plain floats have none: a result past the float range is a
+NumericalError.  The small symmetric eigenproblems come from
+``numpy.linalg.eigh``."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .linalg import EPS_ZERO, DimensionError, Matrix, Vector
 from .numeric import NumericalError, _FrozenRecord
@@ -102,9 +105,69 @@ def _pivot_step(a, r: int, j: int, first: int = 0):
     return f
 
 
-def _gauss_jordan_cols(a: list, steps: Optional[list] = None):
+class _Elimination:
+    """One elimination's row operations, to replay on other columns, its
+    pivot_cols (as many as the rank) and det = (mant, expo), the determinant
+    factor mant * 2**expo.  steps takes the form the matrix had: on column
+    lists ("list") and on an array of up to ONE_PANEL columns ("array"), one
+    panel's (swapped row, pivot, multipliers) per pivot; on a wider array
+    ("panels"), the forward pass's (r0, moves, F) per panel, F's rows r0 on
+    the transform G, its rows above r0 the upper factor's block at the
+    panel's pivot columns.  The empty record replays as the identity."""
+
+    __slots__ = ("form", "steps", "pivot_cols", "det")
+
+    def __init__(self, form="list", steps=(), pivot_cols=(), det=(1.0, 0)):
+        self.form, self.steps, self.pivot_cols, self.det = form, steps, pivot_cols, det
+
+    def _replay(self, b, mul=None):
+        """The row operations on b: a fresh list of floats with no -0.0, by
+        the one list loop, which skips a step whose pivot-row entry is 0 (x -
+        f 0 would leave every entry as it is); else a float array of one or
+        more columns, in place, with mul for panel products."""
+        if self.form == "list":
+            for r, (i, p, f) in enumerate(self.steps):
+                if i != r:
+                    b[r], b[i] = b[i], b[r]
+                if b[r] != 0.0:
+                    y = b[r] = b[r] / p
+                    b = [x - fk * y for x, fk in zip(b, f)]
+            return b
+        if self.form == "array":  # one panel: a rank-1 update per pivot
+            import numpy as np
+            for r, (i, p, f) in enumerate(self.steps):
+                if i != r:
+                    b[r], b[i] = b[i].copy(), b[r].copy()
+                b[r] = b[r] / p
+                b -= np.multiply.outer(f, b[r])
+            return b
+        for r0, moves, F in self.steps:
+            _forward(b[r0:], moves, F[r0:], mul)
+        return self._back(b, mul)
+
+    def _back(self, b, mul):
+        """The back pass on b, in place, after every panel's forward
+        operations: from the last panel up, the rows above its r0 lose its
+        upper-factor block times its pivot rows, one product per panel."""
+        for r0, _, F in reversed(self.steps):
+            b[:r0] -= mul(F[:r0], b[r0:r0 + F.shape[1]])
+        return b
+
+    def inverse(self) -> Matrix:
+        """The row operations of a regular square matrix replayed on I, its
+        inverse: the list loop on each column, or products on all of I."""
+        n = len(self.pivot_cols)
+        if self.form == "list":
+            return _from_cols([self._replay([0.0] * j + [1.0] + [0.0] * (n - 1 - j))
+                               for j in range(n)])
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Matrix._adopt(self._replay(np.eye(n), np.matmul), (n, n))
+
+
+def _gauss_jordan_cols(a: list) -> _Elimination:
     """_gauss_jordan's one panel on a list of column lists, in plain Python:
-    the same pivots, multipliers, steps and (mant, expo), each entry rounded
+    the same pivots, multipliers and (mant, expo), each entry rounded
     alike."""
     m = len(a[0])
     tol = PIVOT_TOL * max([abs(v) for col in a for v in col])
@@ -129,9 +192,7 @@ def _gauss_jordan_cols(a: list, steps: Optional[list] = None):
         expo += pe + me
         pivots.append((i, p, _pivot_step(a, r, c, first=c)))
         cols.append(c)
-    if steps is not None and pivots:
-        steps.append((0, tuple(pivots), None))
-    return len(pivots), tuple(cols), (mant, expo)
+    return _Elimination("list", tuple(pivots), tuple(cols), (mant, expo))
 
 
 def _reduce_panel(W, w: int, tol: float, mant: float, expo: int):
@@ -177,55 +238,48 @@ def _reduce_panel(W, w: int, tol: float, mant: float, expo: int):
     return pivots, cols, mant, expo
 
 
-def _gauss_jordan(a, steps: Optional[list] = None):
+def _gauss_jordan(a) -> _Elimination:
     """Eliminate a in place; a column takes no pivot if its candidates are
-    within PIVOT_TOL max|a| of zero.  Returns (rank, pivot_cols, (mant,
-    expo)) with det_factor = mant * 2**expo, kept apart so that the product
-    of the pivots cannot overflow on the way.
+    within PIVOT_TOL max|a| of zero.  Returns the _Elimination.
 
     Column lists go to _gauss_jordan_cols.  On an array of up to ONE_PANEL
     (32) columns, a is one panel, reduced to RREF in a transposed copy (one
-    rank-1 update per pivot), and steps, if given, gets (0, ((swapped row,
-    pivot, multipliers), ...), None).  Wider, this is the forward pass alone.
+    rank-1 update per pivot).  Wider, this is the forward pass alone.
     Each panel of NB columns is reduced by Gauss-Jordan on rows r0 on, in a
     transposed copy whose NB more rows collect its transform G; rows above
     r0 are never touched, so a ends block upper triangular with identity
-    diagonal blocks at the pivots, and only the back pass (_back) clears
-    above them.  The columns to the right take the panel's row moves and G's
-    two products (_forward).  steps gets (r0, moves, F) per panel: F's rows
-    r0 on are G, its rows above r0 the upper factor's block at the panel's
-    pivot columns."""
+    diagonal blocks at the pivots, and only the back pass
+    (_Elimination._back) clears above them.  The columns to the right take
+    the panel's row moves and G's two products (_forward)."""
     if type(a) is list:
-        return _gauss_jordan_cols(a, steps)
+        return _gauss_jordan_cols(a)
     import numpy as np
     m, n = a.shape
     tol = PIVOT_TOL * max(a.max(), -a.min())  # max|a|, with no |a| temporary
-    if n <= ONE_PANEL:
-        W = a.T.copy()
-        pivots, cols, mant, expo = _reduce_panel(W, n, tol, 1.0, 0)
-        a[...] = W.T
-        if steps is not None and pivots:
-            steps.append((0, tuple(pivots), None))
-        return len(pivots), tuple(cols), (mant, expo)
-    mant, expo, r0, pivot_cols = 1.0, 0, 0, []
-    for j0 in range(0, n, NB):
-        w = min(NB, n - j0)
-        W = np.zeros((2 * w, m - r0))
-        W[:w] = a[r0:, j0:j0 + w].T  # rows r0 on are zero left of the panel
-        pivots, cols, mant, expo = _reduce_panel(W, w, tol, mant, expo)
-        a[r0:, j0:j0 + w] = W[:w].T
-        k, cols = len(pivots), [j0 + c for c in cols]
-        if k:
-            moves = _moves([i for i, _, _ in pivots])
-            G = W[w:w + k].T
-            _forward(a[r0:, j0 + w:], moves, G, np.matmul)
-            if steps is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= ONE_PANEL:
+            W = a.T.copy()
+            pivots, cols, mant, expo = _reduce_panel(W, n, tol, 1.0, 0)
+            a[...] = W.T
+            return _Elimination("array", tuple(pivots), tuple(cols), (mant, expo))
+        mant, expo, r0, pivot_cols, steps = 1.0, 0, 0, [], []
+        for j0 in range(0, n, NB):
+            w = min(NB, n - j0)
+            W = np.zeros((2 * w, m - r0))
+            W[:w] = a[r0:, j0:j0 + w].T  # rows r0 on are zero left of the panel
+            pivots, cols, mant, expo = _reduce_panel(W, w, tol, mant, expo)
+            a[r0:, j0:j0 + w] = W[:w].T
+            k, cols = len(pivots), [j0 + c for c in cols]
+            if k:
+                moves = _moves([i for i, _, _ in pivots])
+                G = W[w:w + k].T
+                _forward(a[r0:, j0 + w:], moves, G, np.matmul)
                 steps.append((r0, moves, np.vstack([a[:r0, cols], G])))
-        pivot_cols += cols
-        r0 += k
-        if r0 >= m:
-            break
-    return r0, tuple(pivot_cols), (mant, expo)
+            pivot_cols += cols
+            r0 += k
+            if r0 >= m:
+                break
+    return _Elimination("panels", steps, tuple(pivot_cols), (mant, expo))
 
 
 def _moves(rows: list) -> tuple:
@@ -251,35 +305,10 @@ def _forward(v, moves, G, mul) -> None:
     v[:k] = mul(G[:k], v[:k])
 
 
-def _back(steps: list, b, mul):
-    """The back pass on b, in place, after every panel's forward operations:
-    from the last panel up, the rows above its r0 lose its upper-factor
-    block times its pivot rows, one product per panel."""
-    for r0, _, F in reversed(steps):
-        b[:r0] -= mul(F[:r0], b[r0:r0 + F.shape[1]])
-    return b
-
-
 def _columnwise(G, x):
     """G x, each column of x by the matrix-vector product that it gets
     alone, so a column's result does not depend on the columns beside it."""
     return G @ x if x.ndim == 1 else (G @ x.T[:, :, None])[:, :, 0].T
-
-
-def _replay_array(steps: list, b, mul):
-    """replay on the float array b, in place, with mul for panel products."""
-    if steps and steps[0][2] is not None:
-        for r0, moves, F in steps:
-            _forward(b[r0:], moves, F[r0:], mul)
-        return _back(steps, b, mul)
-    import numpy as np
-    for _, pivots, _ in steps:  # one panel: a rank-1 update per pivot
-        for r, (i, p, f) in enumerate(pivots):
-            if i != r:
-                b[r], b[i] = b[i].copy(), b[r].copy()
-            b[r] = b[r] / p
-            b -= np.multiply.outer(f, b[r])
-    return b
 
 
 def _work(M: Matrix):
@@ -294,7 +323,7 @@ def _from_cols(a: list) -> Matrix:
     return Matrix._adopt([col[i] for i in range(len(a[0])) for col in a], (len(a[0]), len(a)))
 
 
-def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[int, ...], float]:
+def rref(M: Matrix, e: _Elimination | None = None) -> tuple[Matrix, int, tuple[int, ...], float]:
     """Reduced row-echelon form via partial pivoting.
 
     Returns (R, rank, pivot_cols, det_factor) where det_factor accumulates
@@ -308,90 +337,59 @@ def rref(M: Matrix, steps: Optional[list] = None) -> tuple[Matrix, int, tuple[in
     whose products round in another order than one rank-1 update per pivot
     (a candidate within rounding of the tolerance can take the other side of
     it), then the back pass on M's non-pivot columns alone; the pivot
-    columns are unit vectors, so a regular square M gets R = I.  If
-    ``steps`` is a list, the row operations are appended to it for
-    ``replay``, one entry per panel.
+    columns are unit vectors, so a regular square M gets R = I.  If e, an
+    empty ``_Elimination()``, is given, rref fills it with the elimination,
+    for ``replay``.  An entry of R past the float range is a NumericalError.
     """
     a = _work(M)
-    record: list = []
-    rk, pivot_cols, (mant, expo) = _gauss_jordan(a, record)
-    if steps is not None:
-        steps += record
+    done = _gauss_jordan(a)
+    if e is not None:  # fill the caller's record, for replay
+        e.__init__(done.form, done.steps, done.pivot_cols, done.det)
+    rk, pivot_cols, (mant, expo) = len(done.pivot_cols), done.pivot_cols, done.det
     det_factor = math.ldexp(mant, expo) if expo <= 1024 else math.copysign(math.inf, mant)
-    if type(a) is list:
+    if done.form == "list":
         return _from_cols(a), rk, pivot_cols, det_factor
-    if record and record[0][2] is not None:  # the forward pass: R from the back pass
+    if done.form == "panels":  # the forward pass: R from the back pass
         import numpy as np
         free = sorted(set(range(M.cols)) - set(pivot_cols))
-        a[:, free] = _back(record, a[:, free], np.matmul)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a[:, free] = done._back(a[:, free], np.matmul)
         a[:, pivot_cols] = 0.0
         a[range(rk), pivot_cols] = 1.0
     return Matrix._adopt(a, a.shape), rk, pivot_cols, det_factor
 
 
-def replay(steps: list, b):
-    """The row operations recorded by ``rref(M, steps)`` applied to a copy of
-    b: a list of floats (one column) for a float-tuple M, else an array of one
-    or more columns, and the result takes b's form.  That is what eliminating
-    [M | b] to RREF leaves in b.  Up to ONE_PANEL (32) columns of M, it is
-    bit for bit what eliminating [M | b] as one panel leaves there.  Wider,
-    each panel's forward operations run in turn, then the back pass, one
-    matrix-vector product per column and step, so a column's result does not
-    depend on the columns beside it; the products sum in another order than
-    the elimination of [M | b], so the two agree to rounding."""
-    if type(b) is list:
-        b = b[:]
-        for _, pivots, _ in steps:
-            for r, (i, p, f) in enumerate(pivots):
-                if i != r:
-                    b[r], b[i] = b[i], b[r]
-                y = b[r] = b[r] / p
-                b = [x - fk * y for x, fk in zip(b, f)]
-        return b
+def replay(e: _Elimination, b):
+    """The row operations of e, the record ``rref`` filled for M, on a copy
+    of b (floats, or an array of one or more columns) with 0.0 added, so it
+    holds no -0.0: a list for a record made on column lists, else an array.
+    That is what eliminating [M | b] to RREF leaves in b.  Up to ONE_PANEL
+    (32) columns of M, it is that bit for bit, on either form.  Wider, each
+    panel's forward operations run in turn, then the back pass, one
+    matrix-vector product per column and step, so a column's result does
+    not depend on the columns beside it; the products sum in another order
+    than the elimination of [M | b], so the two agree to rounding."""
+    if e.form == "list":
+        return e._replay([x + 0.0 for x in b])
     import numpy as np
-    return _replay_array(steps, np.array(b, dtype=float), _columnwise)
-
-
-def _replay_identity(steps: list, M: Matrix) -> Matrix:
-    """The row operations recorded for the square M replayed on I: M's
-    inverse, by matrix products on all of I at once for an array.  For a
-    float-tuple M, replay's list loop on each column of I, which skips a
-    step whose pivot-row entry is 0: no column of I ever holds -0.0, so
-    x - f 0 would leave every entry as it is (a non-finite f makes the
-    inverse non-finite either way)."""
-    n = M.rows
-    if type(M._a) is not tuple:
-        import numpy as np
-        return Matrix._adopt(_replay_array(steps, np.eye(n), np.matmul), (n, n))
-    cols = []
-    for j in range(n):
-        b = [0.0] * n
-        b[j] = 1.0
-        for _, pivots, _ in steps:
-            for r, (i, p, f) in enumerate(pivots):
-                if i != r:
-                    b[r], b[i] = b[i], b[r]
-                if b[r] != 0.0:
-                    y = b[r] = b[r] / p
-                    b = [x - fk * y for x, fk in zip(b, f)]
-        cols.append(b)
-    return _from_cols(cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return e._replay(np.add(b, 0.0), _columnwise)
 
 
 def rank(M: Matrix) -> int:
     """The rank, from the forward pass alone."""
-    return _gauss_jordan(_work(M))[0]
+    return len(_gauss_jordan(_work(M)).pivot_cols)
 
 
 def solve(sys: LinearSystem) -> SolutionSet:
     """Classify and solve A x = b by eliminating A and replaying it on b; b
-    is inconsistent if below the rank it keeps an entry over PIVOT_TOL max|b|."""
-    steps: list = []
-    R, rank_A, pivots_A, _ = rref(sys.A, steps)
-    b = sys.b  # in the form of A's steps: a wide A can have a short b
-    y = replay(steps, list(b.entries) if type(sys.A._a) is tuple else b.to_array())
+    is inconsistent if below the rank it keeps an entry over PIVOT_TOL max|b|.
+    A solution past the float range is a NumericalError."""
+    e = _Elimination()
+    R, rank_A, pivots_A, _ = rref(sys.A, e)
+    y = replay(e, sys.b._a)
     y = y if type(y) is list else y.tolist()
-    if max(map(abs, y[rank_A:]), default=0.0) > PIVOT_TOL * max(map(abs, b.entries)):
+    if max(map(abs, y[rank_A:]), default=0.0) > PIVOT_TOL * max(map(abs, sys.b.entries)):
         return SolutionSet("none", None, (), rank_A, rank_A + 1)
 
     n = sys.A.cols
@@ -447,9 +445,10 @@ def determinant(A: Matrix) -> float:
         import numpy as np
         _, col_expo = np.frexp(np.abs(a).max(axis=0))
         a = np.ldexp(a, -col_expo)
-    rk, _, (mant, expo) = _gauss_jordan(a)
-    if rk < n:
+    e = _gauss_jordan(a)
+    if len(e.pivot_cols) < n:
         return 0.0
+    mant, expo = e.det
     expo += int(sum(col_expo))
     if expo > 1024:  # |det| >= 0.5 * 2**1025, past the largest float
         log10 = math.log10(abs(mant)) + expo * math.log10(2.0)
@@ -467,14 +466,13 @@ def is_regular(A: Matrix) -> bool:
 def inverse(A: Matrix) -> Matrix:
     """Inverse by replaying the elimination of A on I, forward pass and back
     pass, which equals eliminating [A | I]; singular exactly when A has rank
-    below n."""
+    below n.  An entry past the float range is a NumericalError."""
     if not A.is_square:
         raise DimensionError(f"inverse needs a square matrix, got {A.rows}x{A.cols}")
-    steps: list = []
-    rk, _, _ = _gauss_jordan(_work(A), steps)
-    if rk < A.rows:
-        raise SingularMatrixError(f"matrix is singular (rank {rk} < {A.rows})")
-    return _replay_identity(steps, A)
+    e = _gauss_jordan(_work(A))
+    if len(e.pivot_cols) < A.rows:
+        raise SingularMatrixError(f"matrix is singular (rank {len(e.pivot_cols)} < {A.rows})")
+    return e.inverse()
 
 
 def eigen_sym(A: Matrix) -> list[tuple[float, Vector]]:

@@ -405,6 +405,21 @@ class TestRoots:
         assert ca.roots(ca.parse("1/(x-0.3001)"), -1, 1) == []
         assert ca.roots(ca.parse("(x^2-1)/(x-1)"), -2, 2) == [-1.0]  # x = 1 is a hole
 
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_a_root_beside_a_pole_is_kept_at_any_scale(self, k):
+        # the exclusion around a pole is relative to the root: 1e-12 beside
+        # -1e-12 is as far from it as 1 beside -1
+        s = 2.0 ** k
+        f = ca.parse(f"(x-{1e-12 * s!r})/(x+{1e-12 * s!r})")
+        assert ca.roots(f, -s, s) == [1e-12 * s]
+        f = ca.parse(f"(x^2-{1e-24 * s * s!r})/(x+{1e-11 * s!r})")
+        assert ca.roots(f, -s, s) == [-1e-12 * s, 1e-12 * s]
+        assert ca.curve_report(f, -s, s).roots == (-1e-12 * s, 1e-12 * s)
+
+    def test_a_root_on_a_pole_is_a_hole(self):
+        for text, lo, hi in (("x/x", -1, 1), ("(x-1)/(x-1)", 0, 2), ("x^2/x", -1, 1)):
+            assert ca.roots(ca.parse(text), lo, hi) == []
+
     def test_pole_of_a_transcendental_function_is_no_root(self):
         assert ca.roots(ca.parse("exp(x)/(x-0.3001)"), -1, 1) == []
         assert ca.roots(ca.parse("(exp(x)-2)/(x-0.3001)"), -1, 1) == pytest.approx([math.log(2.0)])

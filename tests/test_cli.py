@@ -338,6 +338,17 @@ class TestSolveAndLinalg:
         assert "float range" in err
         assert out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 9, 40])  # float tuples, one array panel, panels
+    def test_solution_beyond_float_range_exit_3(self, n, tmp_path, capsys):
+        # x = 1e600: a result past the float range, not an input to refuse
+        np.savetxt(tmp_path / "A.txt", 1e-300 * np.eye(n), delimiter=",")
+        np.savetxt(tmp_path / "b.txt", np.full(n, 1e300))
+        code, out, err = run(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b.txt")], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "beyond the float range" in err
+        assert out == ""
+
     def test_singular_inverse_exit_1(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1,2\n2,4\n")
         code, _, _ = run(["linalg", "inverse", str(tmp_path / "A.txt")], capsys)

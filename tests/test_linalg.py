@@ -269,6 +269,18 @@ class TestInputBoundary:
         with pytest.raises(ValueError):
             Vector((1.0, bad))
 
+    def test_large_finite_arrays_are_held_without_a_warning(self):
+        # the finiteness shortcut sums the entries, and that sum overflows
+        huge = np.full((9, 9), 1e308)
+        huge[::2] *= -1.0  # blocks summing to +inf and -inf make NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a in (np.full((9, 9), 1e308), huge):
+                assert Matrix.from_array(a).to_array().max() == 1e308
+            assert Vector(np.full(9, 1e308)).entries == (1e308,) * 9
+            with pytest.raises(ValueError, match="finite"):
+                Matrix.from_array(np.vstack([huge, np.full(9, np.inf)]))
+
     def test_non_finite_text_is_a_format_error(self):
         with pytest.raises(FormatError):
             linalg.parse_matrix_text("1,nan\n3,4\n")

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ecomath import linalg, linsolve
+from ecomath import leontief, linalg, linsolve
 from ecomath.linalg import Matrix, Vector
 from ecomath.linsolve import LinearSystem, SingularMatrixError
+from ecomath.numeric import NumericalError
 
 rng = np.random.default_rng(42)
 
@@ -199,6 +200,47 @@ class TestInverse:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             linsolve.inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestResultsBeyondTheFloatRange:
+    """A result that overflows is a NumericalError, with no RuntimeWarning on
+    the way, on float tuples and on arrays (SMALL = 0): at n = 2, one array
+    panel at 9 and the forward pass in panels at 40."""
+
+    @pytest.fixture(params=["tuples", "arrays"], autouse=True)
+    def form(self, request, monkeypatch):
+        if request.param == "arrays":
+            monkeypatch.setattr(linalg, "SMALL", 0)
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_solve(self, n):
+        A = Matrix.from_array(1e-300 * np.eye(n))
+        with pytest.raises(NumericalError, match="float range"):
+            linsolve.solve(LinearSystem(A, Vector(np.full(n, 1e300))))
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_inverse(self, n):
+        with pytest.raises(NumericalError, match="float range"):
+            linsolve.inverse(Matrix.from_array(1e-310 * np.eye(n)))
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_rref(self, n):
+        # row 1 - row 0 leaves -1e308 - 1e308 = -inf in R
+        a = np.full((2, n), 1e308)
+        a[1, 1:] = -1e308
+        with pytest.raises(NumericalError, match="float range"):
+            linsolve.rref(Matrix.from_array(a))
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_total_output(self, n):
+        # q = (I - P)^-1 y = 10 y
+        model = leontief.LeontiefModel(Matrix.from_array(np.full((n, n), 0.9 / n)))
+        with pytest.raises(NumericalError, match="float range"):
+            leontief.total_output(model, Vector(np.full(n, 1e308)))
+        # finite, though the sum of |q| behind the flag overflows at n = 40
+        q, flag = leontief.total_output(model, Vector(np.full(n, 1e306)))
+        assert q.entries == pytest.approx([1e307] * n, rel=1e-12) and not flag
 
 
 class TestEigenSym:
