@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Optional
 
-from ..numeric import NumericalError, _FrozenRecord, brent, check_args
+from ..numeric import NumericalError, _FrozenRecord, brent, check_args, check_result
 from .expr import (
     Add,
     Const,
@@ -68,11 +68,11 @@ class UndecidedError(NumericalError):
 # ---------------------------------------------------------------------------
 
 def tangent_line(e: Expr, x0: float) -> tuple[float, float]:
-    """Linearization at x0 as (slope, intercept): y = f(x0) + f'(x0)(x - x0)."""
+    """Linearization at x0 as (slope, intercept): y = f(x0) + f'(x0)(x - x0);
+    either past the float range is a NumericalError."""
     check_args(ValueError, -math.inf, x0=x0)
-    slope = evaluate(differentiate(e), x0)
-    intercept = evaluate(e, x0) - slope * x0
-    return slope, intercept
+    slope = check_result(NumericalError, slope=evaluate(differentiate(e), x0))
+    return slope, check_result(NumericalError, intercept=evaluate(e, x0) - slope * x0)
 
 
 def _positive_point(e: Expr, x: float, what: str) -> float:
@@ -86,9 +86,10 @@ def _positive_point(e: Expr, x: float, what: str) -> float:
 
 
 def elasticity(e: Expr, x: float) -> float:
-    """x f'(x) / f(x); requires x > 0 and f(x) > 0."""
+    """x f'(x) / f(x); requires x > 0 and f(x) > 0.  A result past the float
+    range (f(x) or f'(x) overflowing, say) is a NumericalError."""
     fx = _positive_point(e, x, "elasticity")
-    return x * evaluate(differentiate(e), x) / fx
+    return check_result(NumericalError, elasticity=x * evaluate(differentiate(e), x) / fx)
 
 
 def elasticity_label(eps: float, tol: float = 1e-9) -> str:
@@ -104,9 +105,11 @@ def elasticity_expr(e: Expr) -> Expr:
 
 
 def second_elasticity(e: Expr, x: float) -> float:
-    """x d/dx [x f'(x)/f(x)], evaluated symbolically then numerically."""
+    """x d/dx [x f'(x)/f(x)], evaluated symbolically then numerically; a
+    result past the float range is a NumericalError."""
     _positive_point(e, x, "second elasticity")
-    return x * evaluate(differentiate(elasticity_expr(e)), x)
+    return check_result(NumericalError,
+                        second_elasticity=x * evaluate(differentiate(elasticity_expr(e)), x))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +155,37 @@ def _neg(c: list[float]) -> list[float]:
     return [-v for v in c]
 
 
+# A polynomial is the pair (num, [1.0]).  Sums, products, quotients, powers and
+# derivatives of polynomials skip every product with that [1.0]: _mul(c, [1.0])
+# is _unit(c), bit for bit, so each result is the one the general formula gives.
+
+def _unit(c: list[float]) -> list[float]:
+    """_mul(c, [1.0]) with no product: -0.0 becomes 0.0 and trailing zeros go."""
+    return _trim([0.0 + v for v in c])
+
+
 def _rational_sum(ra, rb, subtract: bool = False) -> tuple[list[float], list[float]]:
     """ra + rb (ra - rb) for (num, den) pairs, as as_rational takes a sum."""
-    b = _mul(rb[0], ra[1])
-    return _trim(_add(_mul(ra[0], rb[1]), _neg(b) if subtract else b)), _mul(ra[1], rb[1])
+    if ra[1] == rb[1] == [1.0]:
+        b, a, den = _unit(rb[0]), _unit(ra[0]), [1.0]
+    else:
+        b, a, den = _mul(rb[0], ra[1]), _mul(ra[0], rb[1]), _mul(ra[1], rb[1])
+    return _trim(_add(a, _neg(b) if subtract else b)), den
+
+
+def _rational_product(ra, rb) -> tuple[list[float], list[float]]:
+    """ra rb for (num, den) pairs, as as_rational takes a product."""
+    if ra[1] == rb[1] == [1.0]:
+        return _mul(ra[0], rb[0]), [1.0]
+    return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
 
 
 def _rational_derivative(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
-    """(num' den - num den', den^2): the derivative of num/den as coefficient lists."""
+    """(num' den - num den', den^2): the derivative of num/den as coefficient
+    lists; of a polynomial, (num', [1.0]), since num [1.0]' is [0.0]."""
     dn, dd = ([k * v for k, v in enumerate(c) if k] or [c[0] * 0.0] for c in (num, den))
+    if den == [1.0]:
+        return _unit(dn), [1.0]
     return _trim(_add(_mul(dn, den), _neg(_mul(num, dd)))), _mul(den, den)
 
 
@@ -213,7 +238,7 @@ def _to_rational(e: Expr) -> Optional[tuple[list[float], list[float]]]:
         _check_degree(abs(k) * (max(len(r[0]), len(r[1])) - 1))
         num, den = r if k else ([1.0], [1.0])
         for _ in range(abs(k) - 1):
-            num, den = _mul(num, r[0]), _mul(den, r[1])
+            num, den = _rational_product((num, den), r)
         return (den, num) if k < 0 else (num, den)
     ra, rb = _to_rational(e.a), _to_rational(e.b)
     if not ra or not rb:
@@ -221,9 +246,11 @@ def _to_rational(e: Expr) -> Optional[tuple[list[float], list[float]]]:
     if isinstance(e, (Add, Sub)):
         return _rational_sum(ra, rb, subtract=isinstance(e, Sub))
     if isinstance(e, Mul):
-        return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
+        return _rational_product(ra, rb)
     if not any(rb[0]):  # a zero divisor is defined nowhere
         return None
+    if ra[1] == rb[1] == [1.0]:
+        return _unit(ra[0]), _unit(rb[0])
     return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
 
 
@@ -341,9 +368,9 @@ def _in_window(rs, lo, hi, exclude=(), tol=1e-10) -> list[float]:
 
 class _Fn:
     """f(x), its derivative, roots and monotonicity: for a rational f from its
-    (num, den) coefficient lists (converted once, or given as rat) by Horner's
-    rule, _rational_derivative and poly_real_roots; otherwise from its tree
-    (_bisect).
+    (num, den) coefficient lists (converted from e once, or given as rat, with
+    or without e) by Horner's rule, _rational_derivative and poly_real_roots;
+    otherwise from its tree (_bisect).
 
     Each is worked out on first use and kept on the instance: the lists, f'
     (d), the roots in each window asked for, and for a rational f the real
@@ -352,7 +379,7 @@ class _Fn:
 
     def __init__(self, e: Optional[Expr], rat=None):
         self.e, self._roots = e, {}  # roots by (lo, hi, tol)
-        if e is None:
+        if e is None or rat is not None:
             self.rat = rat
 
     @functools.cached_property
@@ -592,7 +619,10 @@ def _poly_reflect(coeffs: list[float]) -> list[float]:
 
 
 def _poly_close(a: list[float], b: list[float]) -> bool:
-    return max(map(abs, _add(a, _neg(b)))) <= 1e-9 * max(map(abs, a + b))
+    """Whether a = b to 1e-9 in each coefficient, |a_k - b_k| against |a_k| +
+    |b_k|: the verdict does not depend on the scale of x."""
+    scale = _add([abs(v) for v in a], [abs(v) for v in b])
+    return all(abs(d) <= 1e-9 * s for d, s in zip(_add(a, _neg(b)), scale))
 
 
 def curve_report(e: Expr, lo: float, hi: float) -> CurveReport:
@@ -795,7 +825,8 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     else halved down to width (b-a) 2^-48, where it is kept within the whole
     tol or raises UndecidedError, as a walk past MAX_CELLS does; the kept K15
     are summed by math.fsum.  NaN or infinite bounds, poles inside the
-    interval and divergent power-law endpoints are rejected.
+    interval and divergent power-law endpoints are rejected, and an integral
+    past the float range is a NumericalError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -815,7 +846,7 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
 
     F = antiderivative(e)
     if F is not None:
-        return evaluate(F, b) - evaluate(F, a)
+        return check_result(NumericalError, integral=evaluate(F, b) - evaluate(F, a))
     kept: list[float] = []
 
     def split(lo, hi, floor):
@@ -836,7 +867,7 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
         return True
 
     _bisect(a, b, (b - a) * 2.0 ** -48, split, "integral")
-    return math.fsum(kept)
+    return check_result(NumericalError, integral=math.fsum(kept))
 
 
 # The package exports these names lazily; binding them there as this module

@@ -55,8 +55,13 @@ class CostModel(_FrozenRecord):
                 "a2^2 - 3 a3 a1 must be negative (marginal costs would hit zero)"
             )
 
+    def coeffs(self) -> list[float]:
+        """[a0, a1, a2, a3] as floats, lowest degree first, with 0.0 for a0 =
+        -0.0: the list as_rational converts expr() to."""
+        return [0.0 + v for v in map(float, (self.a0, self.a1, self.a2, self.a3))]
+
     def expr(self) -> Expr:
-        return ca.expr_from_poly([self.a0, self.a1, self.a2, self.a3])
+        return ca.expr_from_poly(self.coeffs())
 
     def variable_expr(self) -> Expr:
         """Variable costs K_v = K - a0."""
@@ -159,7 +164,14 @@ class MarketModel(_FrozenRecord):
 
     @functools.cached_property
     def profit(self) -> an._Fn:
-        return an._Fn(self.profit_expr())
+        """G with its tree; for a rational price, G's lists are formed from
+        p's and K's, by the products and the difference that converting the
+        tree x p(x) - K(x) takes (the price is no constant, so mul and sub
+        fold nothing)."""
+        p = self.price_fn.rat
+        rat = p and an._rational_sum(an._rational_product(([0.0, 1.0], [1.0]), p),
+                                     (self.cost.coeffs(), [1.0]), subtract=True)
+        return an._Fn(self.profit_expr(), rat)
 
     @functools.cached_property
     def price_fn(self) -> an._Fn:

@@ -238,9 +238,11 @@ def _reduce_panel(W, w: int, tol: float, mant: float, expo: int):
     return pivots, cols, mant, expo
 
 
-def _gauss_jordan(a) -> _Elimination:
+def _gauss_jordan(a, replayable: bool = True) -> _Elimination:
     """Eliminate a in place; a column takes no pivot if its candidates are
-    within PIVOT_TOL max|a| of zero.  Returns the _Elimination.
+    within PIVOT_TOL max|a| of zero.  Returns the _Elimination; with
+    replayable false, a wider array's record keeps no steps (rank and
+    determinant read only its pivot columns and det).
 
     Column lists go to _gauss_jordan_cols.  On an array of up to ONE_PANEL
     (32) columns, a is one panel, reduced to RREF in a transposed copy (one
@@ -274,7 +276,8 @@ def _gauss_jordan(a) -> _Elimination:
                 moves = _moves([i for i, _, _ in pivots])
                 G = W[w:w + k].T
                 _forward(a[r0:, j0 + w:], moves, G, np.matmul)
-                steps.append((r0, moves, np.vstack([a[:r0, cols], G])))
+                if replayable:
+                    steps.append((r0, moves, np.vstack([a[:r0, cols], G])))
             pivot_cols += cols
             r0 += k
             if r0 >= m:
@@ -378,7 +381,7 @@ def replay(e: _Elimination, b):
 
 def rank(M: Matrix) -> int:
     """The rank, from the forward pass alone."""
-    return len(_gauss_jordan(_work(M)).pivot_cols)
+    return len(_gauss_jordan(_work(M), replayable=False).pivot_cols)
 
 
 def solve(sys: LinearSystem) -> SolutionSet:
@@ -445,7 +448,7 @@ def determinant(A: Matrix) -> float:
         import numpy as np
         _, col_expo = np.frexp(np.abs(a).max(axis=0))
         a = np.ldexp(a, -col_expo)
-    e = _gauss_jordan(a)
+    e = _gauss_jordan(a, replayable=False)
     if len(e.pivot_cols) < n:
         return 0.0
     mant, expo = e.det

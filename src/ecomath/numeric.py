@@ -21,9 +21,10 @@ class _FrozenRecord:
     """An immutable record on __slots__.  A subclass lists its fields in
     __slots__ (or in _fields, when it has other slots) and the defaults of
     trailing fields in _defaults.  __init__ takes the fields by position or
-    keyword, then calls __post_init__ to validate; == compares the fields of
-    two records of one class, hash hashes them, repr lists them, and pickle
-    and copy rebuild a record through __init__.
+    keyword (all of them by keyword reads no defaults), then calls
+    __post_init__ to validate; == compares the fields of two records of one
+    class, hash hashes them, repr lists them, and pickle and copy rebuild a
+    record through __init__.
 
     == and hash read the fields through _values and _key, and walk nested
     records with an explicit stack, not one Python frame per level, so they
@@ -32,23 +33,28 @@ class _FrozenRecord:
 
     __slots__ = ()
     _fields: tuple = ()
+    _field_set: frozenset = frozenset()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_fields" not in vars(cls):
             cls._fields += tuple(s for s in vars(cls).get("__slots__", ()) if s != "__dict__")
+        cls._field_set = frozenset(cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):  # keywords or defaults
-            try:
-                args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f]
-                               for f in fields[len(args):]])
-            except KeyError:  # a field neither given nor defaulted
-                args = ()
-            if kwargs or len(args) != len(fields):  # also too many, unknown or repeated
-                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            if not args and kwargs.keys() == self._field_set:  # every field by keyword
+                fields, args = kwargs.keys(), kwargs.values()
+            else:
+                try:
+                    args += tuple([kwargs.pop(f) if f in kwargs else self._defaults[f]
+                                   for f in fields[len(args):]])
+                except KeyError:  # a field neither given nor defaulted
+                    args = ()
+                if kwargs or len(args) != len(fields):  # also too many, unknown or repeated
+                    raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
         for f, v in zip(fields, args):
             object.__setattr__(self, f, v)
         self.__post_init__()

@@ -277,6 +277,13 @@ class TestTangentLine:
     def test_ln(self):
         assert ca.tangent_line(ca.parse("ln(x)"), 1.0) == pytest.approx((1.0, -1.0))
 
+    def test_past_the_float_range_is_a_numerical_error(self):
+        # (inf, nan) came back
+        with pytest.raises(NumericalError, match="slope must be a finite number"):
+            ca.tangent_line(ca.parse("1e300*x^2"), 1e10)
+        with pytest.raises(NumericalError, match="intercept must be a finite number"):
+            ca.tangent_line(ca.parse("1e300*x^2"), 1e5)  # a finite slope, f(x0) = 1e310
+
 
 class TestElasticity:
     def test_power_law(self):
@@ -292,6 +299,12 @@ class TestElasticity:
 
     def test_ln(self):
         assert ca.elasticity(ca.parse("ln(x)"), math.e) == pytest.approx(1.0)
+
+    def test_past_the_float_range_is_a_numerical_error(self):
+        # f(x) and f'(x) overflow, and inf/inf gave nan
+        for fn in (ca.elasticity, ca.second_elasticity):
+            with pytest.raises(NumericalError, match="must be a finite number, got nan"):
+                fn(ca.parse("1e300*x^3"), 1e10)
 
     def test_log_base(self):
         # log_a(x) shares ln's elasticity 1/ln(x)
@@ -788,6 +801,95 @@ class TestPolynomialArithmetic:
                                            magnitude(*r), n)
 
 
+def general_rational(e):
+    """as_rational's conversion with each product and sum formed in full,
+    [1.0] denominators multiplied through as by any other polynomial."""
+    from ecomath.calculus.analysis import _add, _mul, _neg, _trim
+    if isinstance(e, Const):
+        return [e.value], [1.0]
+    if e is X:
+        return [0.0, 1.0], [1.0]
+    if isinstance(e, Neg):
+        r = general_rational(e.a)
+        return (_neg(r[0]), r[1]) if r else None
+    if isinstance(e, Pow):
+        k, r = int(e.exponent.value), general_rational(e.base)
+        if not r or (k < 0 and not any(r[0])):
+            return None
+        num, den = r if k else ([1.0], [1.0])
+        for _ in range(abs(k) - 1):
+            num, den = _mul(num, r[0]), _mul(den, r[1])
+        return (den, num) if k < 0 else (num, den)
+    ra, rb = general_rational(e.a), general_rational(e.b)
+    if not ra or not rb:
+        return None
+    if isinstance(e, (Add, Sub)):
+        b = _mul(rb[0], ra[1])
+        b = _neg(b) if isinstance(e, Sub) else b
+        return _trim(_add(_mul(ra[0], rb[1]), b)), _mul(ra[1], rb[1])
+    if isinstance(e, Mul):
+        return _mul(ra[0], rb[0]), _mul(ra[1], rb[1])
+    if not any(rb[0]):
+        return None
+    return _mul(ra[0], rb[1]), _mul(ra[1], rb[0])
+
+
+def random_polynomial(rng, depth):
+    """A tree of sums, differences, products, negations and powers (0 to 3)
+    of c0 +- c1*x, some c zero or -0.0: a polynomial, built without folding."""
+    if depth == 0 or rng.random() < 0.25:
+        c0, c1 = (float(rng.choice([0.0, -0.0, -1.5, 2.0, rng.uniform(-3, 3)])) for _ in range(2))
+        return (Add, Sub)[rng.integers(2)](Const(c0), Mul(Const(c1), X))
+    kind = rng.integers(5)
+    if kind == 3:
+        return Neg(random_polynomial(rng, depth - 1))
+    if kind == 4:
+        return Pow(random_polynomial(rng, depth - 1), Const(float(rng.integers(0, 4))))
+    return (Add, Sub, Mul)[kind](random_polynomial(rng, depth - 1),
+                                 random_polynomial(rng, depth - 1))
+
+
+class TestPolynomialFastPath:
+    """A polynomial is (num, [1.0]), and as_rational, _rational_sum,
+    _rational_product and _rational_derivative skip every product with that
+    [1.0]: each result must be the general formula's, bit for bit (repr tells
+    -0.0 from 0.0)."""
+
+    def test_unit_is_the_product_with_one(self):
+        from ecomath.calculus.analysis import _mul, _unit
+        values = [0.0, -0.0, 1.0, -2.5, 1e-300, math.inf, -math.inf, math.nan]
+        lists = np.random.default_rng(31)
+        for _ in range(500):
+            c = [float(v) for v in lists.choice(values, size=lists.integers(1, 6))]
+            assert repr(_unit(c)) == repr(_mul(c, [1.0])) == repr(_mul([1.0], c)), c
+
+    def test_sums_products_and_derivatives_of_polynomials(self):
+        from ecomath.calculus.analysis import (
+            _add, _mul, _neg, _rational_derivative, _rational_product, _rational_sum, _trim,
+        )
+        values = [0.0, -0.0, 1.0, -1.0, 3.0, -2.5, 1e-300, 1e300]
+        lists = np.random.default_rng(32)
+        for _ in range(500):
+            a, b = ([float(v) for v in lists.choice(values, size=lists.integers(1, 6))]
+                    for _ in range(2))
+            for subtract in (False, True):
+                bb = _mul(b, [1.0])
+                want = _trim(_add(_mul(a, [1.0]), _neg(bb) if subtract else bb)), _mul([1.0], [1.0])
+                assert repr(_rational_sum((a, [1.0]), (b, [1.0]), subtract)) == repr(want)
+            want = _mul(a, b), _mul([1.0], [1.0])
+            assert repr(_rational_product((a, [1.0]), (b, [1.0]))) == repr(want)
+            da = [k * v for k, v in enumerate(a) if k] or [a[0] * 0.0]
+            want = _trim(_add(_mul(da, [1.0]), _neg(_mul(a, [0.0])))), _mul([1.0], [1.0])
+            assert repr(_rational_derivative(a, [1.0])) == repr(want), a
+
+    @pytest.mark.parametrize("make", [random_polynomial, random_rational])
+    def test_as_rational_is_the_general_conversion(self, make):
+        trees = np.random.default_rng(33)
+        for _ in range(400):
+            e = make(trees, 4)
+            assert repr(ca.as_rational(e)) == repr(general_rational(e)), ca.to_string(e)
+
+
 class TestPolyDivide:
     def test_improper_rational(self):
         q, r = ca.poly_divide([1, 0, 1], [0, 1])  # (x^2+1)/x
@@ -878,6 +980,19 @@ class TestCurveReport:
         rep = ca.curve_report(ca.parse("x^3-6*x^2+15*x+40"), 0, 10)
         assert rep.roots == ()
         assert rep.inflections == pytest.approx([2.0])
+
+    @pytest.mark.parametrize("text, want", [
+        ("x^3-x", "odd"), ("(x^2-1)/(x^2+1)", "even"), ("x+1e-11", "none"),
+        ("1e-11*x+1e-11", "none"), ("(x^2-1e-24)/(x+1e-11)", "none"),
+    ])
+    def test_symmetry_does_not_depend_on_the_scale_of_x(self, text, want):
+        # each coefficient of f(-x) -+ f(x) is judged against its own terms, not
+        # against the largest: x+1e-11 read "odd", as if its 1e-11 were rounding
+        f = ca.parse(text)
+        for s in (1.0, 2.0 ** 60, 2.0 ** -60):  # f(s x)
+            g = ca.parse(text.replace("x", f"({s!r}*x)"))
+            assert ca.curve_report(g, -1.0, 1.0).symmetry == want, (text, s)
+        assert ca.curve_report(f, -1.0, 1.0).symmetry == want
 
     def test_even_symmetry(self):
         rep = ca.curve_report(ca.parse("x^4-2*x^2"), -2, 2)

@@ -133,6 +133,26 @@ def test_lp_solve_prints_the_golden_trace_and_json(name, capsys):
     assert code == EXIT_OK and out == (GOLDEN / f"{name}.out.json").read_text()
 
 
+# polynomial and rational functions through their coefficient lists, each
+# output the file the code before the polynomial fast path printed
+POLY_GOLDEN = {
+    "econ_profit_lin": ["econ", "profit", "--price", "30-2*x", "--cost", "1,-6,15,10",
+                        "--window", "0:10"],
+    "econ_profit_quad": ["econ", "profit", "--price", "40-2*x-0.5*x^2", "--cost", "1,-6,15,10",
+                         "--window", "0:10"],
+    "econ_surplus_simpson": ["econ", "surplus", "--demand", "100/(1+0.01*x^2)",
+                             "--supply", "2*x+5", "--pu", "0", "--po", "60"],
+    "calc_report_cubic": ["calc", "report", "x^3-6*x^2+9*x+1", "--window=-1:5"],
+    "calc_report_rational": ["calc", "report", "(x^2+1)/(x-1)", "--window=-3:4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLY_GOLDEN))
+def test_polynomial_paths_print_the_golden_json(name, capsys):
+    code, out, _ = run(["--format", "json", *POLY_GOLDEN[name]], capsys)
+    assert code == EXIT_OK and out == (GOLDEN / f"{name}.out.json").read_text()
+
+
 class TestCalc:
     def test_pole_exit_3(self, capsys):
         code, _, err = run(
@@ -157,6 +177,17 @@ class TestCalc:
     def test_syntax_error_exit_1(self, capsys):
         code, _, _ = run(["calc", "diff", "ln(x"], capsys)
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [
+        ["calc", "integrate", "1e300*x", "--from", "0", "--to", "1e10"],  # antiderivative
+        ["calc", "integrate", "1.5e308/(1+x^2)", "--from", "0", "--to", "1e10"],  # quadrature
+        ["calc", "elasticity", "1e300*x^3", "--at", "1e10"],
+    ])
+    def test_a_result_past_the_float_range_exits_3(self, argv, capsys):
+        # the integral printed Infinity with exit 0; the elasticity, NaN, exited 1
+        code, out, err = run(["--format", "json", *argv], capsys)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "must be a finite number" in err
 
     def test_report(self, capsys):
         code, out, _ = run(

@@ -440,8 +440,28 @@ def tree_profit(m):
 
 
 class TestProfitOnArrays:
-    """A rational profit G goes through one as_rational call and its
-    coefficient arrays; the figures must agree with the tree path."""
+    """A rational profit G is solved on coefficient lists formed from the
+    price's and the cost's, with no as_rational call on G; the lists must be
+    G's tree converted, and the figures must agree with the tree path."""
+
+    def test_lists_are_the_tree_converted(self):
+        from ecomath.calculus import analysis
+        markets, seen = np.random.default_rng(777), set()
+        for _ in range(240):
+            a3 = float(markets.choice([1.0, 2.0, markets.uniform(0.5, 2.0)]))
+            a2 = -a3 * float(markets.uniform(3.0, 8.0))
+            a1 = a2 * a2 / (3.0 * a3) * float(markets.uniform(1.1, 2.0))
+            a0 = float(markets.choice([0.0, -0.0, 4.0, markets.uniform(0.0, 50.0)]))
+            a, b, c, d = (float(markets.uniform(1.5, 3.0)) * a1, *markets.uniform(0.1, 2.0, 3))
+            kind = ("linear", "quadratic", "cubic", "rational")[markets.integers(4)]
+            price = {"linear": f"{a} - {b}*x", "quadratic": f"{a} - {b}*x - {c}*x^2",
+                     "cubic": f"{a} - {b}*x - {c}*x^2 - {d / 10}*x^3",
+                     "rational": f"({a} - {b}*x)/(1 + {c}*x)"}[kind]
+            m = MarketModel(ca.parse(price), CostModel(a3, a2, a1, a0), 4.0)
+            want = analysis.as_rational(m.profit_expr())
+            assert m.profit.rat == want and repr(m.profit.rat) == repr(want), price
+            seen.add(kind)
+        assert seen == {"linear", "quadratic", "cubic", "rational"}
 
     def test_agrees_with_the_tree_path(self):
         markets = np.random.default_rng(4242)
@@ -475,10 +495,12 @@ class TestProfitOnArrays:
             monkeypatch.setattr(analysis, name, wrapped)
         pa, cp = econ.profit_analysis(m), econ.cournot(m)
         assert pa.x_M == cp.x_M == pytest.approx(3.775, abs=1e-3)
-        # the two steps together convert G once: cournot reads what profit_analysis solved
-        assert calls["as_rational"] == [m.profit_expr()]
+        # the two steps together convert no tree: G's lists come from p's and K's,
+        # and cournot reads what profit_analysis solved
+        assert calls["as_rational"] == []
         assert calls["roots"] == []
         assert all(e == m.price for e in calls["differentiate"])
+        assert m.profit.rat == analysis.as_rational(m.profit_expr())
 
     def test_cournot_reuses_the_roots_of_an_exponential_price(self, monkeypatch):
         from ecomath.calculus import analysis

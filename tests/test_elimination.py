@@ -189,6 +189,23 @@ def test_blocked_determinant_at_100_columns():
         sign * np.exp(logdet), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [linsolve.ONE_PANEL + 1, 100])
+def test_rank_and_determinant_keep_no_panel_steps(n, monkeypatch):
+    # they read pivot_cols and det alone; the replayable record gives the same
+    A = np.random.default_rng(n).standard_normal((n, n))
+    A[:, 7] = A[:, :7] @ np.ones(7)  # rank n - 1
+    kept = linsolve._gauss_jordan(A.copy())
+    records, kernel = [], linsolve._gauss_jordan
+    monkeypatch.setattr(linsolve, "_gauss_jordan",
+                        lambda a, *r, **k: records.append(kernel(a, *r, **k)) or records[-1])
+    M = Matrix.from_array(A)
+    assert linsolve.rank(M) == len(kept.pivot_cols) == n - 1
+    assert not linsolve.is_regular(M)
+    assert linsolve.determinant(Matrix.from_array(np.linalg.qr(A)[0])) != 0.0
+    assert kept.steps and all(e.form == "panels" and e.steps == [] for e in records)
+    assert len(records) == 3
+
+
 def test_replay_equals_one_panel_elimination_at_one_panel_columns():
     # the widest A that is one panel: replay repeats bit for bit what
     # eliminating [A | b] as one panel leaves, though [A | b] is wider

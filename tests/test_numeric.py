@@ -81,3 +81,31 @@ def test_tiny_xtol_leaves_the_relative_accuracy():
     # 4 / 2^-1022 is past the float range; the step budget is worked out in logs
     x = brent(lambda t: t * t - 2.0, 0.0, 4.0, xtol=2.0 ** -1022)
     assert x == pytest.approx(math.sqrt(2.0), rel=4e-15)
+
+
+class TestRecordConstructor:
+    """_FrozenRecord.__init__: every field by position or by keyword, in any
+    order, gives one record; a field missing, unknown, repeated or surplus is
+    the same TypeError on every path."""
+
+    def test_keywords_in_any_order_are_the_positional_record(self):
+        from ecomath.econ import CostModel, ProfitAnalysis
+        fields = dict(x_S=1.0, x_G=5.0, x_M=3.0, G_max=2.0, parallel_tangent_gap=0.0)
+        want = ProfitAnalysis(*fields.values())
+        assert ProfitAnalysis(**fields) == want
+        assert ProfitAnalysis(**dict(reversed(fields.items()))) == want
+        assert CostModel(a0=4.0, a1=15.0, a2=-6.0, a3=1.0) == CostModel(1.0, -6.0, 15.0, 4.0)
+        assert CostModel(a3=1.0, a2=-6.0, a1=15.0) == CostModel(1.0, -6.0, 15.0, 0.0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), dict(a3=1.0, a2=-6.0, a0=4.0)),  # a1 missing
+        ((), dict(a3=1.0, a2=-6.0, a1=15.0, a0=4.0, b=1.0)),  # unknown
+        ((), dict(a3=1.0, a2=-6.0, a1=15.0, b=1.0)),  # as many as the fields, one unknown
+        ((1.0,), dict(a3=1.0, a2=-6.0, a1=15.0, a0=4.0)),  # a3 twice
+        ((1.0, -6.0, 15.0, 4.0, 5.0), {}),  # surplus
+        ((), {}),
+    ])
+    def test_a_wrong_field_set_is_a_type_error(self, args, kwargs):
+        from ecomath.econ import CostModel
+        with pytest.raises(TypeError, match=r"CostModel\(\) takes the fields \('a3', 'a2', 'a1', 'a0'\)"):
+            CostModel(*args, **kwargs)
