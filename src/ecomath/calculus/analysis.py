@@ -300,15 +300,28 @@ def _horner(c: list[float], x: float) -> float:
 
 def _monotone_roots(c: list[float], crit: list[float]) -> list[float]:
     """The distinct real roots of the monic polynomial c, given the sorted real
-    roots crit of its derivative."""
-    bound = 1.0 + max(abs(v) for v in c[:-1])
-    ac = [abs(v) for v in c]
+    roots crit of its derivative; NumericalError where the Cauchy bound
+    1 + max |c_k| (k < n), or a piece holding a root, passes the float range."""
+    big = max(abs(v) for v in c[:-1])
+    bound = 1.0 + big
+    if bound == big:  # 1 rounds away; the next float up still exceeds 1 + big
+        bound = math.nextafter(big, math.inf)
+    if bound == math.inf:
+        raise NumericalError("polynomial roots outside the float range")
+    ac, rc = [abs(v) for v in c], c[::-1]
+
+    def p(x):  # _horner(c, x)
+        y = 0.0
+        for ck in rc:
+            y = y * x + ck
+        return y
+
     pts = [-bound, *crit, bound]
     # the sign of p at each point, 0 where |p| is within twice Horner's rounding-error
     # bound gamma_2n sum |c_k x^k| (Higham 2002, sec. 5.1), unless at the bound or inf
-    signs = []
-    for x in pts:
-        y, err = _horner(c, x), 2.0 * len(c) * 2.0 ** -52 * _horner(ac, abs(x))
+    ys, signs = [p(x) for x in pts], []
+    for x, y in zip(pts, ys):
+        err = 2.0 * len(c) * 2.0 ** -52 * _horner(ac, abs(x))
         zero = abs(y) <= err and abs(x) < bound and not math.isinf(y)
         signs.append(0.0 if zero else math.copysign(1.0, y))
 
@@ -316,7 +329,9 @@ def _monotone_roots(c: list[float], crit: list[float]) -> list[float]:
     cluster: list[float] = []
     for i in range(1, len(pts)):
         if signs[i - 1] * signs[i] < 0.0:
-            found.append(brent(lambda x: _horner(c, x), pts[i - 1], pts[i], xtol=2.0 ** -1022))
+            if pts[i] - pts[i - 1] == math.inf:  # brent's steps would overflow
+                raise NumericalError("polynomial roots outside the float range")
+            found.append(brent(p, pts[i - 1], pts[i], 2.0 ** -1022, ys[i - 1], ys[i]))
         if signs[i] == 0.0:
             cluster.append(pts[i])
         elif cluster:
@@ -373,12 +388,14 @@ class _Fn:
     otherwise from its tree (_bisect).
 
     Each is worked out on first use and kept on the instance: the lists, f'
-    (d), the roots in each window asked for, and for a rational f the real
-    roots of num and den, which sign_pieces reads too.  The kept roots are
-    shared; callers only read them."""
+    (d), the roots in each window asked for, for a rational f the real roots
+    of num and den, which sign_pieces reads too, and for a tree its enclosure
+    on each bisection cell, so that the walks for f's roots, f''s roots and
+    monotonicity enclose f' once per cell.  The kept roots are shared;
+    callers only read them."""
 
     def __init__(self, e: Optional[Expr], rat=None):
-        self.e, self._roots = e, {}  # roots by (lo, hi, tol)
+        self.e, self._roots, self._cells = e, {}, {}  # roots by (lo, hi, tol), enclosures by cell
         if e is None or rat is not None:
             self.rat = rat
 
@@ -406,6 +423,16 @@ class _Fn:
     @functools.cached_property
     def den_roots(self) -> list[float]:
         return poly_real_roots(self.den)
+
+    def enclose(self, a: float, b: float) -> Optional[tuple[float, float]]:
+        """enclose(f.e, a, b), kept for up to MAX_CELLS cells (one walk's worth)."""
+        cells = self._cells
+        if (a, b) in cells:
+            return cells[a, b]
+        F = enclose(self.e, a, b)
+        if len(cells) < MAX_CELLS:
+            cells[a, b] = F
+        return F
 
     def roots(self, lo: float, hi: float, tol: float = 1e-10) -> list[float]:
         """What roots(f.e, lo, hi, tol) gives, with no check that lo < hi."""
@@ -442,7 +469,7 @@ class _Fn:
         sign, flaws = (1.0 if increasing else -1.0), []
 
         def split(a, b, floor):
-            D = None if flaws else enclose(self.d.e, a, b)
+            D = None if flaws else self.d.enclose(a, b)
             if D is None or min(sign * D[0], sign * D[1]) > 0.0:
                 return False
             if max(sign * D[0], sign * D[1]) <= 0.0 or max(-D[0], D[1]) < sys.float_info.min:
@@ -537,12 +564,12 @@ def _tree_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
     slope = lambda x: _at(f.d.e, x) or 0.0  # f', 0 where it is undefined
 
     def split(a, b, floor):
-        F = enclose(f.e, a, b)
+        F = f.enclose(a, b)
         if F is None or not F[0] <= 0.0 <= F[1]:
             return False
         if math.inf in (-F[0], F[1]):
             return not floor
-        D = enclose(f.d.e, a, b)
+        D = f.d.enclose(a, b)
         monotone = D is not None and math.inf not in (-D[0], D[1]) and not D[0] <= 0.0 <= D[1]
         if not (monotone or floor):
             return True
@@ -550,13 +577,13 @@ def _tree_roots(f: _Fn, lo: float, hi: float, tol: float) -> list[float]:
         found.update(x for x, v in ((a, fa), (b, fb)) if v == 0.0)
         if None not in (fa, fb) and (fa < 0.0 < fb or fb < 0.0 < fa):
             try:
-                found.add(brent(f, a, b, xtol=2.0 ** -1022))
+                found.add(brent(f, a, b, 2.0 ** -1022, fa, fb))
             except (EvalDomainError, OverflowError):  # f is undefined inside
                 return not floor
         elif monotone:
             return not floor and None in (fa, fb)
         elif min(ends := (slope(a), slope(b))) <= 0.0 <= max(ends):
-            c = brent(slope, a, b, xtol=2.0 ** -1022)
+            c = brent(slope, a, b, 2.0 ** -1022, *ends)
             near = enclose(f.e, c - 4.0 * math.ulp(c), c + 4.0 * math.ulp(c))
             if near is not None and near[0] <= 0.0 <= near[1]:
                 found.add(c)
@@ -825,8 +852,9 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
     else halved down to width (b-a) 2^-48, where it is kept within the whole
     tol or raises UndecidedError, as a walk past MAX_CELLS does; the kept K15
     are summed by math.fsum.  NaN or infinite bounds, poles inside the
-    interval and divergent power-law endpoints are rejected, and an integral
-    past the float range is a NumericalError.
+    interval and divergent power-law endpoints are rejected.  An integrand or
+    integral past the float range is a NumericalError: an overflow in
+    evaluate, a floor cell whose K15 or G7 sum is not finite, or an inf sum.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -845,8 +873,6 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
             )
 
     F = antiderivative(e)
-    if F is not None:
-        return check_result(NumericalError, integral=evaluate(F, b) - evaluate(F, a))
     kept: list[float] = []
 
     def split(lo, hi, floor):
@@ -862,11 +888,18 @@ def integrate(e: Expr, a: float, b: float, tol: float = 1e-10) -> float:
             kept.append(k15)
             return False
         if floor:
+            if not math.isfinite(err):  # K15 or G7 overflowed
+                raise NumericalError(f"integral outside the float range on [{lo:.6g}, {hi:.6g}]")
             raise UndecidedError(f"integral undecided on [{lo:.6g}, {hi:.6g}]: its error "
                                  f"estimate {err:.3g} is above tol = {tol:g} at width (b-a) 2^-48")
         return True
 
-    _bisect(a, b, (b - a) * 2.0 ** -48, split, "integral")
+    try:
+        if F is not None:
+            return check_result(NumericalError, integral=evaluate(F, b) - evaluate(F, a))
+        _bisect(a, b, (b - a) * 2.0 ** -48, split, "integral")
+    except OverflowError as exc:  # evaluate's exp or ** left the float range
+        raise NumericalError(f"integral outside the float range: {exc}") from None
     return check_result(NumericalError, integral=math.fsum(kept))
 
 

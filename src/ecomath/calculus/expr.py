@@ -29,8 +29,9 @@ class EvalDomainError(ArithmeticError):
 
 class Expr(_FrozenRecord):
     """Base class; all nodes are immutable slotted records (numeric._FrozenRecord,
-    each with a plain __init__) and compare structurally, by the base's ==
-    and hash, which walk a tree of any depth with an explicit stack."""
+    each with a plain __init__ that sets its slots through their descriptors'
+    __set__, bound once below each class) and compare structurally, by the
+    base's == and hash, which walk a tree of any depth with an explicit stack."""
 
     __slots__ = ()
 
@@ -42,7 +43,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
+        _set_value(self, float(value))
 
 
 class Var(Expr):
@@ -53,15 +54,15 @@ class _Unary(Expr):
     __slots__ = ("a",)
 
     def __init__(self, a: Expr):
-        object.__setattr__(self, "a", a)
+        _set_arg(self, a)
 
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_left(self, a)
+        _set_right(self, b)
 
 
 class Add(_Binary):
@@ -84,8 +85,8 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        _set_base(self, base)
+        _set_exponent(self, exponent)
 
 
 class Neg(_Unary):
@@ -103,6 +104,10 @@ class Ln(_Unary):
 class Abs(_Unary):
     __slots__ = ()
 
+
+_set_value, _set_arg = Const.value.__set__, _Unary.a.__set__
+_set_left, _set_right = _Binary.a.__set__, _Binary.b.__set__
+_set_base, _set_exponent = Pow.base.__set__, Pow.exponent.__set__
 
 X = Var()
 
@@ -309,15 +314,31 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
     2009, ch. 5-6): each node's exact image where it is defined, rounded out;
     a divisor holding 0, or a NaN bound (inf - inf), gives (-inf, inf).
 
-    Dispatches on type(e) as evaluate does.  A product c*u with a constant c
-    (mul keeps constants on the left) takes two products, not the four of
-    a general [a0, a1]*[b0, b1]; min and max then pick the same bounds,
-    signed zeros included."""
+    Dispatches on type(e), the kinds most frequent in enclosed trees first:
+    c*u with a constant c (mul keeps constants on the left), which takes two
+    products, not the four of a general [a0, a1]*[b0, b1], then x, + and -,
+    whose bounds are rounded out here as _out does.  Comparisons pick the
+    bounds min and max would, signed zeros included."""
     kind = type(e)
-    if kind is Const:
-        return e.value, e.value
+    if kind is Mul and type(e.a) is Const:
+        if (b := enclose(e.b, lo, hi)) is None:
+            return None
+        p, q = e.a.value * b[0], e.a.value * b[1]
+        if p != p or q != q:
+            return -math.inf, math.inf
+        p, q = (q, p) if q < p else (p, q if q > p else p)  # min(p, q), max(p, q)
+        return p and math.nextafter(p, -math.inf), q and math.nextafter(q, math.inf)
     if kind is Var:
         return lo, hi
+    if kind is Add or kind is Sub:
+        if (a := enclose(e.a, lo, hi)) is None or (b := enclose(e.b, lo, hi)) is None:
+            return None
+        p, q = (a[0] + b[0], a[1] + b[1]) if kind is Add else (a[0] - b[1], a[1] - b[0])
+        if p != p or q != q:
+            return -math.inf, math.inf
+        return p and math.nextafter(p, -math.inf), q and math.nextafter(q, math.inf)
+    if kind is Const:
+        return e.value, e.value
     if kind is Pow:  # c.__pow__(t) is c ** t, k.__rpow__(t) is t ** k: no closures
         if type(e.exponent) is not Const:  # c ** u, for c <= 0 defined at integers only
             u, c = enclose(e.exponent, lo, hi), e.base.value
@@ -330,11 +351,6 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
                 -_image(k.__rpow__, 0.0, -a[0])[1], _image(k.__rpow__, 0.0, a[1])[1])
         m = _image(k.__rpow__, max(-a[1], 0.0), max(-a[0], a[1]))  # |t| ** k
         return m if m is None or not int(k) % 2 else (-m[1], -m[0])
-    if kind is Mul and type(e.a) is Const:
-        if (b := enclose(e.b, lo, hi)) is None:
-            return None
-        p, q = e.a.value * b[0], e.a.value * b[1]
-        return (-math.inf, math.inf) if p != p or q != q else _out(min(p, q), max(p, q))
     a = enclose(e.a, lo, hi)
     if a is None or kind is Neg:
         return a and (-a[1], -a[0])
@@ -348,10 +364,6 @@ def enclose(e: Expr, lo: float, hi: float) -> Optional[tuple[float, float]]:
         return a if a[0] >= 0.0 else (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
     if (b := enclose(e.b, lo, hi)) is None:
         return None
-    if kind is Add:
-        return _out(a[0] + b[0], a[1] + b[1])
-    if kind is Sub:
-        return _out(a[0] - b[1], a[1] - b[0])
     if kind is Mul:
         ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     elif b[0] <= 0.0 <= b[1]:  # Div

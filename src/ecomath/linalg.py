@@ -264,11 +264,20 @@ def linear_combination(coeffs, vectors) -> Vector:
 
 def _dot(x, y) -> float:
     """x . y of two float tuples or two arrays; math.fsum rounds the tuples'
-    sum once, NumPy's dot rounds as its BLAS does."""
+    sum once, NumPy's dot rounds as its BLAS does.  A product or sum past the
+    float range is a NumericalError."""
     if type(x) is tuple:
-        return math.fsum(map(mul, x, y))
-    import numpy as np
-    return float(np.dot(x, y))
+        try:
+            s = math.fsum(map(mul, x, y))
+        except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+            s = math.inf
+    else:
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(np.dot(x, y))
+    if not math.isfinite(s):
+        raise NumericalError("a scalar product lies beyond the float range")
+    return s
 
 
 def dot(a: Vector, b: Vector) -> float:
@@ -333,7 +342,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         rows = [A.row(i) for i in range(A.rows)]
         cols = [B._a[j::B.cols] for j in range(B.cols)]
         return Matrix(A.rows, B.cols, [_dot(r, c) for r in rows for c in cols])
-    return Matrix.from_array(A.to_array() @ B.to_array())
+    return Matrix._adopt(_product(A, B), (A.rows, B.cols))
 
 
 def mat_vec(A: Matrix, x: Vector) -> Vector:
@@ -342,7 +351,15 @@ def mat_vec(A: Matrix, x: Vector) -> Vector:
         raise DimensionError(f"inner dimensions disagree: {A.cols} vs {x.n}")
     if type(A._a) is type(x._a) is tuple:
         return Vector([_dot(A.row(i), x._a) for i in range(A.rows)], "col")
-    return Vector(A.to_array() @ x.to_array(), "col")
+    return Vector._adopt(_product(A, x), (A.rows,), orientation="col")
+
+
+def _product(A: Matrix, B: _ArrayValue):
+    """A @ B as a fresh float64 array, with no warning where it overflows:
+    _adopt then raises the NumericalError."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A.to_array() @ B.to_array()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ hash.
 from __future__ import annotations
 
 import math
+from types import MemberDescriptorType
 
 RTOL = 2.0 ** -50  # relative accuracy of brent's roots: four machine epsilons
 
@@ -41,6 +42,7 @@ class _FrozenRecord:
         if "_fields" not in vars(cls):
             cls._fields += tuple(s for s in vars(cls).get("__slots__", ()) if s != "__dict__")
         cls._field_set = frozenset(cls._fields)
+        cls._setters = {f: _setter(cls, f) for f in cls._fields}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -55,8 +57,9 @@ class _FrozenRecord:
                     args = ()
                 if kwargs or len(args) != len(fields):  # also too many, unknown or repeated
                     raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        setters = self._setters
         for f, v in zip(fields, args):
-            object.__setattr__(self, f, v)
+            setters[f](self, v)
         self.__post_init__()
 
     def __post_init__(self):
@@ -111,6 +114,15 @@ class _FrozenRecord:
         return self.__class__, self._values()
 
 
+def _setter(cls, field: str):
+    """What sets the field on a record of cls: its slot's __set__, or
+    object.__setattr__ where the name is no slot of cls (a property, say)."""
+    slot = getattr(cls, field, None)
+    if type(slot) is MemberDescriptorType:
+        return slot.__set__
+    return lambda record, v: object.__setattr__(record, field, v)
+
+
 def _key(v):
     """What == and hash read of a field: an array (ndim >= 1) as its shape
     and bytes, -0.0 read as 0.0; any other value as it is."""
@@ -147,9 +159,12 @@ class NoSignChangeError(ValueError):
     """f does not take values of opposite sign at the ends of the bracket."""
 
 
-def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
+def brent(f, a: float, b: float, xtol: float = 2e-12,
+          fa: float | None = None, fb: float | None = None) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + RTOL |x| (Brent 1973, ch. 4).
+    xtol + RTOL |x| (Brent 1973, ch. 4).  A caller that holds f(a) or f(b)
+    passes it as fa or fb, which then must be exactly what f returns there;
+    f is not called at that end again.
 
     Each step takes the inverse quadratic or secant step through the last
     iterates when it stays well inside the bracket and bisects otherwise; it
@@ -163,7 +178,10 @@ def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
     if not xtol > 0.0:
         raise ValueError(f"xtol must be positive, got {xtol!r}")
     budget = int(3.0 * (math.log2(abs(b - a) + xtol) - math.log2(xtol))) + 4
-    fa, fb = f(a), f(b)
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -172,9 +190,10 @@ def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
         raise NoSignChangeError(
             f"f({a:g}) = {fa:g} and f({b:g}) = {fb:g} do not differ in sign"
         )
+    inf, copysign = math.inf, math.copysign
     c, fc = a, fa
     d = e = b - a
-    m2 = m1 = math.inf  # |m| two steps and one step ago
+    m2 = m1 = inf  # |m| two steps and one step ago
     for _ in range(budget):
         if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
             c, fc = a, fa
@@ -184,11 +203,12 @@ def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
             fa, fb, fc = fb, fc, fb
         tol = 0.5 * (xtol + RTOL * abs(b))
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
+        am = abs(m)
+        if am <= tol or fb == 0.0:
             return b
-        halved = abs(m) <= 0.5 * m2
-        m2, m1 = m1, abs(m)
-        if halved and abs(e) >= tol and abs(fb) < abs(fa) < math.inf:
+        halved = am <= 0.5 * m2
+        m2, m1 = m1, am
+        if halved and abs(e) >= tol and abs(fb) < abs(fa) < inf:
             s = fb / fa
             if a == c:  # secant
                 p, q = 2.0 * m * s, 1.0 - s
@@ -199,13 +219,14 @@ def brent(f, a: float, b: float, xtol: float = 2e-12) -> float:
             if p > 0.0:
                 q = -q
             p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            x1, x2 = 3.0 * m * q - abs(tol * q), abs(e * q)
+            if 2.0 * p < (x2 if x2 < x1 else x1):  # min(x1, x2), as min picks
                 e, d = d, p / q
             else:
                 d = e = m
         else:
             d = e = m
         a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
+        b += d if abs(d) > tol else copysign(tol, m)
         fb = f(b)
     raise NumericalError(f"no root within {xtol:g} + {RTOL:g}|x| after {budget} steps")

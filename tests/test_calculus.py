@@ -520,6 +520,25 @@ class TestTreeRoots:
         assert len(found) == 2 and all(abs(ca.evaluate(e, r)) < 1e-15 for r in found)
         assert len(calls) <= 150  # points and enclosures of f and f' together
 
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("x*28.5425*exp(-0.0172*x) - (0.838*x^3 - 4.3719*x^2 + 12.4493*x + 15.3985)", 0, 10.5394),
+        ("(exp(x)-2)^2", -3, 3),
+        ("ln(1-x^2)+0.1", -2, 2),
+        ("abs(exp(x)-2)-0.5", 0, 1.3),
+        ("x*exp(-x)-0.1", -0.0, 20),
+    ])
+    def test_a_shared_function_object_finds_what_fresh_ones_find(self, text, lo, hi):
+        # the walk for f's roots keeps f''s enclosures on its cells, and the
+        # walks for f''s roots and f's monotonicity read them again
+        from ecomath.calculus.analysis import _Fn
+
+        e = ca.parse(text)
+        f = _Fn(e)
+        assert repr(f.roots(lo, hi)) == repr(_Fn(e).roots(lo, hi))
+        assert f.d._cells  # kept for the next walks
+        assert repr(f.d.roots(lo, hi)) == repr(_Fn(ca.differentiate(e)).roots(lo, hi))
+        assert f.monotone_flaw(lo, hi, True) == _Fn(e).monotone_flaw(lo, hi, True)
+
     def test_an_undecided_window_names_its_span(self):
         # exp(x) - exp(x) is 0 everywhere, and its enclosures never show it
         with pytest.raises(ca.UndecidedError, match=r"roots undecided on \[-?[0-9.e-]+, 1\] "
@@ -591,6 +610,25 @@ class TestPolyRealRoots:
     def test_coefficients_outside_the_float_range(self):
         with pytest.raises(NumericalError, match="float range"):
             ca.poly_real_roots([1.0, math.inf])
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([1e20, 1.0], [-1e20]),
+        ([0.0, 1e20, 1.0], [-1e20, 0.0]),
+        ([0.0, 1e308, 1.0], [-1e308, 0.0]),
+    ])
+    def test_a_root_at_a_rounded_cauchy_bound(self, coeffs, want):
+        # 1 + max|c_k| rounded to max|c_k|, so the root at -max|c_k| was the
+        # bound itself, where p = 0 reads as +1: each gave []
+        assert ca.poly_real_roots(coeffs) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("coeffs", [
+        [1e308, 1e-10],  # the monic polynomial's coefficient is inf: no finite bound
+        [1.7e308, 1.0],  # a bound, but the piece [-bound, bound] is wider than the range
+    ])
+    def test_roots_past_the_float_range(self, coeffs):
+        # both gave []
+        with pytest.raises(NumericalError, match="float range"):
+            ca.poly_real_roots(coeffs)
 
     def test_degree_past_max_degree_is_refused(self):
         from ecomath.calculus.analysis import MAX_DEGREE
@@ -1203,6 +1241,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite"):
             ca.integrate(X, a, b)
 
+    @pytest.mark.parametrize("text, a, b", [
+        ("1e300*exp(x^2)", 0, 30),  # exp overflows in the quadrature
+        ("1.7e308/(1+x^2)", -1, 1),  # every value is finite, K15's weighted sum is not
+        ("exp(x)", 0, 1000),  # the antiderivative overflows
+    ])
+    def test_an_integrand_past_the_float_range_is_a_numerical_error(self, text, a, b):
+        # the first and last raised OverflowError, the second UndecidedError
+        with pytest.raises(NumericalError, match="integral outside the float range") as info:
+            ca.integrate(ca.parse(text), a, b)
+        assert type(info.value) is NumericalError
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_tol_not_finite_and_positive_refused(self, tol):
         # tol = nan: roots ran, and integrate said "error estimate 0 is above tol = nan"
@@ -1356,6 +1405,8 @@ def reference_evaluate(e, x):
 
 
 def reference_enclose(e, lo, hi):
+    """enclose before its fast paths: every product by the four-product rule,
+    every bound of a sum or difference rounded out by _out."""
     _image, _out = expr_module._image, expr_module._out
     kind = type(e)
     if kind is Const:
@@ -1416,7 +1467,8 @@ def outcome(fn, *args):
 
 
 # negative, signed-zero, positive and huge constants; integer and fractional exponents
-constants = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e300, -1e300])
+constants = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e300, -1e300,
+                             1e-320, -1e-320])
 exponents = st.sampled_from([-3.0, -2.0, -1.0, -0.9, 0.5, 1.5, 2.0, 3.0])
 trees = st.recursive(
     st.one_of(constants.map(Const), st.just(X)),
@@ -1449,6 +1501,12 @@ class TestDispatchMatchesTheReference:
         lo, hi = min(lo, hi), max(lo, hi)
         assert outcome(ca.enclose, e, lo, hi) == outcome(reference_enclose, e, lo, hi), (
             ca.to_string(e), lo, hi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trees, ends)
+    def test_enclose_matches_the_reference_on_a_point(self, e, x):
+        assert outcome(ca.enclose, e, x, x) == outcome(reference_enclose, e, x, x), (
+            ca.to_string(e), x)
 
     @pytest.mark.parametrize("c, u, want", [
         (-1.0, (0.0, 2.0), (-2.0000000000000004, -0.0)),

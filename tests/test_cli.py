@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,23 @@ def test_polynomial_paths_print_the_golden_json(name, capsys):
     assert code == EXIT_OK and out == (GOLDEN / f"{name}.out.json").read_text()
 
 
+# expression trees through interval enclosures and Brent's method, each output
+# the file the code before per-cell enclosures and Brent's given end values printed
+TREE_GOLDEN = {
+    "econ_profit_exp": ["econ", "profit", "--price", "28.5425*exp(-0.0172*x)",
+                        "--cost", "0.838,-4.3719,12.4493,15.3985", "--window", "0:10.5394"],
+    "econ_surplus_exp": ["econ", "surplus", "--demand", "8.6*exp(-0.25*x)",
+                         "--supply", "1.2 + 1.5*x", "--pu", "0", "--po", "6"],
+    "calc_roots_tree": ["calc", "roots", "--window=-4:4", "--", "exp(x) - 3*x - 1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_GOLDEN))
+def test_tree_paths_print_the_golden_json(name, capsys):
+    code, out, _ = run(["--format", "json", *TREE_GOLDEN[name]], capsys)
+    assert code == EXIT_OK and out == (GOLDEN / f"{name}.out.json").read_text()
+
+
 class TestCalc:
     def test_pole_exit_3(self, capsys):
         code, _, err = run(
@@ -188,6 +206,25 @@ class TestCalc:
         code, out, err = run(["--format", "json", *argv], capsys)
         assert code == EXIT_NUMERICAL and out == ""
         assert "must be a finite number" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["calc", "integrate", "1e300*exp(x^2)", "--from", "0", "--to", "30"],  # exp overflows
+        ["calc", "integrate", "1.7e308/(1+x^2)", "--from=-1", "--to", "1"],  # K15's sum does
+        ["calc", "integrate", "exp(x)", "--from", "0", "--to", "1000"],  # the antiderivative
+    ])
+    def test_an_integrand_past_the_float_range_exits_3(self, argv, capsys):
+        # the first and last exited 1 with "math range error", the second 3
+        # with "its error estimate nan is above tol"
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "integral outside the float range" in err
+
+    def test_roots_beside_a_rounded_cauchy_bound(self, capsys):
+        # 1 + 1e20 rounds to 1e20, and the root at -1e20 was skipped: roots []
+        code, out, _ = run(["--format", "json", "calc", "roots", "--window=-2e20:1", "--",
+                            "x^2 + 1e20*x"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["roots"] == pytest.approx([-1e20, 0.0], rel=1e-15)
 
     def test_report(self, capsys):
         code, out, _ = run(
@@ -403,6 +440,18 @@ class TestSolveAndLinalg:
         )
         assert code == EXIT_OK
         assert np.allclose(json.loads(out)["product"], np.array(A) @ np.array(B))
+
+    @pytest.mark.parametrize("op, n", [("mul", 2), ("mul", 9), ("matvec", 2), ("matvec", 9)])
+    def test_a_product_past_the_float_range_exits_3(self, op, n, tmp_path, capsys):
+        # tuples (n = 2) said "entries must be finite" with exit 1; arrays also warned
+        (tmp_path / "A.txt").write_text((",".join(["1e300"] * n) + "\n") * n)
+        (tmp_path / "v.txt").write_text("1e300\n" * n)
+        other = str(tmp_path / ("A.txt" if op == "mul" else "v.txt"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["linalg", op, str(tmp_path / "A.txt"), other], capsys)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert "beyond the float range" in err
 
     def test_matvec(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1,2,3\n4,5,6\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ecomath import linalg
 from ecomath.linalg import DimensionError, FormatError, Matrix, Vector
+from ecomath.numeric import NumericalError
 
 
 def vec(*entries):
@@ -91,6 +92,19 @@ class TestDotNormAngle:
     def test_angle_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             linalg.angle(vec(0, 0), vec(1, 0))
+
+    @pytest.mark.parametrize("n", [3, 9])  # float tuples, an array
+    def test_a_product_past_the_float_range_is_a_numerical_error(self, n):
+        # dot gave inf (an array with a RuntimeWarning), and mat_mul and mat_vec
+        # said "entries must be finite", a message about their inputs
+        v, A = Vector([1e300] * n), Matrix(n, n, [1e300] * (n * n))
+        w = Vector([1e300, -1e300] + [0.0] * (n - 2))  # inf - inf in the tuples' fsum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for product in (lambda: linalg.dot(v, v), lambda: linalg.dot(v, w),
+                            lambda: linalg.mat_mul(A, A), lambda: linalg.mat_vec(A, v)):
+                with pytest.raises(NumericalError, match="beyond the float range"):
+                    product()
 
 
 class TestScaleFreeDecisions:

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecomath.numeric import NoSignChangeError, brent
+from ecomath.numeric import NoSignChangeError, NumericalError, brent
 
 
 @pytest.mark.parametrize(
@@ -81,6 +83,34 @@ def test_tiny_xtol_leaves_the_relative_accuracy():
     # 4 / 2^-1022 is past the float range; the step budget is worked out in logs
     x = brent(lambda t: t * t - 2.0, 0.0, 4.0, xtol=2.0 ** -1022)
     assert x == pytest.approx(math.sqrt(2.0), rel=4e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
+       st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.sampled_from([2e-12, 2.0 ** -1022]))
+def test_given_end_values_change_no_bit(coeffs, a, b, xtol):
+    # a polynomial by Horner's rule, as poly_real_roots hands it over; the
+    # same root (sign of zero included) or the same error, two calls fewer
+    def outcome(**ends):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            y = 0.0
+            for c in reversed(coeffs):
+                y = y * x + c
+            return y
+
+        given = {k: f(v) for k, v in ends.items()}
+        calls.clear()
+        try:
+            x = brent(f, a, b, xtol, **given)
+        except (NoSignChangeError, NumericalError) as exc:
+            x = repr(exc)
+        return repr(x), len(calls)
+
+    (want, n), (got, m) = outcome(), outcome(fa=a, fb=b)
+    assert got == want and m == n - 2
 
 
 class TestRecordConstructor:
